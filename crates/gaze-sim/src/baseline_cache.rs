@@ -78,16 +78,15 @@ pub fn multicore_baseline(traces: &[&dyn TraceSource], params: &RunParams) -> Si
         return run_heterogeneous(traces, "none", params);
     }
     let mut names = String::new();
-    let mut fp = 0xcbf2_9ce4_8422_2325u64;
+    let mut fp = sim_core::params::Fnv1a::new();
     for t in traces {
         names.push_str(t.name());
         names.push('|');
-        fp ^= source_fingerprint(*t);
-        fp = fp.wrapping_mul(0x1000_0000_01b3);
+        fp.mix(source_fingerprint(*t));
     }
     let key = BaselineKey {
         trace_name: names,
-        trace_fingerprint: fp,
+        trace_fingerprint: fp.finish(),
         params_fingerprint: params.fingerprint(),
     };
     let cell = {

@@ -13,7 +13,7 @@ use crate::runner::{
     mix_label, multi_level_name, records_for, run_heterogeneous, run_multi_level_single, RunParams,
     SingleRun,
 };
-use crate::trace_store::{load_or_build, AnyTrace};
+use crate::trace_store::LazyWorkload;
 
 use super::{resolve_workloads, split_levels, ConfigAxis, Entry, TableKind, TraceSel};
 
@@ -337,15 +337,16 @@ impl JobResults {
     }
 }
 
-/// Loads (or streams) every workload a plan touches, once each, in
-/// first-use order.
-fn load_traces(plan: &JobPlan, scale: &ExperimentScale) -> HashMap<String, AnyTrace> {
+/// One lazy handle per workload the plan touches. Creating the handles
+/// touches no trace: a job materializes its workloads only when it
+/// simulates, i.e. on a store miss.
+fn workload_handles(plan: &JobPlan, scale: &ExperimentScale) -> HashMap<String, LazyWorkload> {
     let records = records_for(&scale.params);
     let mut traces = HashMap::new();
     for job in plan.jobs() {
         for name in job.workload_names() {
             if !traces.contains_key(name) {
-                traces.insert(name.to_string(), load_or_build(name, records));
+                traces.insert(name.to_string(), LazyWorkload::new(name, records));
             }
         }
     }
@@ -372,7 +373,7 @@ pub fn execute_with_progress(
     scale: &ExperimentScale,
     progress: Option<Progress<'_>>,
 ) -> JobResults {
-    let traces = load_traces(plan, scale);
+    let traces = workload_handles(plan, scale);
     let total = plan.len();
     let done = std::sync::atomic::AtomicUsize::new(0);
     let report_done = |output| {
@@ -485,8 +486,8 @@ pub struct PlanReport {
 
 /// Computes the dry-run summary of a plan: how many jobs, and — when a
 /// results store is active — how many are already stored (warm) versus
-/// would simulate (cold). Loads traces (to fingerprint them) but never
-/// simulates.
+/// would simulate (cold). Never simulates; a trace is materialized only to
+/// fingerprint a workload not yet fingerprinted in this process.
 pub fn dry_run(plan: &JobPlan, scale: &ExperimentScale) -> PlanReport {
     let (singles, mixes) = plan.kind_counts();
     let mut report = PlanReport {
@@ -503,7 +504,7 @@ pub fn dry_run(plan: &JobPlan, scale: &ExperimentScale) -> PlanReport {
     };
     report.store_active = true;
     report.cold = 0;
-    let traces = load_traces(plan, scale);
+    let traces = workload_handles(plan, scale);
     for job in plan.jobs() {
         let warm = match job {
             Job::Single {

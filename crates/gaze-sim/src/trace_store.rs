@@ -9,8 +9,15 @@
 //! chunk reader of [`sim_core::gzt`], never materialising the pass. The
 //! two paths yield identical record streams, so every report is
 //! bit-identical either way (asserted by the streaming determinism tests).
+//!
+//! The experiment engine holds each workload as a [`LazyWorkload`]: the
+//! trace is built or opened only when a simulation reads its records, and
+//! a generated trace's fingerprint is memoized per process, so a sweep
+//! served entirely from the results store touches no trace.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, OnceLock};
 
 use sim_core::gzt::GztTrace;
 use sim_core::trace::{Trace, TraceReader, TraceSource};
@@ -78,37 +85,156 @@ pub fn trace_dir() -> Option<PathBuf> {
         .map(PathBuf::from)
 }
 
-/// Loads `<dir>/<name>.gzt` if `dir` is given and the file exists and
-/// validates; otherwise builds the synthetic workload in memory.
+/// `<dir>/<name>.gzt` if `dir` is given and that file exists.
+fn packed_path(dir: Option<&Path>, name: &str) -> Option<PathBuf> {
+    dir.map(|dir| dir.join(workloads::pack::gzt_file_name(name)))
+        .filter(|path| path.exists())
+}
+
+/// Opens the packed file at `packed`, or builds the synthetic workload in
+/// memory when there is none.
 ///
 /// A present-but-corrupt file — or one whose header names a *different*
 /// workload (a copied/renamed file would otherwise silently substitute
 /// another workload's trace) — is an error the caller should see, not a
 /// silent fallback, so both panic with the file path.
+fn open_or_build(packed: Option<&Path>, name: &str, records: usize) -> AnyTrace {
+    let Some(path) = packed else {
+        return AnyTrace::Memory(build_workload(name, records));
+    };
+    let gzt = GztTrace::open(path)
+        .unwrap_or_else(|e| panic!("invalid packed trace {}: {e}", path.display()));
+    assert_eq!(
+        TraceSource::name(&gzt),
+        name,
+        "packed trace {} is named '{}' but was requested as '{name}' \
+         (misplaced or renamed file?)",
+        path.display(),
+        TraceSource::name(&gzt),
+    );
+    AnyTrace::File(gzt)
+}
+
+/// Loads `<dir>/<name>.gzt` if `dir` is given and the file exists and
+/// validates; otherwise builds the synthetic workload in memory.
+///
+/// # Panics
+///
+/// Panics on a present-but-corrupt or misnamed packed file.
 pub fn load_from_dir_or_build(dir: Option<&Path>, name: &str, records: usize) -> AnyTrace {
-    if let Some(dir) = dir {
-        let path = dir.join(workloads::pack::gzt_file_name(name));
-        if path.exists() {
-            let gzt = GztTrace::open(&path)
-                .unwrap_or_else(|e| panic!("invalid packed trace {}: {e}", path.display()));
-            assert_eq!(
-                TraceSource::name(&gzt),
-                name,
-                "packed trace {} is named '{}' but was requested as '{name}' \
-                 (misplaced or renamed file?)",
-                path.display(),
-                TraceSource::name(&gzt),
-            );
-            return AnyTrace::File(gzt);
-        }
-    }
-    AnyTrace::Memory(build_workload(name, records))
+    open_or_build(packed_path(dir, name).as_deref(), name, records)
 }
 
 /// Loads the workload from `GAZE_TRACE_DIR` when packed there, else builds
-/// it in memory (the drop-in point every experiment uses).
+/// it in memory.
 pub fn load_or_build(name: &str, records: usize) -> AnyTrace {
     load_from_dir_or_build(trace_dir().as_deref(), name, records)
+}
+
+/// Process-wide memo of generated-trace fingerprints, keyed by
+/// (workload, records): the generators are deterministic, so a generated
+/// trace is a pure function of that pair. Packed files are never memoized
+/// here — a file can be replaced between requests.
+fn generated_fingerprints() -> &'static Mutex<HashMap<(String, usize), u64>> {
+    static MEMO: OnceLock<Mutex<HashMap<(String, usize), u64>>> = OnceLock::new();
+    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+fn materialized_counter() -> gaze_obs::metrics::Counter {
+    gaze_obs::metrics::registry().counter(
+        "gaze_sim_traces_materialized_total",
+        "Workload traces built or opened by the experiment engine",
+    )
+}
+
+/// Traces the experiment engine has built or opened so far in this
+/// process (the `gaze_sim_traces_materialized_total` counter).
+pub fn traces_materialized() -> u64 {
+    materialized_counter().get()
+}
+
+/// One workload of a sweep, materialized on first use.
+///
+/// The source — a packed GZT file under `GAZE_TRACE_DIR` or the synthetic
+/// generator — is resolved once, at construction. The trace itself is
+/// built or opened the first time [`len`](TraceSource::len),
+/// [`instructions_per_pass`](TraceSource::instructions_per_pass) or
+/// [`reader`](TraceSource::reader) is called, and then shared by every job
+/// holding this handle. [`name`](TraceSource::name) never materializes,
+/// and neither does [`fingerprint`](TraceSource::fingerprint) of a
+/// generated workload once its (workload, records) fingerprint is
+/// memoized in this process — so a store hit costs no trace at all.
+#[derive(Debug)]
+pub struct LazyWorkload {
+    name: String,
+    records: usize,
+    packed: Option<PathBuf>,
+    trace: OnceLock<AnyTrace>,
+}
+
+impl LazyWorkload {
+    /// A handle on `name` at `records` records, streamed from
+    /// `GAZE_TRACE_DIR` when packed there.
+    pub fn new(name: &str, records: usize) -> Self {
+        LazyWorkload {
+            name: name.to_string(),
+            records,
+            packed: packed_path(trace_dir().as_deref(), name),
+            trace: OnceLock::new(),
+        }
+    }
+
+    /// Whether this workload streams from a packed file.
+    pub fn is_streamed(&self) -> bool {
+        self.packed.is_some()
+    }
+
+    /// The trace, built or opened on first call.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a corrupt or misnamed packed file.
+    fn trace(&self) -> &AnyTrace {
+        self.trace.get_or_init(|| {
+            materialized_counter().inc();
+            open_or_build(self.packed.as_deref(), &self.name, self.records)
+        })
+    }
+}
+
+impl TraceSource for LazyWorkload {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn len(&self) -> usize {
+        self.trace().len()
+    }
+
+    fn instructions_per_pass(&self) -> u64 {
+        self.trace().instructions_per_pass()
+    }
+
+    fn reader(&self) -> Box<dyn TraceReader + '_> {
+        self.trace().reader()
+    }
+
+    fn fingerprint(&self) -> u64 {
+        if self.is_streamed() {
+            // GztTrace memoizes per opened file.
+            return self.trace().fingerprint();
+        }
+        let key = (self.name.clone(), self.records);
+        let memo = generated_fingerprints();
+        if let Some(&fp) = memo.lock().expect("fingerprint memo poisoned").get(&key) {
+            return fp;
+        }
+        let fp = self.trace().fingerprint();
+        memo.lock()
+            .expect("fingerprint memo poisoned")
+            .insert(key, fp);
+        fp
+    }
 }
 
 #[cfg(test)]

@@ -141,8 +141,16 @@ pub fn mix_fingerprint(core_trace_fingerprints: &[u64]) -> u64 {
     h.finish()
 }
 
-/// An incremental FNV-1a hasher over `u64` words (the same constants as the
-/// trace-stream fingerprint in [`crate::trace`]).
+/// An incremental FNV-1a-style hasher over `u64` words: the one hasher
+/// behind every stable fingerprint (run parameters, trace mixes, the
+/// trace-stream fingerprint in [`crate::trace`], store key hashes).
+///
+/// Each word is folded whole with the 64-bit FNV offset basis
+/// `0xcbf2_9ce4_8422_2325` and the multiplier `0x1000_0000_01b3`. That
+/// multiplier is *not* the FNV-64 prime (`0x100_0000_01b3`); it is kept
+/// because it is part of the on-disk key definition of the results store.
+/// Changing either constant moves every stored key, so it may only happen
+/// together with a GZR version bump.
 #[derive(Debug, Clone)]
 pub struct Fnv1a(u64);
 
