@@ -51,12 +51,7 @@ fn multicore_cache() -> &'static MulticoreCacheMap {
 
 /// The no-prefetching baseline statistics for `trace` under `params`,
 /// simulated at most once per (trace, params) pair for the process lifetime.
-///
-/// `GAZE_BASELINE_CACHE=0` bypasses the cache entirely (A/B measurements).
 pub fn baseline_stats(trace: &dyn TraceSource, params: &RunParams) -> CoreStats {
-    if !crate::runner::baseline_cache_enabled() {
-        return simulate_core(trace, make_prefetcher("none"), None, params);
-    }
     let key = BaselineKey {
         trace_name: trace.name().to_string(),
         trace_fingerprint: source_fingerprint(trace),
@@ -71,12 +66,7 @@ pub fn baseline_stats(trace: &dyn TraceSource, params: &RunParams) -> CoreStats 
 
 /// The no-prefetching baseline of a heterogeneous multi-core mix (one trace
 /// per core), simulated at most once per (mix, params) pair.
-///
-/// `GAZE_BASELINE_CACHE=0` bypasses the cache entirely (A/B measurements).
 pub fn multicore_baseline(traces: &[&dyn TraceSource], params: &RunParams) -> SimReport {
-    if !crate::runner::baseline_cache_enabled() {
-        return run_heterogeneous(traces, "none", params);
-    }
     let mut names = String::new();
     let mut fp = sim_core::params::Fnv1a::new();
     for t in traces {

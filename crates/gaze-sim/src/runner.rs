@@ -1,13 +1,10 @@
 //! Simulation runners: single-core, homogeneous and heterogeneous multi-core,
 //! and multi-level (L1+L2) configurations.
 //!
-//! Engine knobs (read from the environment so the bench harness can A/B the
-//! optimizations without recompiling):
+//! Engine knobs (read from the environment):
 //!
 //! * `GAZE_THREADS` — worker count of the parallel experiment engine
 //!   (`1` forces the serial path),
-//! * `GAZE_CYCLE_SKIP=0` — disables event-driven cycle skipping,
-//! * `GAZE_BASELINE_CACHE=0` — disables baseline memoization,
 //! * `GAZE_TRACE_DIR` — stream packed GZT traces from this directory
 //!   instead of generating workloads in memory (see
 //!   [`trace_store`](crate::trace_store)).
@@ -32,8 +29,7 @@ use crate::factory::make_prefetcher;
 pub use sim_core::params::{records_for, RunParams};
 
 /// Total instructions simulated by this process (warm-up + measured, summed
-/// over cores), maintained by every runner entry point. The `sim-perf`
-/// harness derives simulated-instructions-per-second from it.
+/// over cores), maintained by every runner entry point.
 static SIM_INSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Simulated instructions accumulated so far by this process (warm-up +
@@ -47,18 +43,6 @@ fn count_instructions(params: &RunParams, cores: usize) {
         (params.warmup + params.measured) * cores as u64,
         Ordering::Relaxed,
     );
-}
-
-/// Whether event-driven cycle skipping is enabled (default yes;
-/// `GAZE_CYCLE_SKIP=0` turns it off for A/B measurements).
-pub fn cycle_skip_enabled() -> bool {
-    std::env::var("GAZE_CYCLE_SKIP").as_deref() != Ok("0")
-}
-
-/// Whether baseline memoization is enabled (default yes;
-/// `GAZE_BASELINE_CACHE=0` turns it off for A/B measurements).
-pub fn baseline_cache_enabled() -> bool {
-    std::env::var("GAZE_BASELINE_CACHE").as_deref() != Ok("0")
 }
 
 /// Result of a single-core run of one prefetcher on one trace.
@@ -110,9 +94,9 @@ impl SingleRun {
 ///
 /// This is the *one* primitive that drives a single-core [`System`]: the
 /// store-backed job path ([`run_single`] / [`run_multi_level_single`]),
-/// the baseline memoization and the microbenchmarks all go through it, so
-/// there is exactly one place where a core simulation is configured
-/// (cycle skipping, instruction accounting, optional L2 prefetcher).
+/// the baseline memoization and the benchmark's layer timing all go
+/// through it, so there is exactly one place where a core simulation is
+/// configured (instruction accounting, optional L2 prefetcher).
 pub fn simulate_core(
     trace: &dyn TraceSource,
     l1: Box<dyn Prefetcher>,
@@ -125,7 +109,6 @@ pub fn simulate_core(
     if let Some(l2) = l2 {
         system.set_l2_prefetcher(0, l2);
     }
-    system.set_cycle_skip(cycle_skip_enabled());
     count_instructions(params, 1);
     let report = system.run(params.warmup, params.measured);
     report.cores[0]
@@ -283,7 +266,6 @@ fn run_heterogeneous_fresh(
     let p = params.with_cores(cores);
     let prefetchers = (0..cores).map(|_| make_prefetcher(prefetcher)).collect();
     let mut system = System::new(p.config, traces.to_vec(), prefetchers);
-    system.set_cycle_skip(cycle_skip_enabled());
     count_instructions(&p, cores);
     system.run(p.warmup, p.measured)
 }

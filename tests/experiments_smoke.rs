@@ -66,6 +66,6 @@ fn sensitivity_figures_run_at_tiny_scale() {
 #[test]
 fn every_registered_experiment_name_is_runnable_shape() {
     // Only checks the registry is consistent (the heavier multi-core figures
-    // are exercised by the bench targets and the multicore integration test).
+    // are exercised by the golden-figure and end-to-end multicore tests).
     assert!(experiment_names().len() >= 17);
 }
