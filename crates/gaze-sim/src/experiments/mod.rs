@@ -8,19 +8,15 @@
 //! integration tests all go through this one path, so CLI, HTTP and test
 //! output are byte-identical by construction.
 //!
-//! This module also keeps the generic fan-out helpers ([`run_matrix`],
-//! [`run_over`]) and the per-suite table shaping helpers the renderer
-//! uses.
+//! This module also keeps the per-suite table shaping helpers the
+//! renderer uses.
 
 use std::collections::BTreeMap;
 
-use sim_core::trace::TraceSource;
-use workloads::{workload_names, Suite};
+use workloads::Suite;
 
-use crate::parallel::parallel_map;
 use crate::report::Table;
-use crate::runner::{records_for, run_single, RunParams, SingleRun};
-use crate::trace_store::{load_or_build, AnyTrace};
+use crate::runner::RunParams;
 
 /// How large an experiment to run.
 #[derive(Debug, Clone, Copy)]
@@ -97,63 +93,6 @@ impl ExperimentScale {
     }
 }
 
-/// Builds the evaluation workload list for `suite`, truncated to the scale.
-///
-/// Each workload is loaded from the packed-trace directory when
-/// `GAZE_TRACE_DIR` provides it, and generated in memory otherwise — the
-/// figures are agnostic to where their traces live.
-pub fn suite_traces(suite: Suite, scale: &ExperimentScale) -> Vec<AnyTrace> {
-    let records = records_for(&scale.params);
-    workload_names(suite)
-        .into_iter()
-        .take(scale.workloads_per_suite)
-        .map(|name| load_or_build(name, records))
-        .collect()
-}
-
-/// Runs `prefetcher` over every trace in parallel and returns the
-/// per-workload results in trace order.
-pub fn run_over<S: TraceSource>(
-    traces: &[S],
-    prefetcher: &str,
-    scale: &ExperimentScale,
-) -> Vec<SingleRun> {
-    let runs = parallel_map(traces, |t| run_single(t, prefetcher, &scale.params));
-    crate::results::flush();
-    runs
-}
-
-/// Fans the full (prefetcher × trace) cross product out over the worker
-/// pool and returns one row of [`SingleRun`]s (in trace order) per
-/// prefetcher (in prefetcher order).
-///
-/// The spec pipeline's [`plan::execute`](crate::spec::plan::execute) is
-/// the engine behind the figures; this helper remains for ad-hoc sweeps
-/// and the determinism tests that compare the parallel engine against a
-/// serial reference.
-pub fn run_matrix<S: TraceSource>(
-    traces: &[S],
-    prefetchers: &[&str],
-    params: &RunParams,
-) -> Vec<Vec<SingleRun>> {
-    let pairs: Vec<(usize, usize)> = (0..prefetchers.len())
-        .flat_map(|pi| (0..traces.len()).map(move |ti| (pi, ti)))
-        .collect();
-    let mut flat = parallel_map(&pairs, |&(pi, ti)| {
-        run_single(&traces[ti], prefetchers[pi], params)
-    });
-    // Newly simulated rows become durable at the end of every fan-out, not
-    // only at process exit.
-    crate::results::flush();
-    let mut rows = Vec::with_capacity(prefetchers.len());
-    for _ in 0..prefetchers.len() {
-        let rest = flat.split_off(traces.len().min(flat.len()));
-        rows.push(flat);
-        flat = rest;
-    }
-    rows
-}
-
 /// Formats a per-suite metric row (5 suites + AVG) for a prefetcher.
 pub fn suite_row(label: &str, per_suite: &BTreeMap<Suite, f64>, avg: f64) -> Vec<String> {
     let mut row = vec![label.to_string()];
@@ -205,13 +144,6 @@ pub fn run_experiment(name: &str, scale: &ExperimentScale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quick_scale_builds_suite_traces() {
-        let scale = ExperimentScale::quick();
-        let traces = suite_traces(Suite::Parsec, &scale);
-        assert_eq!(traces.len(), 2);
-    }
 
     #[test]
     fn experiment_registry_covers_every_figure_and_table() {

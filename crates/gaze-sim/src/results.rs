@@ -1,24 +1,22 @@
 //! Write-through persistence of experiment results.
 //!
 //! When a results directory is active (the `GAZE_RESULTS_DIR` environment
-//! variable, or an explicit [`configure`] call), every
-//! [`run_single`](crate::runner::run_single) consults the persistent
-//! [`ResultsStore`] before simulating:
+//! variable, or an explicit [`configure`] call), the experiment engine
+//! ([`spec::plan::execute`](crate::spec::plan::execute)) consults the
+//! persistent [`ResultsStore`] before simulating each job:
 //!
 //! * **hit** — the stored [`RunRecord`] is returned as a [`SingleRun`]
 //!   without touching the simulator (the counters are exact `u64`s, so
 //!   every derived metric — and therefore every figure CSV — is
 //!   bit-identical to a fresh simulation);
-//! * **miss** — the pair is simulated as usual and the result is recorded
+//! * **miss** — the job is simulated and the result is recorded
 //!   write-through, so the *next* process to ask gets the hit.
 //!
-//! Multi-core runs follow the same pattern with v2 *mix* records:
-//! [`run_heterogeneous`](crate::runner::run_heterogeneous) (and therefore
-//! `run_homogeneous` and the multicore baseline) consults
-//! [`lookup_mix`](StoreHandle::lookup_mix) before simulating and records
-//! misses via [`record_mix`](StoreHandle::record_mix), keyed by the mix
-//! fingerprint ([`sim_core::params::mix_fingerprint`]) and the params
-//! fingerprint *at the mix's core count*.
+//! Multi-core jobs follow the same pattern with v2 *mix* records, looked
+//! up via [`lookup_mix`](StoreHandle::lookup_mix) and recorded via
+//! [`record_mix`](StoreHandle::record_mix), keyed by the mix fingerprint
+//! ([`sim_core::params::mix_fingerprint`]) and the params fingerprint *at
+//! the mix's core count*. The runners themselves never touch the store.
 //!
 //! A warm store thus regenerates the full figure set — multi-core
 //! fig13–fig18 included — with zero simulation; see the `results_store`

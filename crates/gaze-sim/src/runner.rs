@@ -1,5 +1,7 @@
-//! Simulation runners: single-core, homogeneous and heterogeneous multi-core,
-//! and multi-level (L1+L2) configurations.
+//! Simulation runners: single-core (optionally multi-level, L1+L2) and
+//! multi-core. Runners only simulate: deduplication, baseline sharing and
+//! the results store live in the experiment engine
+//! ([`spec::plan`](crate::spec::plan)).
 //!
 //! Engine knobs (read from the environment):
 //!
@@ -20,7 +22,6 @@ use sim_core::stats::{CoreStats, SimReport};
 use sim_core::system::System;
 use sim_core::trace::TraceSource;
 
-use crate::baseline_cache::{baseline_stats, multicore_baseline};
 use crate::factory::make_prefetcher;
 
 // Run parameters (budgets + configuration + stable fingerprints) live in
@@ -90,13 +91,13 @@ impl SingleRun {
 }
 
 /// Runs already-constructed prefetchers on `trace` at single core and
-/// returns the core statistics (no baseline, no caching).
+/// returns the core statistics (no baseline, no store).
 ///
-/// This is the *one* primitive that drives a single-core [`System`]: the
-/// store-backed job path ([`run_single`] / [`run_multi_level_single`]),
-/// the baseline memoization and the benchmark's layer timing all go
-/// through it, so there is exactly one place where a core simulation is
-/// configured (instruction accounting, optional L2 prefetcher).
+/// This is the *one* primitive that drives a single-core [`System`]:
+/// [`run_single`], the experiment engine's single-core jobs and their
+/// shared baselines, and the benchmark's layer timing all go through it,
+/// so there is exactly one place where a core simulation is configured
+/// (instruction accounting, optional L2 prefetcher).
 pub fn simulate_core(
     trace: &dyn TraceSource,
     l1: Box<dyn Prefetcher>,
@@ -124,70 +125,17 @@ pub fn multi_level_name(l1: &str, l2: Option<&str>) -> String {
 }
 
 /// Runs `prefetcher` (built by the factory) on `trace` at single core,
-/// together with the no-prefetching baseline.
-///
-/// Two layers of reuse sit in front of the simulator:
-///
-/// 1. **Persistent results store** (when `GAZE_RESULTS_DIR` or
-///    [`results::configure`](crate::results::configure) activates one):
-///    the (trace fingerprint, params fingerprint, prefetcher) key is
-///    looked up first, and a hit returns the stored run with *zero*
-///    simulation; a miss simulates and records the result write-through.
-/// 2. **Baseline memoization** — the `"none"` baseline is simulated once
-///    per (trace, params) pair per process (see
-///    [`baseline_stats`](crate::baseline_cache::baseline_stats())).
-///
-/// Both layers are exact: the simulator is deterministic and the store
-/// holds raw counters, so a cached or stored result is bit-identical to a
-/// fresh simulation (asserted by the determinism and results-store
-/// integration tests).
+/// together with the no-prefetching baseline: two fresh simulations
+/// through [`simulate_core`], with no store and no cache. The experiment
+/// engine ([`spec::plan::execute`](crate::spec::plan::execute)) adds the
+/// store lookup and shares baselines across a sweep; its results are
+/// bit-identical to this reference (asserted by the determinism test).
 pub fn run_single(trace: &dyn TraceSource, prefetcher: &str, params: &RunParams) -> SingleRun {
-    run_multi_level_single(trace, prefetcher, None, params)
-}
-
-/// Runs a multi-level configuration (`l1` at the L1D, `l2` at the L2C)
-/// together with its no-prefetching baseline, store-backed like
-/// [`run_single`]: the result persists as a single-core record keyed by
-/// the combined prefetcher name [`multi_level_name`], so a warm store
-/// serves Fig. 13 with zero simulation. With no L2 prefetcher this *is*
-/// [`run_single`] — the two entry points share one job-execution path.
-pub fn run_multi_level_single(
-    trace: &dyn TraceSource,
-    l1: &str,
-    l2: Option<&str>,
-    params: &RunParams,
-) -> SingleRun {
-    let name = multi_level_name(l1, l2);
-    if let Some(store) = crate::results::active_store() {
-        let fp = sim_core::trace::source_fingerprint(trace);
-        let pfp = params.fingerprint();
-        if let Some(stored) = store.lookup(fp, pfp, &name, trace.name()) {
-            return stored;
-        }
-        let run = run_level_fresh(trace, l1, l2, name, params);
-        store.record(&run, fp, params);
-        return run;
-    }
-    run_level_fresh(trace, l1, l2, name, params)
-}
-
-/// The simulate path of the single-core job: prefetcher(s) via
-/// [`simulate_core`], baseline via the memoizing
-/// [`baseline_stats`](crate::baseline_cache::baseline_stats()).
-fn run_level_fresh(
-    trace: &dyn TraceSource,
-    l1: &str,
-    l2: Option<&str>,
-    name: String,
-    params: &RunParams,
-) -> SingleRun {
-    let with = simulate_core(trace, make_prefetcher(l1), l2.map(make_prefetcher), params);
-    let baseline = baseline_stats(trace, params);
     SingleRun {
         workload: trace.name().to_string(),
-        prefetcher: name,
-        stats: with,
-        baseline,
+        prefetcher: prefetcher.to_string(),
+        stats: simulate_core(trace, make_prefetcher(prefetcher), None, params),
+        baseline: simulate_core(trace, make_prefetcher("none"), None, params),
     }
 }
 
@@ -212,52 +160,10 @@ pub fn mix_label(traces: &[&dyn TraceSource]) -> String {
     label
 }
 
-/// Runs a homogeneous multi-core mix (`cores` copies of `trace`) and returns
-/// the full report. Store-backed: a mix of `n` copies keys identically to
-/// the same mix run heterogeneously.
-pub fn run_homogeneous(
-    trace: &dyn TraceSource,
-    prefetcher: &str,
-    cores: usize,
-    params: &RunParams,
-) -> SimReport {
-    let traces: Vec<&dyn TraceSource> = vec![trace; cores];
-    run_heterogeneous(&traces, prefetcher, params)
-}
-
-/// Runs a heterogeneous multi-core mix (one trace per core).
-///
-/// Store-backed like [`run_single`]: with an active results store the
-/// (mix fingerprint, params-at-core-count fingerprint, prefetcher) key is
-/// looked up first — a hit returns the stored [`SimReport`] with zero
-/// simulation — and misses are simulated and recorded write-through as a
-/// v2 mix record.
+/// Runs a heterogeneous multi-core mix (one trace per core) and returns
+/// the full report. Simulates every call; the experiment engine is what
+/// persists mix runs to the results store.
 pub fn run_heterogeneous(
-    traces: &[&dyn TraceSource],
-    prefetcher: &str,
-    params: &RunParams,
-) -> SimReport {
-    if let Some(store) = crate::results::active_store() {
-        let fps: Vec<u64> = traces
-            .iter()
-            .map(|t| sim_core::trace::source_fingerprint(*t))
-            .collect();
-        let mix_fp = sim_core::params::mix_fingerprint(&fps);
-        let keyed = params.with_cores(traces.len());
-        let pfp = keyed.fingerprint();
-        let label = mix_label(traces);
-        if let Some(report) = store.lookup_mix(mix_fp, pfp, prefetcher, &label) {
-            return report;
-        }
-        let report = run_heterogeneous_fresh(traces, prefetcher, params);
-        store.record_mix(&report, mix_fp, &keyed, prefetcher, &label);
-        return report;
-    }
-    run_heterogeneous_fresh(traces, prefetcher, params)
-}
-
-/// The simulate path of [`run_heterogeneous`] (no store).
-fn run_heterogeneous_fresh(
     traces: &[&dyn TraceSource],
     prefetcher: &str,
     params: &RunParams,
@@ -278,7 +184,7 @@ pub fn multicore_speedup(
     params: &RunParams,
 ) -> (SimReport, SimReport, f64) {
     let with = run_heterogeneous(traces, prefetcher, params);
-    let base = multicore_baseline(traces, params);
+    let base = run_heterogeneous(traces, "none", params);
     let speedup = with.speedup_over(&base);
     (with, base, speedup)
 }
@@ -321,18 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn homogeneous_multicore_runs() {
-        let params = RunParams {
-            warmup: 2_000,
-            measured: 8_000,
-            config: SimConfig::paper_single_core(),
-        };
-        let trace = build_workload("PageRank", 6_000);
-        let report = run_homogeneous(&trace, "pmp", 2, &params);
-        assert_eq!(report.cores.len(), 2);
-    }
-
-    #[test]
     fn heterogeneous_multicore_speedup_is_finite() {
         let params = RunParams {
             warmup: 2_000,
@@ -356,23 +250,6 @@ mod tests {
             &params,
         );
         assert!(stats.ipc() > 0.0);
-    }
-
-    #[test]
-    fn multi_level_single_carries_combined_name_and_baseline() {
-        let params = RunParams {
-            warmup: 1_000,
-            measured: 4_000,
-            ..RunParams::test()
-        };
-        let trace = build_workload("bwaves_s", 4_000);
-        let run = run_multi_level_single(&trace, "gaze", Some("bingo"), &params);
-        assert_eq!(run.prefetcher, "gaze+bingo");
-        assert!(run.baseline.ipc() > 0.0);
-        // No L2 prefetcher degenerates to the plain single-core run.
-        let plain = run_multi_level_single(&trace, "gaze", None, &params);
-        assert_eq!(plain.prefetcher, "gaze");
-        assert_eq!(plain.stats, run_single(&trace, "gaze", &params).stats);
     }
 
     #[test]

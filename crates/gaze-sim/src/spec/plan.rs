@@ -1,16 +1,24 @@
 //! Spec compilation: tables → deduplicated atomic simulation jobs, and
-//! the engine that executes a plan through the store-backed runners.
+//! the engine that executes a plan.
+//!
+//! The engine is the one dedup and persistence layer: the plan holds each
+//! job once, [`execute`] looks every job up in the active results store
+//! before simulating it and records misses write-through, and a sweep's
+//! single-core jobs share one no-prefetching baseline per (workload,
+//! params). The runners it calls only simulate.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
-use sim_core::stats::SimReport;
-use sim_core::trace::TraceSource;
+use sim_core::stats::{CoreStats, SimReport};
+use sim_core::trace::{source_fingerprint, TraceSource};
 
-use crate::baseline_cache::multicore_baseline;
 use crate::experiments::ExperimentScale;
+use crate::factory::make_prefetcher;
 use crate::parallel::parallel_map;
+use crate::results::StoreHandle;
 use crate::runner::{
-    mix_label, multi_level_name, records_for, run_heterogeneous, run_multi_level_single, RunParams,
+    mix_label, multi_level_name, records_for, run_heterogeneous, simulate_core, RunParams,
     SingleRun,
 };
 use crate::trace_store::LazyWorkload;
@@ -353,14 +361,148 @@ fn workload_handles(plan: &JobPlan, scale: &ExperimentScale) -> HashMap<String, 
     traces
 }
 
+/// Where a job's row lives in the results store.
+struct StoreKey {
+    /// Trace fingerprint (single-core) or mix fingerprint (mix).
+    fingerprint: u64,
+    /// The parameters the row is keyed under: at the mix's core count
+    /// for a mix.
+    params: RunParams,
+    /// Stored prefetcher name (the combined `l1+l2` name when multi-level).
+    name: String,
+    /// Workload name (single-core) or mix label (mix) the row must carry.
+    label: String,
+}
+
+/// The store key of `job`. Fingerprints a workload without building it
+/// when its fingerprint is already memoized in this process.
+fn store_key(job: &Job, traces: &HashMap<String, LazyWorkload>) -> StoreKey {
+    match job {
+        Job::Single {
+            workload,
+            l1,
+            l2,
+            params,
+        } => StoreKey {
+            fingerprint: source_fingerprint(&traces[workload.as_str()]),
+            params: *params,
+            name: multi_level_name(l1, l2.as_deref()),
+            label: workload.clone(),
+        },
+        Job::Mix {
+            workloads,
+            prefetcher,
+            params,
+        } => {
+            let refs = mix_refs(workloads, traces);
+            let fps: Vec<u64> = refs.iter().map(|t| source_fingerprint(*t)).collect();
+            StoreKey {
+                fingerprint: sim_core::params::mix_fingerprint(&fps),
+                params: params.with_cores(workloads.len()),
+                name: prefetcher.clone(),
+                label: mix_label(&refs),
+            }
+        }
+    }
+}
+
+fn mix_refs<'a>(
+    workloads: &[String],
+    traces: &'a HashMap<String, LazyWorkload>,
+) -> Vec<&'a dyn TraceSource> {
+    workloads
+        .iter()
+        .map(|w| &traces[w.as_str()] as &dyn TraceSource)
+        .collect()
+}
+
+/// The stored row of `job`, if the store holds one (a counted hit).
+fn lookup(store: &StoreHandle, job: &Job, key: &StoreKey) -> Option<Output> {
+    let pfp = key.params.fingerprint();
+    match job {
+        Job::Single { .. } => store
+            .lookup(key.fingerprint, pfp, &key.name, &key.label)
+            .map(|run| Output::Single(Box::new(run))),
+        Job::Mix { .. } => store
+            .lookup_mix(key.fingerprint, pfp, &key.name, &key.label)
+            .map(Output::Mix),
+    }
+}
+
+/// Whether the store holds `job`'s row, without touching the hit/miss
+/// counters.
+fn stored(store: &StoreHandle, job: &Job, key: &StoreKey) -> bool {
+    let pfp = key.params.fingerprint();
+    match job {
+        Job::Single { .. } => store.contains(key.fingerprint, pfp, &key.name, &key.label),
+        Job::Mix { .. } => store.contains_mix(key.fingerprint, pfp, &key.name, &key.label),
+    }
+}
+
+/// Records a freshly simulated job write-through (a counted miss).
+fn record(store: &StoreHandle, key: &StoreKey, output: &Output) {
+    match output {
+        Output::Single(run) => store.record(run, key.fingerprint, &key.params),
+        Output::Mix(report) => {
+            store.record_mix(report, key.fingerprint, &key.params, &key.name, &key.label)
+        }
+    }
+}
+
+/// One slot per (workload, params fingerprint) a plan's single-core jobs
+/// touch, filled with that no-prefetching baseline on first use.
+type Baselines<'a> = HashMap<(&'a str, u64), OnceLock<CoreStats>>;
+
+/// Simulates `job`, taking a single-core job's baseline from its slot.
+fn simulate(job: &Job, traces: &HashMap<String, LazyWorkload>, baselines: &Baselines) -> Output {
+    match job {
+        Job::Single {
+            workload,
+            l1,
+            l2,
+            params,
+        } => {
+            let trace = &traces[workload.as_str()];
+            let slot = &baselines[&(workload.as_str(), params.fingerprint())];
+            Output::Single(Box::new(SingleRun {
+                workload: workload.clone(),
+                prefetcher: multi_level_name(l1, l2.as_deref()),
+                stats: simulate_core(
+                    trace,
+                    make_prefetcher(l1),
+                    l2.as_deref().map(make_prefetcher),
+                    params,
+                ),
+                baseline: *slot
+                    .get_or_init(|| simulate_core(trace, make_prefetcher("none"), None, params)),
+            }))
+        }
+        Job::Mix {
+            workloads,
+            prefetcher,
+            params,
+        } => Output::Mix(run_heterogeneous(
+            &mix_refs(workloads, traces),
+            prefetcher,
+            params,
+        )),
+    }
+}
+
 /// A jobs-completed observer for [`execute_with_progress`]: called as
 /// `(done, total)` after each job finishes, from whichever worker thread
 /// finished it.
 pub type Progress<'a> = &'a (dyn Fn(usize, usize) + Sync);
 
-/// Executes a plan: one flat parallel fan-out over every job, each going
-/// through the store-backed runners (read-before-simulate, write-through,
-/// memoized baselines). Results become durable before this returns.
+/// Executes a plan: one flat parallel fan-out over every job. Each job is
+/// looked up in the active results store first; a miss simulates and is
+/// recorded write-through. Results become durable before this returns.
+///
+/// A single-core miss takes its no-prefetching baseline from a table with
+/// one slot per (workload, params) the plan touches, so each distinct
+/// baseline is simulated at most once per call, and only when some job
+/// needing it misses. Stored rows carry their baseline, so a warm plan
+/// simulates nothing. The `"none"` mix jobs are ordinary plan jobs.
 pub fn execute(plan: &JobPlan, scale: &ExperimentScale) -> JobResults {
     execute_with_progress(plan, scale, None)
 }
@@ -374,54 +516,42 @@ pub fn execute_with_progress(
     progress: Option<Progress<'_>>,
 ) -> JobResults {
     let traces = workload_handles(plan, scale);
+    let store = crate::results::active_store();
+    // Every slot exists before the fan-out, so workers share the table
+    // without a lock; the first worker to need a baseline fills its slot.
+    let baselines: Baselines = plan
+        .jobs()
+        .iter()
+        .filter_map(|job| match job {
+            Job::Single {
+                workload, params, ..
+            } => Some(((workload.as_str(), params.fingerprint()), OnceLock::new())),
+            Job::Mix { .. } => None,
+        })
+        .collect();
     let total = plan.len();
     let done = std::sync::atomic::AtomicUsize::new(0);
-    let report_done = |output| {
+    let outputs = parallel_map(plan.jobs(), |job| {
+        // gaze-lint: allow(wall_clock) -- feeds only the job-duration metrics, never a simulated result
+        let job_started = std::time::Instant::now();
+        let keyed = store
+            .as_deref()
+            .map(|store| (store, store_key(job, &traces)));
+        let hit = keyed
+            .as_ref()
+            .and_then(|(store, key)| lookup(store, job, key));
+        let output = hit.unwrap_or_else(|| {
+            let output = simulate(job, &traces, &baselines);
+            if let Some((store, key)) = &keyed {
+                record(store, key, &output);
+            }
+            output
+        });
+        note_job(output.kind(), job_started.elapsed().as_micros() as u64);
         if let Some(report) = progress {
             let finished = done.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
             report(finished, total);
         }
-        output
-    };
-    let outputs = parallel_map(plan.jobs(), |job| {
-        // gaze-lint: allow(wall_clock) -- feeds only the job-duration metrics, never a simulated result
-        let job_started = std::time::Instant::now();
-        let kind = match job {
-            Job::Single { .. } => "single",
-            Job::Mix { .. } => "mix",
-        };
-        let output = report_done(match job {
-            Job::Single {
-                workload,
-                l1,
-                l2,
-                params,
-            } => Output::Single(Box::new(run_multi_level_single(
-                &traces[workload.as_str()],
-                l1,
-                l2.as_deref(),
-                params,
-            ))),
-            Job::Mix {
-                workloads,
-                prefetcher,
-                params,
-            } => {
-                let refs: Vec<&dyn TraceSource> = workloads
-                    .iter()
-                    .map(|w| &traces[w.as_str()] as &dyn TraceSource)
-                    .collect();
-                // The "none" mix goes through the process-wide baseline
-                // memoization, exactly like the pre-spec figure code did.
-                let report = if prefetcher == "none" {
-                    multicore_baseline(&refs, params)
-                } else {
-                    run_heterogeneous(&refs, prefetcher, params)
-                };
-                Output::Mix(report)
-            }
-        });
-        note_job(kind, job_started.elapsed().as_micros() as u64);
         output
     });
     crate::results::flush();
@@ -442,6 +572,15 @@ pub fn execute_with_progress(
 enum Output {
     Single(Box<SingleRun>),
     Mix(SimReport),
+}
+
+impl Output {
+    fn kind(&self) -> &'static str {
+        match self {
+            Output::Single(_) => "single",
+            Output::Mix(_) => "mix",
+        }
+    }
 }
 
 /// Publishes one finished engine job to the process-global metrics:
@@ -502,52 +641,14 @@ pub fn dry_run(plan: &JobPlan, scale: &ExperimentScale) -> PlanReport {
     let Some(store) = crate::results::active_store() else {
         return report;
     };
-    report.store_active = true;
-    report.cold = 0;
     let traces = workload_handles(plan, scale);
-    for job in plan.jobs() {
-        let warm = match job {
-            Job::Single {
-                workload,
-                l1,
-                l2,
-                params,
-            } => {
-                let fp = sim_core::trace::source_fingerprint(&traces[workload.as_str()]);
-                store.contains(
-                    fp,
-                    params.fingerprint(),
-                    &multi_level_name(l1, l2.as_deref()),
-                    workload,
-                )
-            }
-            Job::Mix {
-                workloads,
-                prefetcher,
-                params,
-            } => {
-                let refs: Vec<&dyn TraceSource> = workloads
-                    .iter()
-                    .map(|w| &traces[w.as_str()] as &dyn TraceSource)
-                    .collect();
-                let fps: Vec<u64> = refs
-                    .iter()
-                    .map(|t| sim_core::trace::source_fingerprint(*t))
-                    .collect();
-                store.contains_mix(
-                    sim_core::params::mix_fingerprint(&fps),
-                    params.with_cores(workloads.len()).fingerprint(),
-                    prefetcher,
-                    &mix_label(&refs),
-                )
-            }
-        };
-        if warm {
-            report.warm += 1;
-        } else {
-            report.cold += 1;
-        }
-    }
+    report.store_active = true;
+    report.warm = plan
+        .jobs()
+        .iter()
+        .filter(|job| stored(&store, job, &store_key(job, &traces)))
+        .count();
+    report.cold = plan.len() - report.warm;
     report
 }
 

@@ -125,12 +125,6 @@ pub fn load_from_dir_or_build(dir: Option<&Path>, name: &str, records: usize) ->
     open_or_build(packed_path(dir, name).as_deref(), name, records)
 }
 
-/// Loads the workload from `GAZE_TRACE_DIR` when packed there, else builds
-/// it in memory.
-pub fn load_or_build(name: &str, records: usize) -> AnyTrace {
-    load_from_dir_or_build(trace_dir().as_deref(), name, records)
-}
-
 /// Process-wide memo of generated-trace fingerprints, keyed by
 /// (workload, records): the generators are deterministic, so a generated
 /// trace is a pure function of that pair. Packed files are never memoized

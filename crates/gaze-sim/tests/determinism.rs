@@ -1,29 +1,19 @@
 //! Determinism regression tests for the parallel experiment engine.
 //!
-//! The engine's three optimizations — thread-pool fan-out, baseline
-//! memoization and event-driven cycle skipping — must all be *exact*: the
-//! parallel engine produces bit-identical statistics to a fresh serial
-//! simulation of every pair.
+//! The engine's optimizations — thread-pool fan-out, baselines shared
+//! across a sweep and event-driven cycle skipping — must all be *exact*:
+//! [`plan::execute`] produces bit-identical statistics to a fresh serial
+//! [`run_single`] of every pair.
 
-use gaze_sim::experiments::{run_matrix, run_over, ExperimentScale};
+use gaze_sim::experiments::ExperimentScale;
 use gaze_sim::factory::{known_prefetchers, make_prefetcher};
-use gaze_sim::runner::{records_for, run_single, simulate_core, RunParams};
-use gaze_sim::SingleRun;
+use gaze_sim::runner::{records_for, run_single, RunParams};
+use gaze_sim::spec::plan::{self, JobPlan};
+use gaze_sim::spec::{Entry, Metric, TableKind, TraceSel};
 use sim_core::config::SimConfig;
 use sim_core::system::System;
 use sim_core::trace::TraceSource;
 use workloads::build_workload;
-
-/// Serial, cache-free reference: fresh simulation of both runs of a
-/// pair through the unified [`simulate_core`] primitive.
-fn run_uncached(trace: &dyn TraceSource, prefetcher: &str, params: &RunParams) -> SingleRun {
-    SingleRun {
-        workload: trace.name().to_string(),
-        prefetcher: prefetcher.to_string(),
-        stats: simulate_core(trace, make_prefetcher(prefetcher), None, params),
-        baseline: simulate_core(trace, make_prefetcher("none"), None, params),
-    }
-}
 
 fn scale() -> ExperimentScale {
     ExperimentScale {
@@ -36,64 +26,46 @@ fn scale() -> ExperimentScale {
     }
 }
 
-fn assert_same_runs(a: &[SingleRun], b: &[SingleRun]) {
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.workload, y.workload);
-        assert_eq!(x.prefetcher, y.prefetcher);
-        // CoreStats is PartialEq over every counter — bit-identical or bust.
-        assert_eq!(
-            x.stats, y.stats,
-            "{}/{} stats diverged",
-            x.prefetcher, x.workload
-        );
-        assert_eq!(
-            x.baseline, y.baseline,
-            "{}/{} baseline diverged",
-            x.prefetcher, x.workload
-        );
-    }
-}
-
 #[test]
-fn parallel_run_over_matches_serial_uncached_reference() {
+fn executed_plan_matches_serial_fresh_reference_and_is_repeatable() {
     let s = scale();
-    let traces: Vec<_> = ["bwaves_s", "mcf_s", "PageRank"]
-        .iter()
-        .map(|n| build_workload(n, records_for(&s.params)))
-        .collect();
-    for prefetcher in ["gaze", "pmp", "ip-stride"] {
-        // Serial reference: fresh simulation of both runs of every pair, no
-        // cache, no thread pool.
-        let reference: Vec<SingleRun> = traces
-            .iter()
-            .map(|t| run_uncached(t, prefetcher, &s.params))
-            .collect();
-        let parallel = run_over(&traces, prefetcher, &s);
-        assert_same_runs(&parallel, &reference);
-    }
-}
-
-#[test]
-fn run_matrix_matches_serial_reference_and_is_repeatable() {
-    let s = scale();
-    let traces: Vec<_> = ["fotonik3d_s", "cassandra"]
-        .iter()
-        .map(|n| build_workload(n, records_for(&s.params)))
-        .collect();
-    let prefetchers = ["gaze", "vberti"];
-    let first = run_matrix(&traces, &prefetchers, &s.params);
-    let second = run_matrix(&traces, &prefetchers, &s.params);
-    assert_eq!(first.len(), prefetchers.len());
-    for (a, b) in first.iter().zip(&second) {
-        assert_same_runs(a, b);
-    }
-    for (pi, prefetcher) in prefetchers.iter().enumerate() {
-        let reference: Vec<SingleRun> = traces
-            .iter()
-            .map(|t| run_uncached(t, prefetcher, &s.params))
-            .collect();
-        assert_same_runs(&first[pi], &reference);
+    let workloads = ["bwaves_s", "mcf_s", "PageRank"];
+    let prefetchers = ["gaze", "pmp", "ip-stride"];
+    let mut job_plan = JobPlan::default();
+    plan::table_jobs(
+        &TableKind::WorkloadRows {
+            traces: TraceSel::List(workloads.iter().map(|w| w.to_string()).collect()),
+            metric: Metric::Speedup,
+            rows: prefetchers.iter().map(|p| Entry::plain(p)).collect(),
+            normalize_to_first: false,
+            avg_label: None,
+        },
+        &s,
+        &mut job_plan,
+    );
+    assert_eq!(job_plan.len(), workloads.len() * prefetchers.len());
+    let first = plan::execute(&job_plan, &s);
+    let second = plan::execute(&job_plan, &s);
+    for workload in workloads {
+        let trace = build_workload(workload, records_for(&s.params));
+        for prefetcher in prefetchers {
+            // Serial reference: fresh simulation of both runs of the pair,
+            // no shared baseline, no thread pool.
+            let reference = run_single(&trace, prefetcher, &s.params);
+            for run in [&first, &second].map(|r| r.single(workload, prefetcher, &s.params)) {
+                assert_eq!(run.workload, reference.workload);
+                assert_eq!(run.prefetcher, reference.prefetcher);
+                // CoreStats is PartialEq over every counter — bit-identical or bust.
+                assert_eq!(
+                    run.stats, reference.stats,
+                    "{prefetcher}/{workload} stats diverged"
+                );
+                assert_eq!(
+                    run.baseline, reference.baseline,
+                    "{prefetcher}/{workload} baseline diverged"
+                );
+            }
+        }
     }
 }
 
@@ -160,17 +132,4 @@ fn queue_aware_cycle_skip_is_bit_exact_for_multicore_mixed_prefetchers() {
     let (b, cycle_b) = run(false);
     assert_eq!(a, b, "mixed multi-core reports diverged");
     assert_eq!(cycle_a, cycle_b, "mixed multi-core final cycle diverged");
-}
-
-#[test]
-fn memoized_baseline_is_bit_identical_to_fresh_baseline() {
-    let s = scale();
-    let trace = build_workload("lbm_s", records_for(&s.params));
-    let cached = run_single(&trace, "gaze", &s.params);
-    let fresh = run_uncached(&trace, "gaze", &s.params);
-    assert_eq!(cached.stats, fresh.stats);
-    assert_eq!(cached.baseline, fresh.baseline);
-    // Second cached call: still identical (cache hit path).
-    let cached_again = run_single(&trace, "gaze", &s.params);
-    assert_eq!(cached_again.baseline, cached.baseline);
 }

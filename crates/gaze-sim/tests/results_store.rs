@@ -9,11 +9,11 @@
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use gaze_sim::experiments::{run_experiment, run_matrix, ExperimentScale};
+use gaze_sim::experiments::{run_experiment, ExperimentScale};
 use gaze_sim::results;
-use gaze_sim::runner::{
-    mix_label, multicore_speedup, records_for, run_homogeneous, simulated_instructions, RunParams,
-};
+use gaze_sim::runner::{mix_label, records_for, simulated_instructions, RunParams};
+use gaze_sim::spec::plan::{self, Job, JobPlan};
+use gaze_sim::spec::{Entry, Metric, MixDef, TableKind, TraceSel};
 use results_store::{ResultsStore, RunQuery};
 use sim_core::params::mix_fingerprint;
 use sim_core::trace::{source_fingerprint, TraceSource};
@@ -51,6 +51,31 @@ impl Drop for ActiveDir {
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("gzr-it-{}-{tag}", std::process::id()))
+}
+
+/// The scale whose budgets are `params`, one workload per suite.
+fn scale_of(params: RunParams) -> ExperimentScale {
+    ExperimentScale {
+        params,
+        workloads_per_suite: 1,
+    }
+}
+
+/// The single-core plan of every (prefetcher × workload) pair.
+fn rows_plan(workloads: &[&str], prefetchers: &[&str], scale: &ExperimentScale) -> JobPlan {
+    let mut job_plan = JobPlan::default();
+    plan::table_jobs(
+        &TableKind::WorkloadRows {
+            traces: TraceSel::List(workloads.iter().map(|w| w.to_string()).collect()),
+            metric: Metric::Speedup,
+            rows: prefetchers.iter().map(|p| Entry::plain(p)).collect(),
+            normalize_to_first: false,
+            avg_label: None,
+        },
+        scale,
+        &mut job_plan,
+    );
+    job_plan
 }
 
 fn tiny_scale() -> ExperimentScale {
@@ -145,24 +170,39 @@ fn multicore_runs_round_trip_through_the_store() {
         measured: 4_000,
         ..RunParams::test()
     };
-    let t1 = build_workload("bwaves_s", records_for(&params));
-    let t2 = build_workload("mcf_s", records_for(&params));
-
-    // Cold: simulate a heterogeneous pair and a homogeneous pair.
-    let (cold_het, cold_base, cold_speedup) = {
+    let scale = scale_of(params);
+    let pair = vec!["bwaves_s".to_string(), "mcf_s".to_string()];
+    let homo = vec!["bwaves_s".to_string(); 2];
+    // A heterogeneous pair with its shared "none" baseline, plus a
+    // homogeneous pair.
+    let mut job_plan = JobPlan::default();
+    plan::table_jobs(
+        &TableKind::MixPerCore {
+            mixes: vec![MixDef {
+                name: "m1".into(),
+                workloads: pair.clone(),
+            }],
+            rows: vec![Entry::plain("gaze")],
+        },
+        &scale,
+        &mut job_plan,
+    );
+    job_plan.push(Job::Mix {
+        workloads: homo.clone(),
+        prefetcher: "pmp".into(),
+        params,
+    });
+    let cold = {
         let _active = ActiveDir::new(&dir);
-        let out = multicore_speedup(&[&t1, &t2], "gaze", &params);
-        results::flush();
-        out
+        plan::execute(&job_plan, &scale)
     };
-    let cold_homo = {
-        let _active = ActiveDir::new_existing(&dir);
-        let report = run_homogeneous(&t1, "pmp", 2, &params);
-        results::flush();
-        report
-    };
+    let cold_het = cold.mix(&pair, "gaze", &params);
+    let cold_base = cold.mix(&pair, "none", &params);
+    let cold_speedup = cold_het.speedup_over(cold_base);
 
     // The v2 rows are durable and typed correctly.
+    let t1 = build_workload("bwaves_s", records_for(&params));
+    let t2 = build_workload("mcf_s", records_for(&params));
     let store = ResultsStore::open(&dir).expect("reopen");
     assert_eq!(store.len(), 0, "no single-core rows in this sweep");
     assert_eq!(store.mix_len(), 3, "het gaze + het none + homo pmp");
@@ -170,28 +210,31 @@ fn multicore_runs_round_trip_through_the_store() {
     let keyed = params.with_cores(2).fingerprint();
     let rec = store.get_mix(het_fp, keyed, "gaze").expect("het row");
     assert_eq!(rec.label, mix_label(&[&t1 as &dyn TraceSource, &t2]));
-    assert_eq!(rec.report, cold_het, "bit-identical per-core counters");
+    assert_eq!(&rec.report, cold_het, "bit-identical per-core counters");
     let base = store.get_mix(het_fp, keyed, "none").expect("baseline row");
-    assert_eq!(base.report, cold_base);
+    assert_eq!(&base.report, cold_base);
     assert_eq!(rec.speedup_over(&base), cold_speedup);
 
-    // Warm: a fresh process (handle) serves everything with zero
-    // simulation, bit-identically. The in-process baseline cache would
-    // also hit, so drive it cold through a *new* store handle.
+    // Warm: a fresh store handle serves everything with zero simulation,
+    // bit-identically.
     {
         let _active = ActiveDir::new_existing(&dir);
         let before = simulated_instructions();
-        let (warm_het, warm_base, warm_speedup) = multicore_speedup(&[&t1, &t2], "gaze", &params);
-        let warm_homo = run_homogeneous(&t1, "pmp", 2, &params);
+        let warm = plan::execute(&job_plan, &scale);
         assert_eq!(
             simulated_instructions(),
             before,
             "a warm store must serve every mix without simulating"
         );
+        let warm_het = warm.mix(&pair, "gaze", &params);
+        let warm_base = warm.mix(&pair, "none", &params);
         assert_eq!(warm_het, cold_het);
         assert_eq!(warm_base, cold_base);
-        assert_eq!(warm_speedup, cold_speedup);
-        assert_eq!(warm_homo, cold_homo);
+        assert_eq!(warm_het.speedup_over(warm_base), cold_speedup);
+        assert_eq!(
+            warm.mix(&homo, "pmp", &params),
+            cold.mix(&homo, "pmp", &params)
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -200,34 +243,33 @@ fn multicore_runs_round_trip_through_the_store() {
 fn parallel_engine_write_through_persists_every_pair() {
     let _guard = store_lock();
     let dir = temp_dir("parallel");
-    let params = RunParams {
+    let scale = scale_of(RunParams {
         warmup: 1_000,
         measured: 4_000,
         ..RunParams::test()
-    };
-    let traces = [
-        build_workload("bwaves_s", records_for(&params)),
-        build_workload("mcf_s", records_for(&params)),
-        build_workload("PageRank", records_for(&params)),
-    ];
+    });
+    let params = scale.params;
+    let workloads = ["bwaves_s", "mcf_s", "PageRank"];
     let prefetchers = ["gaze", "pmp", "ip-stride"];
-    let matrix = {
+    let results = {
         let _active = ActiveDir::new(&dir);
-        run_matrix(&traces, &prefetchers, &params)
+        plan::execute(&rows_plan(&workloads, &prefetchers, &scale), &scale)
     };
 
-    // Every (prefetcher × trace) pair landed in the store, durably.
+    // Every (prefetcher × workload) pair landed in the store, durably.
     let store = ResultsStore::open(&dir).expect("reopen");
-    assert_eq!(store.len(), prefetchers.len() * traces.len());
-    assert_eq!(store.pending_len(), 0, "run_matrix flushes");
-    for (pi, prefetcher) in prefetchers.iter().enumerate() {
-        for (ti, trace) in traces.iter().enumerate() {
+    assert_eq!(store.len(), prefetchers.len() * workloads.len());
+    assert_eq!(store.pending_len(), 0, "execute flushes");
+    for workload in workloads {
+        let trace = build_workload(workload, records_for(&params));
+        for prefetcher in prefetchers {
+            let run = results.single(workload, prefetcher, &params);
             let rec = store
-                .get(source_fingerprint(trace), params.fingerprint(), prefetcher)
-                .unwrap_or_else(|| panic!("missing {prefetcher} × {}", trace.name()));
-            assert_eq!(rec.stats, matrix[pi][ti].stats, "bit-identical stats");
-            assert_eq!(rec.baseline, matrix[pi][ti].baseline);
-            assert_eq!(rec.speedup(), matrix[pi][ti].speedup());
+                .get(source_fingerprint(&trace), params.fingerprint(), prefetcher)
+                .unwrap_or_else(|| panic!("missing {prefetcher} × {workload}"));
+            assert_eq!(rec.stats, run.stats, "bit-identical stats");
+            assert_eq!(rec.baseline, run.baseline);
+            assert_eq!(rec.speedup(), run.speedup());
         }
     }
 
@@ -236,7 +278,7 @@ fn parallel_engine_write_through_persists_every_pair() {
         prefetcher: Some("gaze".into()),
         ..RunQuery::default()
     });
-    assert_eq!(per_prefetcher.len(), traces.len());
+    assert_eq!(per_prefetcher.len(), workloads.len());
     let per_workload = store.query(&RunQuery {
         workload: Some("mcf_s".into()),
         params_fingerprint: Some(params.fingerprint()),
@@ -250,31 +292,30 @@ fn parallel_engine_write_through_persists_every_pair() {
 fn rerunning_a_sweep_adds_no_duplicate_rows() {
     let _guard = store_lock();
     let dir = temp_dir("rerun");
-    let params = RunParams {
+    let scale = scale_of(RunParams {
         warmup: 1_000,
         measured: 4_000,
         ..RunParams::test()
-    };
-    let traces = [build_workload("bwaves_s", records_for(&params))];
+    });
     {
         let _active = ActiveDir::new(&dir);
-        run_matrix(&traces, &["gaze", "pmp"], &params);
-        run_matrix(&traces, &["gaze", "pmp"], &params);
+        let job_plan = rows_plan(&["bwaves_s"], &["gaze", "pmp"], &scale);
+        plan::execute(&job_plan, &scale);
+        plan::execute(&job_plan, &scale);
     }
     let store = ResultsStore::open(&dir).expect("reopen");
     assert_eq!(store.len(), 2, "second sweep was served from the store");
     assert_eq!(store.conflicting_appends(), 0);
 
     // A different scale is a different key: the store accumulates both.
-    let other = RunParams {
+    let other = scale_of(RunParams {
         warmup: 1_000,
         measured: 5_000,
         ..RunParams::test()
-    };
+    });
     {
         let _active = ActiveDir::new_existing(&dir);
-        let other_traces = [build_workload("bwaves_s", records_for(&other))];
-        run_matrix(&other_traces, &["gaze"], &other);
+        plan::execute(&rows_plan(&["bwaves_s"], &["gaze"], &other), &other);
     }
     let store = ResultsStore::open(&dir).expect("reopen");
     assert_eq!(store.len(), 3);

@@ -3,14 +3,13 @@
 //! The contract of the GZT path: packing a synthetic workload to disk and
 //! streaming it back through the bounded chunk reader must be *invisible*
 //! to the simulation — every record identical, every `SimReport` and
-//! `SingleRun` bit-identical to the in-memory run, including through the
-//! parallel experiment engine and the baseline memoization.
+//! `SingleRun` bit-identical to the in-memory run, including when one
+//! packed file is shared read-only across the parallel engine's workers.
 
 use std::path::{Path, PathBuf};
 
-use gaze_sim::experiments::run_matrix;
-use gaze_sim::factory::make_prefetcher;
-use gaze_sim::runner::{records_for, run_heterogeneous, simulate_core, RunParams};
+use gaze_sim::parallel_map;
+use gaze_sim::runner::{records_for, run_heterogeneous, run_single, RunParams};
 use gaze_sim::trace_store::{load_from_dir_or_build, AnyTrace};
 use sim_core::trace::{TraceRecord, TraceSource};
 use workloads::build_workload;
@@ -117,47 +116,27 @@ fn streamed_fig06_matrix_is_bit_identical_across_the_parallel_engine() {
     let dir = temp_dir("matrix");
     let p = params();
     let (memory, streamed) = packed_pair(&dir, records_for(&p));
-    // run_matrix is the engine behind fig06: a flat parallel fan-out over
-    // every (prefetcher x trace) pair, with memoized baselines. The same
-    // packed file is shared read-only across all worker threads.
-    let prefetchers = ["gaze", "pmp"];
-    let mem_matrix = run_matrix(&memory, &prefetchers, &p);
-    let str_matrix = run_matrix(&streamed, &prefetchers, &p);
-    for (mem_runs, str_runs) in mem_matrix.iter().zip(&str_matrix) {
-        for (a, b) in mem_runs.iter().zip(str_runs) {
-            assert_eq!(a.workload, b.workload);
-            assert_eq!(a.prefetcher, b.prefetcher);
-            assert_eq!(
-                a.stats, b.stats,
-                "{}/{}: streamed stats diverged",
-                a.prefetcher, a.workload
-            );
-            assert_eq!(
-                a.baseline, b.baseline,
-                "{}/{}: streamed baseline diverged",
-                a.prefetcher, a.workload
-            );
-        }
-    }
-    // The matrix comparison above shares the process-global baseline cache
-    // (streamed sources fingerprint identically, by design, so they hit the
-    // entries the in-memory pass populated). Re-simulate each streamed
-    // trace *uncached* so the streamed "none" baseline path is genuinely
-    // exercised, and compare against the in-memory matrix bit-for-bit.
-    for (ti, streamed_trace) in streamed.iter().enumerate() {
-        let fresh_stats = simulate_core(streamed_trace, make_prefetcher("gaze"), None, &p);
-        let fresh_baseline = simulate_core(streamed_trace, make_prefetcher("none"), None, &p);
+    // The fig06 fan-out: one parallel job per (prefetcher x trace) pair,
+    // each simulating the pair and its baseline fresh. The same packed
+    // file is shared read-only across all worker threads.
+    let pairs: Vec<(&str, usize)> = ["gaze", "pmp"]
+        .into_iter()
+        .flat_map(|pf| (0..FIG06_WORKLOADS.len()).map(move |ti| (pf, ti)))
+        .collect();
+    let mem_runs = parallel_map(&pairs, |&(pf, ti)| run_single(&memory[ti], pf, &p));
+    let str_runs = parallel_map(&pairs, |&(pf, ti)| run_single(&streamed[ti], pf, &p));
+    for (a, b) in mem_runs.iter().zip(&str_runs) {
+        assert_eq!(a.workload, b.workload);
+        assert_eq!(a.prefetcher, b.prefetcher);
         assert_eq!(
-            fresh_stats,
-            mem_matrix[0][ti].stats,
-            "{}: fresh streamed stats diverged",
-            streamed_trace.name()
+            a.stats, b.stats,
+            "{}/{}: streamed stats diverged",
+            a.prefetcher, a.workload
         );
         assert_eq!(
-            fresh_baseline,
-            mem_matrix[0][ti].baseline,
-            "{}: fresh streamed baseline diverged",
-            streamed_trace.name()
+            a.baseline, b.baseline,
+            "{}/{}: streamed baseline diverged",
+            a.prefetcher, a.workload
         );
     }
     std::fs::remove_dir_all(&dir).ok();

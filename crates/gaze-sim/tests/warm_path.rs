@@ -174,6 +174,54 @@ fn a_missing_row_builds_exactly_its_workloads() {
     assert_eq!(traces_materialized(), before);
 }
 
+/// Each sweep simulates a distinct baseline at most once, and only for a
+/// workload with a missing row: stored rows carry their baseline.
+#[test]
+fn a_sweep_simulates_each_missing_baseline_once() {
+    let _guard = lock();
+    // Budgets no other test uses, so no earlier run could have warmed them.
+    let scale = ExperimentScale {
+        params: RunParams {
+            warmup: 1_000,
+            measured: 3_217,
+            ..RunParams::test()
+        },
+        workloads_per_suite: 1,
+    };
+    let budget = scale.params.warmup + scale.params.measured;
+    let single = |workload: &str, l1: &str| Job::Single {
+        workload: workload.to_string(),
+        l1: l1.to_string(),
+        l2: None,
+        params: scale.params,
+    };
+    let mut plan = JobPlan::default();
+    for l1 in ["gaze", "pmp"] {
+        for workload in ["bwaves_s", "mcf_s"] {
+            plan.push(single(workload, l1));
+        }
+    }
+    let _store = ActiveStore::fresh("baselines");
+    let before = simulated_instructions();
+    execute(&plan, &scale);
+    assert_eq!(
+        simulated_instructions() - before,
+        (2 + 1) * 2 * budget,
+        "a cold sweep simulates every row plus one baseline per workload"
+    );
+
+    // One new row: it and its baseline, since the stored rows' baselines
+    // are not reused.
+    plan.push(single("mcf_s", "vberti"));
+    let before = simulated_instructions();
+    execute(&plan, &scale);
+    assert_eq!(simulated_instructions() - before, 2 * budget);
+
+    let before = simulated_instructions();
+    execute(&plan, &scale);
+    assert_eq!(simulated_instructions(), before, "a warm rerun simulated");
+}
+
 /// Restores an unset `GAZE_TRACE_DIR` and removes the packed directory.
 struct TraceDir(PathBuf);
 

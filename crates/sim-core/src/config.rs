@@ -317,8 +317,8 @@ impl SimConfig {
 
     /// Folds every configuration field into an FNV-1a hash (see
     /// [`RunParams::fingerprint`](crate::params::RunParams::fingerprint),
-    /// which keys the baseline memoization and the persistent results
-    /// store on it).
+    /// which keys the experiment engine's shared baselines and the
+    /// persistent results store on it).
     pub fn fingerprint_into(&self, h: &mut Fnv1a) {
         h.mix(self.cores as u64);
         self.core.fingerprint_into(h);

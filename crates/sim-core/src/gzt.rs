@@ -211,8 +211,8 @@ pub struct GztTrace {
     data_offset: u64,
     chunk_records: usize,
     /// Memoized stream fingerprint — the file is validated-immutable after
-    /// open, and the baseline cache asks for the fingerprint once per
-    /// simulation, which would otherwise re-read the whole file each time.
+    /// open, and the experiment engine asks for the fingerprint once per
+    /// job, which would otherwise re-read the whole file each time.
     /// Shared across clones so the file is fingerprinted at most once.
     fingerprint: Arc<OnceLock<u64>>,
 }

@@ -4,9 +4,10 @@
 //! [`RunParams`] couples the per-core instruction budgets of one simulation
 //! with the [`SimConfig`] it runs under. It lives in `sim-core` (rather
 //! than the experiment harness) so that every layer that needs to *key* on
-//! a run — the baseline memoization, the persistent results store, the
-//! `trace-pack` CLI deriving record counts from a scale — shares one
-//! definition and one stable [`fingerprint`](RunParams::fingerprint).
+//! a run — the experiment engine's shared baselines, the persistent
+//! results store, the `trace-pack` CLI deriving record counts from a
+//! scale — shares one definition and one stable
+//! [`fingerprint`](RunParams::fingerprint).
 //!
 //! Fingerprints are FNV-1a over every field (floats via their IEEE-754 bit
 //! patterns), so they are a pure function of the parameter values: stable
