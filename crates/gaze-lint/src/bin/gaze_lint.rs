@@ -12,6 +12,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use gaze_obs::json::json_string;
+
 fn usage() -> ExitCode {
     // gaze-lint: allow(eprintln) -- CLI usage error: bare stderr line is the interface
     eprintln!("usage: gaze-lint [--json] [ROOT]");
@@ -76,8 +78,7 @@ fn main() -> ExitCode {
     }
 }
 
-/// Renders findings as a JSON array (hand-rolled; the workspace is
-/// dependency-free).
+/// Renders findings as a JSON array, one finding per line.
 fn render_json(findings: &[gaze_lint::Finding]) -> String {
     let mut out = String::from("[");
     for (i, f) in findings.iter().enumerate() {
@@ -85,30 +86,16 @@ fn render_json(findings: &[gaze_lint::Finding]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n  {{\"path\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-            escape(&f.path),
+            "\n  {{\"path\":{},\"line\":{},\"rule\":{},\"message\":{}}}",
+            json_string(&f.path),
             f.line,
-            f.rule,
-            escape(&f.message)
+            json_string(f.rule),
+            json_string(&f.message)
         ));
     }
     if !findings.is_empty() {
         out.push('\n');
     }
     out.push(']');
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }

@@ -1,7 +1,7 @@
 //! Tiny hand-rolled JSON emission (the workspace is dependency-free, so
-//! no serde).
+//! no serde), shared by `gaze-serve`'s responses and `gaze-lint --json`.
 //!
-//! Only what the service emits is implemented: escaped strings, `u64`s,
+//! Only what those emit is implemented: escaped strings, `u64`s,
 //! finite floats, and object/array builders. Numbers are formatted so a
 //! round-trip through any JSON parser preserves them: integers verbatim,
 //! floats with enough precision (`{:?}`, Rust's shortest round-trip

@@ -4,7 +4,7 @@
 //! stack.
 //!
 //! Two halves, both process-global and cheap enough to leave on
-//! everywhere:
+//! everywhere, plus the workspace's one JSON writer ([`json`]):
 //!
 //! * [`metrics`] — a registry of atomic [`Counter`](metrics::Counter)s,
 //!   [`Gauge`](metrics::Gauge)s and fixed log2-bucket
@@ -28,5 +28,6 @@
 //! `GET /metrics`; see `docs/OBSERVABILITY.md` for the metric catalog
 //! and naming conventions.
 
+pub mod json;
 pub mod log;
 pub mod metrics;

@@ -95,7 +95,8 @@ pub fn next_id(prefix: &str) -> String {
     format!("{prefix}-{:x}-{seq}", std::process::id())
 }
 
-/// Quotes a value only when needed: whitespace, `"`, `=` or empty.
+/// Quotes a value only when needed: whitespace, `"`, `=` or empty; the
+/// quoted form escapes like a Prometheus label value.
 fn format_value(value: &str) -> String {
     let needs_quoting = value.is_empty()
         || value
@@ -104,18 +105,7 @@ fn format_value(value: &str) -> String {
     if !needs_quoting {
         return value.to_string();
     }
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", crate::metrics::escape_label(value))
 }
 
 /// Formats one complete log line (no trailing newline) for the given

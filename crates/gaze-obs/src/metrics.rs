@@ -247,8 +247,9 @@ pub fn registry() -> &'static Registry {
 }
 
 /// Escapes a label value per the exposition format: backslash, double
-/// quote and newline.
-fn escape_label(value: &str) -> String {
+/// quote and newline. Quoted log values use the same rule
+/// (`log::format_value`); JSON has its own (`json::json_string`).
+pub(crate) fn escape_label(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

@@ -11,6 +11,8 @@
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 
+use gaze_obs::json::json_string;
+
 /// Upper bound on the request head (request line + headers) we accept.
 pub const MAX_REQUEST_HEAD_BYTES: usize = 16 * 1024;
 
@@ -68,7 +70,7 @@ impl Response {
             status,
             content_type: "application/json",
             headers: Vec::new(),
-            body: format!("{{\"error\":{}}}\n", crate::json::json_string(message)).into_bytes(),
+            body: format!("{{\"error\":{}}}\n", json_string(message)).into_bytes(),
         }
     }
 

@@ -408,9 +408,11 @@ fn run_job(shared: &Shared, idx: usize) {
     if st.inflight.get(&fp) == Some(&idx) {
         st.inflight.remove(&fp);
     }
+    // Counted before the lock drops, so a client that sees the terminal
+    // status also sees the transition in its next `/metrics` scrape.
+    crate::obs::note_job_transition(if error.is_none() { "done" } else { "failed" });
     drop(st);
     let us = started.elapsed().as_micros() as u64;
-    crate::obs::note_job_transition(if error.is_none() { "done" } else { "failed" });
     crate::obs::note_job_duration(us);
     match error {
         None => gaze_obs::log::info(

@@ -9,7 +9,7 @@
 //! (`GAZE_RESULTS_DIR`, see `gaze_sim::results`) become a queryable
 //! corpus. Everything is std-only — `std::net::TcpListener`, a small
 //! worker thread pool ([`server`]), a minimal HTTP/1.1 reader/writer
-//! ([`http`]) and hand-rolled JSON ([`json`]).
+//! ([`http`]) and the hand-rolled JSON writer [`gaze_obs::json`].
 //!
 //! Endpoints ([`routes`]; full contract in `docs/RESULTS.md`):
 //!
@@ -42,11 +42,6 @@
 //!   per record kind, dropping superseded duplicates; returns the
 //!   compaction stats as JSON.
 //!
-//! The [`loadgen`] module (and its `gaze-loadgen` binary) drives
-//! hundreds of concurrent closed-loop clients against these endpoints
-//! and records latency percentiles and throughput into
-//! `BENCH_serve.json`.
-//!
 //! Long sweeps run on the job executor pool, never inside an HTTP
 //! worker; a panicking handler costs one `500`, not a worker thread; and
 //! stopping the server drains running jobs and flushes the store before
@@ -60,8 +55,6 @@
 
 pub mod http;
 pub mod jobs;
-pub mod json;
-pub mod loadgen;
 mod obs;
 pub mod routes;
 pub mod server;

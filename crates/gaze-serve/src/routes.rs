@@ -6,6 +6,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use gaze_obs::json::{json_array, json_f64, json_string, JsonObject};
 use gaze_sim::experiments::{run_experiment, ExperimentScale};
 use gaze_sim::results::StoreHandle;
 use gaze_sim::spec::{builtin, run_spec, text, ExperimentSpec};
@@ -13,7 +14,6 @@ use results_store::{MixQuery, MixRecord, RunQuery, RunRecord};
 
 use crate::http::{Request, Response};
 use crate::jobs::{panic_message, JobInfo, JobManager, JobResult, JobStatus, SubmitOutcome};
-use crate::json::{json_array, json_f64, json_string, JsonObject};
 
 /// Figure endpoints the service exposes: the single-core comparison
 /// figures (store-backed by v1 records) and the multi-core/sensitivity

@@ -26,12 +26,13 @@ fn server_lock() -> MutexGuard<'static, ()> {
         .expect("server test lock")
 }
 
-/// Issues one GET and returns (status line, body).
-fn http_get(addr: SocketAddr, target: &str) -> (String, Vec<u8>) {
+/// Issues one request with an empty body over a fresh connection and
+/// returns (head, body); the head is the status line plus headers.
+fn request(addr: SocketAddr, method: &str, target: &str) -> (String, Vec<u8>) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write!(
         stream,
-        "GET {target} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
+        "{method} {target} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
     )
     .expect("send request");
     let mut raw = Vec::new();
@@ -41,8 +42,12 @@ fn http_get(addr: SocketAddr, target: &str) -> (String, Vec<u8>) {
         .position(|w| w == b"\r\n\r\n")
         .expect("header terminator");
     let head = String::from_utf8_lossy(&raw[..head_end]).into_owned();
-    let status = head.lines().next().unwrap_or_default().to_string();
-    (status, raw[head_end + 4..].to_vec())
+    (head, raw[head_end + 4..].to_vec())
+}
+
+/// The status line of a response head.
+fn status(head: &str) -> &str {
+    head.lines().next().unwrap_or_default()
 }
 
 #[test]
@@ -77,8 +82,8 @@ end
     let (addr, stop, join) = Server::spawn(&config).expect("spawn server");
 
     // Empty store: healthy, no rows.
-    let (status, body) = http_get(addr, "/healthz");
-    assert_eq!(status, "HTTP/1.1 200 OK");
+    let (head, body) = request(addr, "GET", "/healthz");
+    assert_eq!(status(&head), "HTTP/1.1 200 OK");
     let body = String::from_utf8(body).expect("utf8");
     assert!(body.contains("\"status\":\"ok\""), "{body}");
     assert!(body.contains("\"rows\":0"), "{body}");
@@ -95,8 +100,8 @@ end
 
     // The warm figure comes back byte-identical, with zero simulation.
     let before = simulated_instructions();
-    let (status, body) = http_get(addr, "/figures/fig06");
-    assert_eq!(status, "HTTP/1.1 200 OK");
+    let (head, body) = request(addr, "GET", "/figures/fig06");
+    assert_eq!(status(&head), "HTTP/1.1 200 OK");
     assert_eq!(
         simulated_instructions(),
         before,
@@ -109,8 +114,8 @@ end
     );
 
     // /runs sees the persisted sweep and filters it.
-    let (status, body) = http_get(addr, "/runs?prefetcher=gaze&scale=test");
-    assert_eq!(status, "HTTP/1.1 200 OK");
+    let (head, body) = request(addr, "GET", "/runs?prefetcher=gaze&scale=test");
+    assert_eq!(status(&head), "HTTP/1.1 200 OK");
     let body = String::from_utf8(body).expect("utf8");
     assert_eq!(
         body.matches("\"prefetcher\":\"gaze\"").count(),
@@ -120,24 +125,21 @@ end
     assert!(body.contains("\"speedup\":"));
 
     // Unknown routes 404 over the wire; bad methods 405.
-    let (status, _) = http_get(addr, "/nope");
-    assert_eq!(status, "HTTP/1.1 404 Not Found");
-    let (status, _) = http_get(addr, "/figures/fig99");
-    assert_eq!(status, "HTTP/1.1 404 Not Found");
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "POST /healthz HTTP/1.1\r\n\r\n").expect("send");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read");
-    assert!(raw.starts_with("HTTP/1.1 405"), "{raw}");
+    let (head, _) = request(addr, "GET", "/nope");
+    assert_eq!(status(&head), "HTTP/1.1 404 Not Found");
+    let (head, _) = request(addr, "GET", "/figures/fig99");
+    assert_eq!(status(&head), "HTTP/1.1 404 Not Found");
+    let (head, _) = request(addr, "POST", "/healthz");
+    assert!(head.starts_with("HTTP/1.1 405"), "{head}");
 
     // Health now reports the warm store.
-    let (_, body) = http_get(addr, "/healthz");
+    let (_, body) = request(addr, "GET", "/healthz");
     let body = String::from_utf8(body).expect("utf8");
     assert!(!body.contains("\"rows\":0"), "store is warm now: {body}");
 
     // /specs lists built-ins and the custom spec-dir file.
-    let (status, body) = http_get(addr, "/specs");
-    assert_eq!(status, "HTTP/1.1 200 OK");
+    let (head, body) = request(addr, "GET", "/specs");
+    assert_eq!(status(&head), "HTTP/1.1 200 OK");
     let body = String::from_utf8(body).expect("utf8");
     assert!(body.contains("\"name\":\"fig06\""), "{body}");
     assert!(body.contains("\"name\":\"tiny-sweep\""), "{body}");
@@ -148,8 +150,8 @@ end
     let spec = text::parse(CUSTOM_SPEC).expect("valid custom spec");
     let expected: String = run_spec(&spec, &scale).iter().map(|t| t.to_csv()).collect();
     let before = simulated_instructions();
-    let (status, body) = http_get(addr, "/experiments?spec=tiny-sweep&scale=test");
-    assert_eq!(status, "HTTP/1.1 200 OK");
+    let (head, body) = request(addr, "GET", "/experiments?spec=tiny-sweep&scale=test");
+    assert_eq!(status(&head), "HTTP/1.1 200 OK");
     assert_eq!(
         String::from_utf8(body).expect("utf8"),
         expected,
@@ -165,25 +167,6 @@ end
     join.join().expect("server thread");
     gaze_sim::results::configure(None).expect("deactivate store");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Issues one GET and returns (head, body) — like [`http_get`] but
-/// keeping the full header block for content-type assertions.
-fn http_get_full(addr: SocketAddr, target: &str) -> (String, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "GET {target} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("header terminator");
-    let head = String::from_utf8_lossy(&raw[..head_end]).into_owned();
-    (head, raw[head_end + 4..].to_vec())
 }
 
 /// Sums every sample of `family` in a Prometheus exposition (label sets
@@ -219,7 +202,7 @@ fn metrics_exposition_parses_and_counters_are_monotonic() {
     };
     let (addr, stop, join) = Server::spawn(&config).expect("spawn server");
 
-    let (head, body) = http_get_full(addr, "/metrics");
+    let (head, body) = request(addr, "GET", "/metrics");
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
     assert!(
         head.contains("text/plain; version=0.0.4"),
@@ -258,14 +241,14 @@ fn metrics_exposition_parses_and_counters_are_monotonic() {
 
     // Drive all three layers: plain requests, plus one cold sweep that
     // simulates and persists write-through.
-    let (status, _) = http_get(addr, "/healthz");
-    assert_eq!(status, "HTTP/1.1 200 OK");
-    let (status, _) = http_get(addr, "/runs?limit=5");
-    assert_eq!(status, "HTTP/1.1 200 OK");
-    let (status, _) = http_get(addr, "/experiments?spec=fig06&scale=test");
-    assert_eq!(status, "HTTP/1.1 200 OK");
+    let (head, _) = request(addr, "GET", "/healthz");
+    assert_eq!(status(&head), "HTTP/1.1 200 OK");
+    let (head, _) = request(addr, "GET", "/runs?limit=5");
+    assert_eq!(status(&head), "HTTP/1.1 200 OK");
+    let (head, _) = request(addr, "GET", "/experiments?spec=fig06&scale=test");
+    assert_eq!(status(&head), "HTTP/1.1 200 OK");
 
-    let (_, body) = http_get_full(addr, "/metrics");
+    let (_, body) = request(addr, "GET", "/metrics");
     let text2 = String::from_utf8(body).expect("utf8 exposition");
 
     // Counters are monotonic, and the three requests (plus the first
@@ -326,25 +309,6 @@ fn json_str(body: &str, key: &str) -> String {
         .to_string()
 }
 
-/// Issues one POST (empty body) and returns (status line, headers, body).
-fn http_post(addr: SocketAddr, target: &str) -> (String, String, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "POST {target} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("header terminator");
-    let head = String::from_utf8_lossy(&raw[..head_end]).into_owned();
-    let status = head.lines().next().unwrap_or_default().to_string();
-    (status, head, raw[head_end + 4..].to_vec())
-}
-
 /// The async job path end-to-end: POST a spec over real TCP, get `202` +
 /// an id, poll `/jobs/<id>` to `done`, and the `/result` CSV is
 /// byte-identical to the synchronous pipeline. Stopping the server
@@ -385,8 +349,8 @@ end
     let expected: String = run_spec(&spec, &scale).iter().map(|t| t.to_csv()).collect();
 
     // Submit: 202 Accepted with a pollable id.
-    let (status, _, body) = http_post(addr, "/experiments?spec=job-sweep&scale=test");
-    assert_eq!(status, "HTTP/1.1 202 Accepted");
+    let (head, body) = request(addr, "POST", "/experiments?spec=job-sweep&scale=test");
+    assert_eq!(status(&head), "HTTP/1.1 202 Accepted");
     let body = String::from_utf8(body).expect("utf8");
     let id = json_str(&body, "id");
     assert!(id.starts_with("job-"), "{body}");
@@ -395,8 +359,8 @@ end
     // deadline only bounds a wedged executor).
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     loop {
-        let (status, body) = http_get(addr, &format!("/jobs/{id}"));
-        assert_eq!(status, "HTTP/1.1 200 OK");
+        let (head, body) = request(addr, "GET", &format!("/jobs/{id}"));
+        assert_eq!(status(&head), "HTTP/1.1 200 OK");
         let body = String::from_utf8(body).expect("utf8");
         match json_str(&body, "status").as_str() {
             "done" => break,
@@ -410,21 +374,21 @@ end
 
     // The finished CSV matches the synchronous pipeline byte-for-byte,
     // and the job shows up in the listing.
-    let (status, body) = http_get(addr, &format!("/jobs/{id}/result"));
-    assert_eq!(status, "HTTP/1.1 200 OK");
+    let (head, body) = request(addr, "GET", &format!("/jobs/{id}/result"));
+    assert_eq!(status(&head), "HTTP/1.1 200 OK");
     assert_eq!(
         String::from_utf8(body).expect("utf8"),
         expected,
         "async job CSV must match the synchronous spec pipeline"
     );
-    let (_, body) = http_get(addr, "/jobs");
+    let (_, body) = request(addr, "GET", "/jobs");
     let body = String::from_utf8(body).expect("utf8");
     assert!(body.contains(&format!("\"id\":\"{id}\"")), "{body}");
 
     // Resubmitting the identical finished spec starts a fresh job (only
     // *in-flight* submissions dedup).
-    let (status, _, body) = http_post(addr, "/experiments?spec=job-sweep&scale=test");
-    assert_eq!(status, "HTTP/1.1 202 Accepted");
+    let (head, body) = request(addr, "POST", "/experiments?spec=job-sweep&scale=test");
+    assert_eq!(status(&head), "HTTP/1.1 202 Accepted");
     let body = String::from_utf8(body).expect("utf8");
     assert!(body.contains("\"deduped\":false"), "{body}");
 
@@ -435,6 +399,112 @@ end
     // The store the jobs wrote through reopens cleanly.
     let reopened = results_store::ResultsStore::open(&dir).expect("store loadable after stop");
     assert!(!reopened.is_empty(), "job rows persisted");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Concurrent clients mixing warm reads with async job churn over real
+/// TCP, checked against exact `/metrics` identities: every accepted job
+/// records exactly queued, running and done; every submission absorbed
+/// by an in-flight job counts one dedup; every request sent is counted.
+#[test]
+fn job_churn_keeps_metrics_identities_exact() {
+    const CLIENTS: usize = 4;
+    let _guard = server_lock();
+    let dir: PathBuf = std::env::temp_dir().join(format!("gzr-e2e-{}-churn", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: CLIENTS,
+        default_scale: "test".to_string(),
+        ..ServerConfig::new(&dir)
+    };
+    let (addr, stop, join) = Server::spawn(&config).expect("spawn server");
+
+    // The synchronous CSV every job result must match (also warms the
+    // store, as a prior sweep would have).
+    let scale = ExperimentScale::named("test").expect("test scale");
+    let expected: String = run_experiment("fig06", &scale)
+        .iter()
+        .map(|t| t.to_csv())
+        .collect();
+
+    let (_, body) = request(addr, "GET", "/metrics");
+    let before = String::from_utf8(body).expect("utf8 exposition");
+
+    // Each client: three warm reads, then one job polled to `done` and its
+    // result fetched. Yields (requests sent, job id, deduped, result CSV).
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut sent = 0usize;
+                let mut call = |method: &str, target: &str| {
+                    sent += 1;
+                    let (head, body) = request(addr, method, target);
+                    assert!(
+                        status(&head).starts_with("HTTP/1.1 2"),
+                        "{method} {target}: {head}"
+                    );
+                    String::from_utf8(body).expect("utf8")
+                };
+                call("GET", "/figures/fig06");
+                call("GET", "/runs?limit=100");
+                call("GET", "/runs?prefetcher=gaze&limit=100");
+                let accepted = call("POST", "/experiments?spec=fig06&scale=test");
+                let id = json_str(&accepted, "id");
+                let deduped = !accepted.contains("\"deduped\":false");
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+                loop {
+                    let body = call("GET", &format!("/jobs/{id}"));
+                    match json_str(&body, "status").as_str() {
+                        "done" => break,
+                        "queued" | "running" => {}
+                        other => panic!("job {id} reached {other}: {body}"),
+                    }
+                    assert!(std::time::Instant::now() < deadline, "job never finished");
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                }
+                let csv = call("GET", &format!("/jobs/{id}/result"));
+                (sent, id, deduped, csv)
+            })
+        })
+        .collect();
+    let outcomes: Vec<(usize, String, bool, String)> = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread"))
+        .collect();
+
+    let (_, body) = request(addr, "GET", "/metrics");
+    let after = String::from_utf8(body).expect("utf8 exposition");
+    let delta = |family: &str| family_sum(&after, family) - family_sum(&before, family);
+
+    let ids: std::collections::BTreeSet<&str> = outcomes.iter().map(|o| o.1.as_str()).collect();
+    let fresh = outcomes.iter().filter(|o| !o.2).count();
+    assert_eq!(fresh, ids.len(), "one non-deduped submission per job");
+    for (_, id, _, csv) in &outcomes {
+        assert_eq!(csv, &expected, "job {id} CSV must match the sync run");
+    }
+    assert_eq!(
+        delta("gaze_jobs_transitions_total"),
+        3.0 * ids.len() as f64,
+        "queued, running and done once per job"
+    );
+    assert_eq!(
+        delta("gaze_jobs_deduped_total"),
+        (CLIENTS - ids.len()) as f64,
+        "one dedup per absorbed submission"
+    );
+    // The first scrape is counted too.
+    let sent = 1 + outcomes.iter().map(|o| o.0).sum::<usize>();
+    assert!(
+        delta("gaze_http_requests_total") >= sent as f64,
+        "{sent} requests sent, counter rose by {}",
+        delta("gaze_http_requests_total")
+    );
+
+    stop.stop();
+    join.join().expect("server thread");
+    gaze_sim::results::configure(None).expect("deactivate store");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -473,13 +543,13 @@ end
     let (addr, stop, join) = Server::spawn(&config).expect("spawn server");
 
     // Unknown job id: buffered 404, not a stream.
-    let (status, _) = http_get(addr, "/jobs/job-nope-0/events");
-    assert_eq!(status, "HTTP/1.1 404 Not Found");
+    let (head, _) = request(addr, "GET", "/jobs/job-nope-0/events");
+    assert_eq!(status(&head), "HTTP/1.1 404 Not Found");
 
     // Submit a job and attach to its event stream immediately; the
     // connection stays open until the job reaches a terminal state.
-    let (status, _, body) = http_post(addr, "/experiments?spec=sse-sweep&scale=test");
-    assert_eq!(status, "HTTP/1.1 202 Accepted");
+    let (head, body) = request(addr, "POST", "/experiments?spec=sse-sweep&scale=test");
+    assert_eq!(status(&head), "HTTP/1.1 202 Accepted");
     let body = String::from_utf8(body).expect("utf8");
     let id = json_str(&body, "id");
 
@@ -579,9 +649,9 @@ fn slow_client_releases_the_worker_via_socket_timeout() {
     trickle.write_all(b"GET /runs HT").expect("partial request");
 
     let started = std::time::Instant::now();
-    let (status, body) = http_get(addr, "/healthz");
+    let (head, body) = request(addr, "GET", "/healthz");
     let waited = started.elapsed();
-    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert_eq!(status(&head), "HTTP/1.1 200 OK");
     assert!(
         String::from_utf8(body)
             .expect("utf8")
@@ -619,8 +689,8 @@ fn panicking_handler_costs_one_500_not_the_pool() {
     let (addr, stop, join) = Server::spawn(&config).expect("spawn server");
 
     results_store::fault::arm_nth("serve.handle", 0, results_store::fault::FaultKind::Panic);
-    let (status, body) = http_get(addr, "/healthz");
-    assert_eq!(status, "HTTP/1.1 500 Internal Server Error");
+    let (head, body) = request(addr, "GET", "/healthz");
+    assert_eq!(status(&head), "HTTP/1.1 500 Internal Server Error");
     assert!(
         String::from_utf8(body)
             .expect("utf8")
@@ -630,8 +700,8 @@ fn panicking_handler_costs_one_500_not_the_pool() {
 
     // Same worker, next request: business as usual.
     for _ in 0..3 {
-        let (status, _) = http_get(addr, "/healthz");
-        assert_eq!(status, "HTTP/1.1 200 OK", "pool survived the panic");
+        let (head, _) = request(addr, "GET", "/healthz");
+        assert_eq!(status(&head), "HTTP/1.1 200 OK", "pool survived the panic");
     }
 
     results_store::fault::clear_all();
@@ -668,8 +738,8 @@ fn server_serves_fig13_and_reloads_stale_stores() {
         .collect();
 
     let before = simulated_instructions();
-    let (status, body) = http_get(addr, "/figures/fig13");
-    assert_eq!(status, "HTTP/1.1 200 OK");
+    let (head, body) = request(addr, "GET", "/figures/fig13");
+    assert_eq!(status(&head), "HTTP/1.1 200 OK");
     assert_eq!(
         simulated_instructions(),
         before,
@@ -715,22 +785,22 @@ fn server_serves_fig13_and_reloads_stale_stores() {
     }
 
     // Both rows appear over HTTP without restarting the server.
-    let (status, body) = http_get(addr, "/runs?workload=stale-probe");
-    assert_eq!(status, "HTTP/1.1 200 OK");
+    let (head, body) = request(addr, "GET", "/runs?workload=stale-probe");
+    assert_eq!(status(&head), "HTTP/1.1 200 OK");
     let body = String::from_utf8(body).expect("utf8");
     assert_eq!(
         body.matches("\"workload\":\"stale-probe\"").count(),
         1,
         "the v1 row flushed after server start must be visible: {body}"
     );
-    let (_, body) = http_get(addr, "/runs?kind=mix&label=stale%2Bprobe");
+    let (_, body) = request(addr, "GET", "/runs?kind=mix&label=stale%2Bprobe");
     let body = String::from_utf8(body).expect("utf8");
     assert_eq!(
         body.matches("\"label\":\"stale+probe\"").count(),
         1,
         "the v2 row flushed after server start must be visible: {body}"
     );
-    let (_, body) = http_get(addr, "/healthz");
+    let (_, body) = request(addr, "GET", "/healthz");
     let body = String::from_utf8(body).expect("utf8");
     assert!(
         !body.contains("\"mix_rows\":0"),
