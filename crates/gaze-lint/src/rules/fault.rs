@@ -3,7 +3,7 @@
 //! The crash-safety contract (`results_store::fault`, proven by
 //! `tests/fault_injection.rs` and the kill-mid-flush schedules) only
 //! holds while every byte that reaches disk flows through an armable
-//! failpoint. New raw I/O added to the flush/compact/sidecar modules
+//! failpoint. New raw I/O added to the flush/compact modules
 //! would silently dodge that harness, so this rule requires each raw
 //! filesystem call in those modules to sit inside a function that
 //! consults `fault::check_io` or writes through a `FaultyWriter`.
@@ -19,7 +19,6 @@ use crate::source::SourceFile;
 /// The modules whose raw I/O must be failpoint-covered.
 const SCOPES: &[&str] = &[
     "crates/results-store/src/store.rs",
-    "crates/results-store/src/sidecar.rs",
     "crates/results-store/src/format.rs",
 ];
 

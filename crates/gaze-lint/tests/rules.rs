@@ -132,7 +132,7 @@ pub fn encode(w: &mut impl Write, v: u64) -> std::io::Result<()> {
     )
     .is_empty());
     assert!(fired(
-        &[("crates/results-store/src/bloom.rs", elsewhere)],
+        &[("crates/results-store/src/obs.rs", elsewhere)],
         &no_docs()
     )
     .is_empty());

@@ -22,7 +22,7 @@
 //! Every layer of the stack registers its own series against the one
 //! [`metrics::registry`]: `gaze-serve` (per-route request counters and
 //! latency histograms, job lifecycle), `results-store` (`gzr_*` decode /
-//! bloom / pread counters, flush and compaction durations), `gaze-sim`
+//! pread counters, flush and compaction durations), `gaze-sim`
 //! (store hit/miss, per-job wall time) and `sim-core` (cycles stepped
 //! vs. skipped). `gaze-serve` exposes the rendered registry at
 //! `GET /metrics`; see `docs/OBSERVABILITY.md` for the metric catalog

@@ -340,18 +340,16 @@ fn admin_compact(state: &AppState, req: &Request) -> Response {
 }
 
 fn healthz(state: &AppState) -> Response {
-    let (rows, mix_rows, segments, pending, decoded, read_errors, sidecars_rejected) =
-        state.store.with_store(|s| {
-            (
-                s.len() as u64,
-                s.mix_len() as u64,
-                s.segment_count() as u64,
-                s.pending_len() as u64,
-                s.records_decoded(),
-                s.read_errors(),
-                s.sidecars_rejected(),
-            )
-        });
+    let (rows, mix_rows, segments, pending, decoded, read_errors) = state.store.with_store(|s| {
+        (
+            s.len() as u64,
+            s.mix_len() as u64,
+            s.segment_count() as u64,
+            s.pending_len() as u64,
+            s.records_decoded(),
+            s.read_errors(),
+        )
+    });
     let body = JsonObject::new()
         .string("status", "ok")
         .u64("rows", rows)
@@ -362,7 +360,6 @@ fn healthz(state: &AppState) -> Response {
         .u64("misses", state.store.misses())
         .u64("records_decoded", decoded)
         .u64("read_errors", read_errors)
-        .u64("sidecars_rejected", sidecars_rejected)
         .u64("jobs_queued", state.jobs.queued_len() as u64)
         .u64("uptime_seconds", state.started.elapsed().as_secs())
         .build();

@@ -1,9 +1,8 @@
 //! `gzr-store` — offline maintenance of a results-store directory.
 //!
 //! ```text
-//! gzr-store info DIR       # segment/sidecar inventory and row counts
+//! gzr-store info DIR       # segment inventory and row counts
 //! gzr-store compact DIR    # merge segments, drop superseded duplicates
-//! gzr-store backfill DIR   # write missing .gzx sidecars for legacy segments
 //! ```
 //!
 //! `compact` is the same operation as `POST /admin/compact` on
@@ -18,7 +17,7 @@ use results_store::ResultsStore;
 
 fn usage() -> ExitCode {
     // gaze-lint: allow(eprintln) -- CLI usage error: bare stderr line is the interface
-    eprintln!("usage: gzr-store (info | compact | backfill) DIR");
+    eprintln!("usage: gzr-store (info | compact) DIR");
     ExitCode::from(2)
 }
 
@@ -52,7 +51,6 @@ fn main() -> ExitCode {
             println!("mix runs:          {}", store.mix_len());
             println!("duplicates merged: {}", store.duplicates_skipped());
             println!("key conflicts:     {}", store.conflicting_appends());
-            println!("sidecars rejected: {}", store.sidecars_rejected());
             println!("records decoded:   {}", store.records_decoded());
             ExitCode::SUCCESS
         }
@@ -74,24 +72,6 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        "backfill" => {
-            // An empty flush walks every loaded segment and writes any
-            // missing sidecar (flush backfills as a side effect); doing it
-            // through flush keeps exactly one code path writing sidecars.
-            match store.flush() {
-                Ok(_) => {
-                    println!(
-                        "backfilled sidecars for {} segment(s)",
-                        store.segment_count()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    gaze_obs::log::error("gzr-store", "backfill failed", &[("error", &e)]);
-                    ExitCode::FAILURE
-                }
-            }
-        }
         other => {
             // gaze-lint: allow(eprintln) -- CLI usage error: bare stderr line is the interface
             eprintln!("gzr-store: unknown command '{other}'");

@@ -24,10 +24,6 @@
 //! | `gzr.segment.read`   | before opening each segment during load/reload  |
 //! | `gzr.segment.pread`  | before each positioned point-lookup record read |
 //! | `gzr.segment.scan`   | before decoding a whole segment for a query     |
-//! | `gzx.sidecar.create` | before creating the `.tmp-` sidecar file        |
-//! | `gzx.sidecar.write`  | on each write of sidecar bytes to the tmp file  |
-//! | `gzx.sidecar.fsync`  | before fsyncing the sidecar tmp file            |
-//! | `gzx.sidecar.rename` | before the sidecar's atomic rename into place   |
 //! | `gzr.compact.begin`  | at the start of a compaction, after the flush   |
 //! | `gzr.compact.write`  | before writing the merged segments              |
 //! | `gzr.compact.remove` | before unlinking each superseded old segment    |
@@ -39,12 +35,32 @@
 //! `kind` is one of `error` (generic I/O error), `interrupted`, `panic`,
 //! `short-write`, or `sleep:<millis>`, and the optional `N:` prefix skips
 //! the first `N` hits before firing (env-armed points are sticky — they
-//! fire on every hit from then on).
+//! fire on every hit from then on). A malformed entry — no `=`, a point
+//! not in the table above, an unknown kind or an `N` that overflows — is
+//! logged as a warning naming the entry and skipped.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Every registered point name, in the order of the module-doc table.
+pub const POINTS: &[&str] = &[
+    "gzr.segment.create",
+    "gzr.segment.write",
+    "gzr.segment.fsync",
+    "gzr.segment.rename",
+    "gzr.segment.dirsync",
+    "gzr.segment.read",
+    "gzr.segment.pread",
+    "gzr.segment.scan",
+    "gzr.compact.begin",
+    "gzr.compact.write",
+    "gzr.compact.remove",
+    "gzr.compact.dirsync",
+    "jobs.execute",
+    "serve.handle",
+];
 
 /// What an armed failpoint does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +103,9 @@ struct ArmState {
 }
 
 /// Fast path: a single relaxed load decides "no failpoints anywhere".
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// It starts `true` so that the first hook in a process takes the slow
+/// path once, which parses `GAZE_FAILPOINTS` into the registry.
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
 fn registry() -> &'static Mutex<HashMap<String, ArmState>> {
     static REGISTRY: OnceLock<Mutex<HashMap<String, ArmState>>> = OnceLock::new();
@@ -98,9 +116,7 @@ fn registry() -> &'static Mutex<HashMap<String, ArmState>> {
                 map.insert(point, arm);
             }
         }
-        if !map.is_empty() {
-            ENABLED.store(true, Ordering::Relaxed);
-        }
+        ENABLED.store(!map.is_empty(), Ordering::Relaxed);
         Mutex::new(map)
     })
 }
@@ -111,39 +127,54 @@ fn lock() -> MutexGuard<'static, HashMap<String, ArmState>> {
 
 fn parse_env(spec: &str) -> Vec<(String, ArmState)> {
     let mut arms = Vec::new();
-    for entry in spec.split(';').filter(|e| !e.trim().is_empty()) {
-        let Some((point, action)) = entry.split_once('=') else {
-            continue;
-        };
-        let action = action.trim();
-        let (fire_at, action) = match action.split_once(':') {
-            Some((n, rest)) if n.chars().all(|c| c.is_ascii_digit()) && !n.is_empty() => {
-                (n.parse().unwrap_or(0), rest)
-            }
-            _ => (0, action),
-        };
-        let kind = match action {
-            "error" => FaultKind::Error(io::ErrorKind::Other),
-            "interrupted" => FaultKind::Error(io::ErrorKind::Interrupted),
-            "panic" => FaultKind::Panic,
-            "short-write" => FaultKind::ShortWrite,
-            _ => match action.strip_prefix("sleep:").and_then(|ms| ms.parse().ok()) {
-                Some(ms) => FaultKind::Sleep(ms),
-                None => continue,
-            },
-        };
-        arms.push((
-            point.trim().to_string(),
-            ArmState {
-                kind,
-                fire_at,
-                hits: 0,
-                sticky: true,
-                fired: false,
-            },
-        ));
+    for entry in spec.split(';').map(str::trim).filter(|e| !e.is_empty()) {
+        match parse_entry(entry) {
+            Ok(arm) => arms.push(arm),
+            Err(reason) => gaze_obs::log::warn(
+                "fault",
+                "skipping malformed GAZE_FAILPOINTS entry",
+                &[("entry", &entry), ("reason", &reason)],
+            ),
+        }
     }
     arms
+}
+
+/// Parses one `point=[N:]kind` entry, or says why it is malformed.
+fn parse_entry(entry: &str) -> Result<(String, ArmState), String> {
+    let (point, action) = entry.split_once('=').ok_or("missing '='")?;
+    let point = point.trim();
+    if !POINTS.contains(&point) {
+        return Err(format!("unknown point '{point}'"));
+    }
+    let action = action.trim();
+    let (fire_at, action) = match action.split_once(':') {
+        Some((n, rest)) if !n.is_empty() && n.chars().all(|c| c.is_ascii_digit()) => {
+            let n = n
+                .parse()
+                .map_err(|_| format!("hit count '{n}' overflows u64"))?;
+            (n, rest)
+        }
+        _ => (0, action),
+    };
+    let kind = match action {
+        "error" => FaultKind::Error(io::ErrorKind::Other),
+        "interrupted" => FaultKind::Error(io::ErrorKind::Interrupted),
+        "panic" => FaultKind::Panic,
+        "short-write" => FaultKind::ShortWrite,
+        _ => match action.strip_prefix("sleep:").and_then(|ms| ms.parse().ok()) {
+            Some(ms) => FaultKind::Sleep(ms),
+            None => return Err(format!("unknown kind '{action}'")),
+        },
+    };
+    let arm = ArmState {
+        kind,
+        fire_at,
+        hits: 0,
+        sticky: true,
+        fired: false,
+    };
+    Ok((point.to_string(), arm))
 }
 
 /// Arms `point` so that every hit fires `kind` until [`clear_all`].
@@ -354,14 +385,45 @@ mod tests {
 
     #[test]
     fn env_spec_parses_kinds_and_fire_at() {
-        let arms = parse_env("a=error;b=3:panic;c=short-write;d=sleep:25;junk;e=nope");
+        let arms = parse_env(
+            "gzr.segment.create=error;gzr.segment.write=3:panic;gzr.segment.fsync=short-write;\
+             serve.handle=sleep:25;junk;gzr.segment.rename=nope;gzr.index.write=error;\
+             gzr.segment.scan=99999999999999999999:error",
+        );
         let by_name: HashMap<_, _> = arms.into_iter().collect();
-        assert_eq!(by_name["a"].kind, FaultKind::Error(io::ErrorKind::Other));
-        assert_eq!(by_name["b"].kind, FaultKind::Panic);
-        assert_eq!(by_name["b"].fire_at, 3);
-        assert_eq!(by_name["c"].kind, FaultKind::ShortWrite);
-        assert_eq!(by_name["d"].kind, FaultKind::Sleep(25));
-        assert!(!by_name.contains_key("e"));
-        assert_eq!(by_name.len(), 4);
+        let kind = |p: &str| by_name[p].kind;
+        assert_eq!(
+            kind("gzr.segment.create"),
+            FaultKind::Error(io::ErrorKind::Other)
+        );
+        assert_eq!(kind("gzr.segment.write"), FaultKind::Panic);
+        assert_eq!(by_name["gzr.segment.write"].fire_at, 3);
+        assert_eq!(kind("gzr.segment.fsync"), FaultKind::ShortWrite);
+        assert_eq!(kind("serve.handle"), FaultKind::Sleep(25));
+        assert_eq!(by_name.len(), 4, "every malformed entry is skipped");
+
+        // Each skipped entry is rejected for its own reason, which the
+        // warning names.
+        let reason = |e: &str| parse_entry(e).expect_err("malformed");
+        assert_eq!(reason("junk"), "missing '='");
+        assert_eq!(reason("gzr.segment.rename=nope"), "unknown kind 'nope'");
+        assert_eq!(
+            reason("gzr.index.write=error"),
+            "unknown point 'gzr.index.write'"
+        );
+        assert_eq!(
+            reason("gzr.segment.scan=99999999999999999999:error"),
+            "hit count '99999999999999999999' overflows u64"
+        );
+    }
+
+    #[test]
+    fn points_follow_the_module_doc_table() {
+        let table: Vec<&str> = include_str!("fault.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! | `"))
+            .filter_map(|l| l.split('`').next())
+            .collect();
+        assert_eq!(table, POINTS);
     }
 }

@@ -473,18 +473,6 @@ pub fn write_mix_segment(out: &mut impl Write, records: &[MixRecord]) -> io::Res
 /// Parses and validates a segment header, returning `(version,
 /// record_count)`. The record size implied by the version must match the
 /// header's, and `total_len` must equal header + records exactly.
-///
-/// This is the whole validation a *lazy* open performs per segment: the
-/// store trusts a valid header + exact file size and defers record
-/// decoding to positioned point reads (or a sidecar-less fallback scan).
-pub fn read_segment_header(
-    input: &mut impl Read,
-    total_len: u64,
-    context: &str,
-) -> io::Result<(u16, u64)> {
-    read_header(input, total_len, context)
-}
-
 fn read_header(input: &mut impl Read, total_len: u64, context: &str) -> io::Result<(u16, u64)> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut header = [0u8; GZR_HEADER_BYTES];

@@ -7,12 +7,11 @@
 //! be computed once. This crate stores those results durably — as
 //! directories of little-endian fixed-record **GZR** segment files
 //! ([`mod@format`], spec in `docs/RESULTS.md`) — and serves them back
-//! through a typed query API ([`store`]). Each segment carries a `.gzx`
-//! [`sidecar`] (sorted key table + bloom filter), so opening a store is
-//! O(segments): point lookups resolve through the sidecar index with one
-//! positioned record read, and payloads never need to be resident. A
-//! [`compact`](ResultsStore::compact) pass merges segments and physically
-//! drops duplicate rows.
+//! through a typed query API ([`store`]). Opening a store scans each
+//! segment once and keeps only a sorted key table per segment, so point
+//! lookups resolve with one positioned record read and payloads never
+//! need to be resident. A [`compact`](ResultsStore::compact) pass merges
+//! segments and physically drops duplicate rows.
 //!
 //! Keys are content fingerprints, not names: a record is identified by the
 //! FNV-1a fingerprint of its trace's record stream, the fingerprint of its
@@ -33,7 +32,7 @@
 //! `GAZE_RESULTS_DIR` environment variable (see `gaze_sim::results`), and
 //! the `gaze-serve` crate puts an HTTP query front-end on top.
 //!
-//! Crash-safety of the flush, sidecar and compaction pipelines is
+//! Crash-safety of the flush and compaction pipelines is
 //! provable, not assumed: every fallible step (tmp-file create, write,
 //! fsync, rename, directory sync, segment/record reads, each compaction
 //! phase) carries a named [`fault`] injection point that tests arm to
@@ -68,7 +67,6 @@
 pub mod fault;
 pub mod format;
 mod obs;
-pub mod sidecar;
 pub mod store;
 
 pub use format::{

@@ -2,11 +2,10 @@
 //!
 //! Every [`ResultsStore`](crate::ResultsStore) instance in the process
 //! contributes to one shared family set (registered lazily in the
-//! [`gaze_obs`] registry): cumulative I/O counters, index effectiveness
-//! (bloom hit/miss), and flush/compaction duration histograms. Per-store
-//! snapshots stay on the store itself (`records_decoded()` etc.); these
-//! series exist so `/metrics` can expose store behaviour without holding
-//! a store lock.
+//! [`gaze_obs`] registry): cumulative I/O counters and flush/compaction
+//! duration histograms. Per-store snapshots stay on the store itself
+//! (`records_decoded()` etc.); these series exist so `/metrics` can
+//! expose store behaviour without holding a store lock.
 
 use std::sync::OnceLock;
 
@@ -14,18 +13,12 @@ use gaze_obs::metrics::{registry, Counter, Histogram};
 
 /// The store-layer metric handles, registered once per process.
 pub(crate) struct StoreMetrics {
-    /// Point lookups whose bloom filter admitted the segment.
-    pub bloom_hits: Counter,
-    /// Point lookups short-circuited by the bloom filter.
-    pub bloom_misses: Counter,
-    /// Positioned single-record reads (lazy lookups).
+    /// Positioned single-record reads (point lookups).
     pub preads: Counter,
-    /// Records decoded from disk (point reads + full scans).
+    /// Records decoded from disk (open scans, point reads, query scans).
     pub records_decoded: Counter,
     /// Record reads that failed and were treated as misses.
     pub read_errors: Counter,
-    /// `.gzx` sidecars rejected at open (corrupt/stale; segment scanned).
-    pub sidecars_rejected: Counter,
     /// Wall time of flushes that persisted at least one record.
     pub flush_duration_us: Histogram,
     /// Wall time of compactions that actually merged segments.
@@ -38,14 +31,6 @@ pub(crate) fn metrics() -> &'static StoreMetrics {
     METRICS.get_or_init(|| {
         let r = registry();
         StoreMetrics {
-            bloom_hits: r.counter(
-                "gzr_bloom_hits_total",
-                "Point lookups whose bloom filter admitted the segment",
-            ),
-            bloom_misses: r.counter(
-                "gzr_bloom_misses_total",
-                "Point lookups short-circuited by the bloom filter",
-            ),
             preads: r.counter("gzr_preads_total", "Positioned single-record segment reads"),
             records_decoded: r.counter(
                 "gzr_records_decoded_total",
@@ -54,10 +39,6 @@ pub(crate) fn metrics() -> &'static StoreMetrics {
             read_errors: r.counter(
                 "gzr_read_errors_total",
                 "Record reads that failed and were treated as misses",
-            ),
-            sidecars_rejected: r.counter(
-                "gzr_sidecars_rejected_total",
-                "Sidecar indexes rejected at segment load",
             ),
             flush_duration_us: r.histogram(
                 "gzr_flush_duration_us",

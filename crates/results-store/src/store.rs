@@ -8,11 +8,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::format::{
-    read_segment_any, read_segment_header, write_mix_segment, write_segment, MixKey, MixRecord,
-    RunKey, RunRecord, SegmentRecords, GZR_HEADER_BYTES, GZR_MIX_RECORD_BYTES, GZR_RECORD_BYTES,
-    GZR_VERSION, GZR_VERSION_MIX,
+    read_segment_any, write_mix_segment, write_segment, MixKey, MixRecord, RunKey, RunRecord,
+    SegmentRecords, GZR_HEADER_BYTES, GZR_MIX_RECORD_BYTES, GZR_RECORD_BYTES, GZR_VERSION,
+    GZR_VERSION_MIX,
 };
-use crate::sidecar::{self, Bloom, SidecarEntry};
+use sim_core::params::Fnv1a;
 
 /// Extension of segment files inside a store directory.
 pub const SEGMENT_EXTENSION: &str = "gzr";
@@ -116,24 +116,77 @@ pub struct CompactStats {
     pub duplicates_dropped: u64,
 }
 
-/// One loaded segment: validated header metadata plus its sidecar index
-/// (bloom filter + sorted key table) and an open file handle for
-/// positioned record reads. Record payloads stay on disk.
+/// One segment index entry: the FNV key hash of a record and its
+/// position (record index, not byte offset) inside the segment.
+#[derive(Debug)]
+struct IndexEntry {
+    /// [`run_key_hash`] / [`mix_key_hash`] of the record's key tuple.
+    hash: u64,
+    /// 0-based record index inside the segment.
+    index: u64,
+}
+
+/// Hashes a v1 run-record key tuple `(trace_fingerprint,
+/// params_fingerprint, prefetcher)` for the segment index.
+fn run_key_hash(trace_fingerprint: u64, params_fingerprint: u64, prefetcher: &str) -> u64 {
+    key_hash(1, trace_fingerprint, params_fingerprint, prefetcher)
+}
+
+/// Hashes a v2 mix-record key tuple `(mix_fingerprint,
+/// params_fingerprint, prefetcher)` for the segment index.
+fn mix_key_hash(mix_fingerprint: u64, params_fingerprint: u64, prefetcher: &str) -> u64 {
+    key_hash(2, mix_fingerprint, params_fingerprint, prefetcher)
+}
+
+fn key_hash(kind: u64, a: u64, b: u64, prefetcher: &str) -> u64 {
+    let mut hasher = Fnv1a::new();
+    hasher.mix(kind);
+    hasher.mix(a);
+    hasher.mix(b);
+    hasher.mix(prefetcher.len() as u64);
+    for byte in prefetcher.bytes() {
+        hasher.mix(u64::from(byte));
+    }
+    hasher.finish()
+}
+
+/// The sorted key table of a batch of records. Entries are ordered by
+/// `(hash, index)`, so equal hashes probe in record order and the first
+/// write wins.
+fn build_index(records: &SegmentRecords) -> Vec<IndexEntry> {
+    let hashes: Vec<u64> = match records {
+        SegmentRecords::Runs(records) => records
+            .iter()
+            .map(|r| run_key_hash(r.trace_fingerprint, r.params_fingerprint, &r.prefetcher))
+            .collect(),
+        SegmentRecords::Mixes(records) => records
+            .iter()
+            .map(|r| mix_key_hash(r.mix_fingerprint, r.params_fingerprint, &r.prefetcher))
+            .collect(),
+    };
+    let mut entries: Vec<IndexEntry> = hashes
+        .into_iter()
+        .enumerate()
+        .map(|(index, hash)| IndexEntry {
+            hash,
+            index: index as u64,
+        })
+        .collect();
+    entries.sort_unstable_by_key(|e| (e.hash, e.index));
+    entries
+}
+
+/// One loaded segment: validated header metadata plus its in-memory key
+/// table and an open file handle for positioned record reads. Record
+/// payloads stay on disk.
 #[derive(Debug)]
 struct Segment {
     path: PathBuf,
     /// GZR format version (1 = runs, 2 = mixes).
     version: u16,
-    record_size: usize,
-    record_count: u64,
-    bloom: Bloom,
-    /// `(key_hash, record_index)` sorted ascending — equal hashes probe
-    /// in record order, so the first write wins like the old resident
-    /// index.
-    entries: Vec<SidecarEntry>,
-    /// Whether a valid `.gzx` exists on disk; `false` means the index
-    /// above came from a one-time scan and the next flush backfills it.
-    has_sidecar: bool,
+    /// `(key_hash, record_index)` sorted ascending, built by
+    /// [`build_index`].
+    entries: Vec<IndexEntry>,
     file: File,
 }
 
@@ -166,15 +219,13 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
 ///   identical); duplicates across segments are collapsed by every read
 ///   path (first segment in load order wins) and physically dropped by
 ///   [`compact`](ResultsStore::compact).
-/// * **Lazy index** — opening reads only segment headers plus `.gzx`
-///   sidecars ([`crate::sidecar`]), O(segments) not O(records): resident
+/// * **Index** — opening validates each segment with one full scan and
+///   keeps only its sorted `(key hash, record index)` table: resident
 ///   memory is bounded by 16 bytes per key, never by payloads. A point
-///   lookup goes pending overlay → per-segment bloom filter →
-///   binary-searched key table → one positioned record read. Segments
-///   without a valid sidecar (legacy stores, torn sidecar writes) are
-///   indexed by a one-time scan and their sidecars are backfilled on the
-///   next flush. Single-core (v1) and multi-core (v2) records live in
-///   separate segments; a flush writes one segment per record kind.
+///   lookup goes pending overlay → binary-searched key table → one
+///   positioned record read. Single-core (v1) and multi-core (v2) records
+///   live in separate segments; a flush writes one segment per record
+///   kind.
 #[derive(Debug)]
 pub struct ResultsStore {
     dir: PathBuf,
@@ -205,16 +256,14 @@ pub struct ResultsStore {
     rejected_appends: u64,
     records_decoded: AtomicU64,
     read_errors: AtomicU64,
-    sidecars_rejected: AtomicU64,
 }
 
 /// Per-process counter folded into segment names so concurrent stores in
 /// one process can never race to the same file name.
 static SEGMENT_NONCE: AtomicU64 = AtomicU64::new(0);
 
-/// Every `seg-*.gzr` path currently in `dir` (unsorted). Sidecars and
-/// temp files are invisible to this listing, so backfilling a sidecar
-/// never makes a store look stale.
+/// Every `seg-*.gzr` path currently in `dir` (unsorted). Temp files and
+/// any other names are invisible to this listing.
 fn segment_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(fs::read_dir(dir)?
         .collect::<io::Result<Vec<_>>>()?
@@ -242,18 +291,14 @@ fn same_mix_key(a: &MixRecord, b: &MixRecord) -> bool {
 }
 
 impl ResultsStore {
-    /// Opens (creating if needed) the store at `dir`, validating every
-    /// segment header and loading headers + sidecar indexes only —
-    /// O(segments), not O(records). Segments without a valid sidecar are
-    /// indexed by a one-time scan.
+    /// Opens (creating if needed) the store at `dir`, scanning every
+    /// segment once to validate it and build its key table. Each record
+    /// is decoded exactly once; no payload stays resident.
     ///
-    /// Fails if the directory cannot be created/read or if any *segment*
-    /// is corrupt or truncated — a store that silently dropped a damaged
+    /// Fails if the directory cannot be created/read or if any segment is
+    /// corrupt or truncated — a store that silently dropped a damaged
     /// segment would quietly re-simulate (or worse, serve partial sweeps),
-    /// so damage is loud. A damaged *sidecar* is different: it is derived
-    /// data, so it is rejected loudly (stderr +
-    /// [`sidecars_rejected`](Self::sidecars_rejected)) and the segment is
-    /// scanned instead.
+    /// so damage is loud.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<ResultsStore> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
@@ -278,7 +323,6 @@ impl ResultsStore {
             rejected_appends: 0,
             records_decoded: AtomicU64::new(0),
             read_errors: AtomicU64::new(0),
-            sidecars_rejected: AtomicU64::new(0),
         };
         for path in segment_paths {
             crate::fault::check_io("gzr.segment.read")?;
@@ -292,89 +336,21 @@ impl ResultsStore {
         Ok(store)
     }
 
-    /// Validates one segment's header and builds its in-memory index,
-    /// from the sidecar when one loads cleanly and by scanning otherwise.
+    /// Validates one segment in full and builds its key table from a
+    /// single scan; the decoded payloads are dropped again.
     fn load_segment(&self, path: &Path) -> io::Result<Segment> {
-        let context = path.display().to_string();
         let file = File::open(path)?;
-        let total_len = file.metadata()?.len();
-        let (version, record_count) = {
-            let mut input = &file;
-            read_segment_header(&mut input, total_len, &context)?
-        };
-        let record_size = if version == GZR_VERSION {
-            GZR_RECORD_BYTES
-        } else {
-            GZR_MIX_RECORD_BYTES
-        };
-        let (bloom, entries, has_sidecar) = match sidecar::load_sidecar(path, version, record_count)
-        {
-            Ok((bloom, entries)) => (bloom, entries, true),
-            Err(err) => {
-                if err.kind() != io::ErrorKind::NotFound {
-                    self.sidecars_rejected.fetch_add(1, Ordering::Relaxed);
-                    crate::obs::metrics().sidecars_rejected.inc();
-                    gaze_obs::log::warn(
-                        "gzr",
-                        "rejecting sidecar; scanning segment",
-                        &[("segment", &context), ("error", &err)],
-                    );
-                }
-                let (bloom, entries) = self.scan_segment_index(path, total_len, &context)?;
-                (bloom, entries, false)
-            }
+        let records = self.decode_segment(&file, path)?;
+        let version = match records {
+            SegmentRecords::Runs(_) => GZR_VERSION,
+            SegmentRecords::Mixes(_) => GZR_VERSION_MIX,
         };
         Ok(Segment {
             path: path.to_path_buf(),
             version,
-            record_size,
-            record_count,
-            bloom,
-            entries,
-            has_sidecar,
+            entries: build_index(&records),
             file,
         })
-    }
-
-    /// The sidecar-less fallback: decode the whole segment once (also
-    /// fully validating it) and hash its keys into a fresh index.
-    fn scan_segment_index(
-        &self,
-        path: &Path,
-        total_len: u64,
-        context: &str,
-    ) -> io::Result<(Bloom, Vec<SidecarEntry>)> {
-        let file = File::open(path)?;
-        let records = read_segment_any(&mut BufReader::new(file), total_len, context)?;
-        let hashes: Vec<u64> = match records {
-            SegmentRecords::Runs(records) => {
-                self.note_decoded(records.len() as u64);
-                records
-                    .iter()
-                    .map(|r| {
-                        sidecar::run_key_hash(
-                            r.trace_fingerprint,
-                            r.params_fingerprint,
-                            &r.prefetcher,
-                        )
-                    })
-                    .collect()
-            }
-            SegmentRecords::Mixes(records) => {
-                self.note_decoded(records.len() as u64);
-                records
-                    .iter()
-                    .map(|r| {
-                        sidecar::mix_key_hash(
-                            r.mix_fingerprint,
-                            r.params_fingerprint,
-                            &r.prefetcher,
-                        )
-                    })
-                    .collect()
-            }
-        };
-        Ok(sidecar::build_index(&hashes))
     }
 
     /// The directory backing this store.
@@ -435,10 +411,10 @@ impl ResultsStore {
         self.rejected_appends
     }
 
-    /// Number of record payloads decoded from disk so far — point reads,
-    /// query scans, legacy-segment indexing. A fully-sidecar'd store
-    /// opens with this at zero: the test suites use it to prove opens
-    /// never materialize payloads.
+    /// Number of record payloads decoded from disk so far — the open
+    /// scan (once per persisted record), point reads and query scans. The
+    /// test suites use it to prove an open decodes each record once and a
+    /// point lookup decodes one.
     pub fn records_decoded(&self) -> u64 {
         self.records_decoded.load(Ordering::Relaxed)
     }
@@ -449,15 +425,9 @@ impl ResultsStore {
         self.read_errors.load(Ordering::Relaxed)
     }
 
-    /// Number of `.gzx` sidecars rejected as invalid (and replaced by a
-    /// segment scan) since this store opened.
-    pub fn sidecars_rejected(&self) -> u64 {
-        self.sidecars_rejected.load(Ordering::Relaxed)
-    }
-
     /// Looks up the record stored under (trace fingerprint, params
     /// fingerprint, prefetcher): pending overlay first, then per segment
-    /// bloom filter → binary-searched key table → one positioned read.
+    /// a binary-searched key table → one positioned read.
     ///
     /// A failing record read is answered fail-open as a miss (stderr +
     /// [`read_errors`](Self::read_errors)): the caller re-simulates and
@@ -501,7 +471,7 @@ impl ResultsStore {
         params_fingerprint: u64,
         prefetcher: &str,
     ) -> Option<RunRecord> {
-        let hash = sidecar::run_key_hash(trace_fingerprint, params_fingerprint, prefetcher);
+        let hash = run_key_hash(trace_fingerprint, params_fingerprint, prefetcher);
         for segment in self.segments.iter().filter(|s| s.version == GZR_VERSION) {
             for entry in Self::candidates(segment, hash) {
                 match self.read_run_at(segment, entry.index) {
@@ -526,7 +496,7 @@ impl ResultsStore {
         params_fingerprint: u64,
         prefetcher: &str,
     ) -> Option<MixRecord> {
-        let hash = sidecar::mix_key_hash(mix_fingerprint, params_fingerprint, prefetcher);
+        let hash = mix_key_hash(mix_fingerprint, params_fingerprint, prefetcher);
         for segment in self
             .segments
             .iter()
@@ -550,18 +520,11 @@ impl ResultsStore {
     }
 
     /// The segment's index entries whose key hash equals `hash`, in
-    /// record order (bloom filter first, then a binary search).
-    fn candidates(segment: &Segment, hash: u64) -> impl Iterator<Item = &SidecarEntry> {
-        let range = if segment.bloom.contains(hash) {
-            crate::obs::metrics().bloom_hits.inc();
-            let start = segment.entries.partition_point(|e| e.hash < hash);
-            let end = start + segment.entries[start..].partition_point(|e| e.hash == hash);
-            start..end
-        } else {
-            crate::obs::metrics().bloom_misses.inc();
-            0..0
-        };
-        segment.entries[range].iter()
+    /// record order.
+    fn candidates(segment: &Segment, hash: u64) -> &[IndexEntry] {
+        let start = segment.entries.partition_point(|e| e.hash < hash);
+        let end = start + segment.entries[start..].partition_point(|e| e.hash == hash);
+        &segment.entries[start..end]
     }
 
     fn note_read_error(&self, segment: &Segment, err: io::Error) {
@@ -586,7 +549,7 @@ impl ResultsStore {
         crate::fault::check_io("gzr.segment.pread")?;
         crate::obs::metrics().preads.inc();
         let mut buf = [0u8; GZR_RECORD_BYTES];
-        let offset = GZR_HEADER_BYTES as u64 + index * segment.record_size as u64;
+        let offset = GZR_HEADER_BYTES as u64 + index * GZR_RECORD_BYTES as u64;
         read_exact_at(&segment.file, &mut buf, offset)?;
         self.note_decoded(1);
         crate::format::decode_record(&buf)
@@ -597,7 +560,7 @@ impl ResultsStore {
         crate::fault::check_io("gzr.segment.pread")?;
         crate::obs::metrics().preads.inc();
         let mut buf = [0u8; GZR_MIX_RECORD_BYTES];
-        let offset = GZR_HEADER_BYTES as u64 + index * segment.record_size as u64;
+        let offset = GZR_HEADER_BYTES as u64 + index * GZR_MIX_RECORD_BYTES as u64;
         read_exact_at(&segment.file, &mut buf, offset)?;
         self.note_decoded(1);
         crate::format::decode_mix_record(&buf)
@@ -608,11 +571,16 @@ impl ResultsStore {
     fn scan_segment(&self, segment: &Segment) -> io::Result<SegmentRecords> {
         crate::fault::check_io("gzr.segment.scan")?;
         let file = File::open(&segment.path)?;
+        self.decode_segment(&file, &segment.path)
+    }
+
+    /// Reads and validates every record of the segment open as `file`.
+    fn decode_segment(&self, file: &File, path: &Path) -> io::Result<SegmentRecords> {
         let total_len = file.metadata()?.len();
         let records = read_segment_any(
             &mut BufReader::new(file),
             total_len,
-            &segment.path.display().to_string(),
+            &path.display().to_string(),
         )?;
         let count = match &records {
             SegmentRecords::Runs(r) => r.len(),
@@ -696,63 +664,29 @@ impl ResultsStore {
     /// Writes every pending record durably and returns how many records
     /// were persisted. Pending single-core rows become one new v1 segment
     /// and pending mix rows one new v2 segment (each: write `.tmp-` file,
-    /// fsync, atomic rename, fsync directory), each with its `.gzx`
-    /// sidecar; sidecars missing from older segments are backfilled. A
-    /// sidecar write failure never fails the flush — the segment is the
-    /// durable truth and a reopen falls back to scanning. A no-op
-    /// returning 0 when nothing is pending (beyond sidecar backfill).
+    /// fsync, atomic rename, fsync directory). A no-op returning 0 when
+    /// nothing is pending.
     pub fn flush(&mut self) -> io::Result<usize> {
         let started = std::time::Instant::now();
         let mut written = 0;
         if !self.pending_runs.is_empty() {
-            let batch = self.pending_runs.clone();
-            let mut hasher = sim_core::params::Fnv1a::new();
-            for rec in &batch {
-                hasher.mix(rec.trace_fingerprint);
-                hasher.mix(rec.params_fingerprint);
-                hasher.mix(rec.stats.cycles);
-            }
-            let hashes: Vec<u64> = batch
-                .iter()
-                .map(|r| {
-                    sidecar::run_key_hash(r.trace_fingerprint, r.params_fingerprint, &r.prefetcher)
-                })
-                .collect();
-            let path =
-                self.write_segment_file(hasher, |mut out| write_segment(&mut out, &batch))?;
-            self.register_segment(&path, GZR_VERSION, GZR_RECORD_BYTES, &hashes)?;
-            written += batch.len();
-            self.persisted_runs += batch.len() - self.shadowed_runs;
+            self.persist(&SegmentRecords::Runs(self.pending_runs.clone()))?;
+            written += self.pending_runs.len();
+            self.persisted_runs += self.pending_runs.len() - self.shadowed_runs;
             self.duplicates_runtime += self.shadowed_runs as u64;
             self.shadowed_runs = 0;
             self.pending_runs.clear();
             self.pending_run_index.clear();
         }
         if !self.pending_mixes.is_empty() {
-            let batch = self.pending_mixes.clone();
-            let mut hasher = sim_core::params::Fnv1a::new();
-            for rec in &batch {
-                hasher.mix(rec.mix_fingerprint);
-                hasher.mix(rec.params_fingerprint);
-                hasher.mix(rec.cores() as u64);
-            }
-            let hashes: Vec<u64> = batch
-                .iter()
-                .map(|r| {
-                    sidecar::mix_key_hash(r.mix_fingerprint, r.params_fingerprint, &r.prefetcher)
-                })
-                .collect();
-            let path =
-                self.write_segment_file(hasher, |mut out| write_mix_segment(&mut out, &batch))?;
-            self.register_segment(&path, GZR_VERSION_MIX, GZR_MIX_RECORD_BYTES, &hashes)?;
-            written += batch.len();
-            self.persisted_mixes += batch.len() - self.shadowed_mixes;
+            self.persist(&SegmentRecords::Mixes(self.pending_mixes.clone()))?;
+            written += self.pending_mixes.len();
+            self.persisted_mixes += self.pending_mixes.len() - self.shadowed_mixes;
             self.duplicates_runtime += self.shadowed_mixes as u64;
             self.shadowed_mixes = 0;
             self.pending_mixes.clear();
             self.pending_mix_index.clear();
         }
-        self.backfill_sidecars();
         if written > 0 {
             let us = started.elapsed().as_micros() as u64;
             crate::obs::metrics().flush_duration_us.record(us);
@@ -765,62 +699,41 @@ impl ResultsStore {
         Ok(written)
     }
 
-    /// Writes the `.gzx` for any loaded segment that lacks one, straight
-    /// from the in-memory index (zero record reads). Best-effort: a
-    /// failure is logged and retried on the next flush.
-    fn backfill_sidecars(&mut self) {
-        for segment in &mut self.segments {
-            if segment.has_sidecar {
-                continue;
+    /// Writes one batch of a single record kind as a new segment (see
+    /// [`write_segment_file`](Self::write_segment_file)) and adds it to
+    /// the loaded set, indexed from the batch itself.
+    fn persist(&mut self, batch: &SegmentRecords) -> io::Result<()> {
+        let mut hasher = Fnv1a::new();
+        let version = match batch {
+            SegmentRecords::Runs(records) => {
+                for rec in records {
+                    hasher.mix(rec.trace_fingerprint);
+                    hasher.mix(rec.params_fingerprint);
+                    hasher.mix(rec.stats.cycles);
+                }
+                GZR_VERSION
             }
-            let mut hashes = vec![0u64; segment.record_count as usize];
-            for entry in &segment.entries {
-                hashes[entry.index as usize] = entry.hash;
-            }
-            match sidecar::write_sidecar(&segment.path, segment.version, &hashes) {
-                Ok(()) => segment.has_sidecar = true,
-                Err(err) => gaze_obs::log::warn(
-                    "gzr",
-                    "sidecar backfill failed; will retry on next flush",
-                    &[("segment", &segment.path.display()), ("error", &err)],
-                ),
-            }
-        }
-    }
-
-    /// Adds a freshly renamed segment to the in-memory set, writing its
-    /// sidecar (best-effort) from the already-known key hashes.
-    fn register_segment(
-        &mut self,
-        path: &Path,
-        version: u16,
-        record_size: usize,
-        hashes: &[u64],
-    ) -> io::Result<()> {
-        let has_sidecar = match sidecar::write_sidecar(path, version, hashes) {
-            Ok(()) => true,
-            Err(err) => {
-                gaze_obs::log::warn(
-                    "gzr",
-                    "sidecar write failed; will backfill on next flush",
-                    &[("segment", &path.display()), ("error", &err)],
-                );
-                false
+            SegmentRecords::Mixes(records) => {
+                for rec in records {
+                    hasher.mix(rec.mix_fingerprint);
+                    hasher.mix(rec.params_fingerprint);
+                    hasher.mix(rec.cores() as u64);
+                }
+                GZR_VERSION_MIX
             }
         };
-        let (bloom, entries) = sidecar::build_index(hashes);
-        let file = File::open(path)?;
+        let path = self.write_segment_file(hasher, |mut out| match batch {
+            SegmentRecords::Runs(records) => write_segment(&mut out, records),
+            SegmentRecords::Mixes(records) => write_mix_segment(&mut out, records),
+        })?;
+        let file = File::open(&path)?;
         if let Some(name) = path.file_name() {
             self.known_segments.insert(name.to_os_string());
         }
         self.segments.push(Segment {
-            path: path.to_path_buf(),
+            path,
             version,
-            record_size,
-            record_count: hashes.len() as u64,
-            bloom,
-            entries,
-            has_sidecar,
+            entries: build_index(batch),
             file,
         });
         Ok(())
@@ -834,7 +747,7 @@ impl ResultsStore {
     /// segment path.
     fn write_segment_file(
         &mut self,
-        mut hasher: sim_core::params::Fnv1a,
+        mut hasher: Fnv1a,
         write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
     ) -> io::Result<PathBuf> {
         let nonce = SEGMENT_NONCE.fetch_add(1, Ordering::Relaxed);
@@ -965,42 +878,16 @@ impl ResultsStore {
         // the old segments stay the readable truth until the rename lands.
         crate::fault::check_io("gzr.compact.write")?;
         let old_paths: Vec<PathBuf> = self.segments.iter().map(|s| s.path.clone()).collect();
+        let (run_count, mix_count) = (runs.len(), mixes.len());
         if !runs.is_empty() {
-            let mut hasher = sim_core::params::Fnv1a::new();
-            for rec in &runs {
-                hasher.mix(rec.trace_fingerprint);
-                hasher.mix(rec.params_fingerprint);
-                hasher.mix(rec.stats.cycles);
-            }
-            let hashes: Vec<u64> = runs
-                .iter()
-                .map(|r| {
-                    sidecar::run_key_hash(r.trace_fingerprint, r.params_fingerprint, &r.prefetcher)
-                })
-                .collect();
-            let path = self.write_segment_file(hasher, |mut out| write_segment(&mut out, &runs))?;
-            self.register_segment(&path, GZR_VERSION, GZR_RECORD_BYTES, &hashes)?;
+            self.persist(&SegmentRecords::Runs(runs))?;
         }
         if !mixes.is_empty() {
-            let mut hasher = sim_core::params::Fnv1a::new();
-            for rec in &mixes {
-                hasher.mix(rec.mix_fingerprint);
-                hasher.mix(rec.params_fingerprint);
-                hasher.mix(rec.cores() as u64);
-            }
-            let hashes: Vec<u64> = mixes
-                .iter()
-                .map(|r| {
-                    sidecar::mix_key_hash(r.mix_fingerprint, r.params_fingerprint, &r.prefetcher)
-                })
-                .collect();
-            let path =
-                self.write_segment_file(hasher, |mut out| write_mix_segment(&mut out, &mixes))?;
-            self.register_segment(&path, GZR_VERSION_MIX, GZR_MIX_RECORD_BYTES, &hashes)?;
+            self.persist(&SegmentRecords::Mixes(mixes))?;
         }
 
-        // Only now unlink the superseded segments (and their sidecars). A
-        // kill in this loop leaves overlap, never loss.
+        // Only now unlink the superseded segments. A kill in this loop
+        // leaves overlap, never loss.
         let old_names: HashSet<OsString> = old_paths
             .iter()
             .filter_map(|p| p.file_name().map(|n| n.to_os_string()))
@@ -1008,7 +895,6 @@ impl ResultsStore {
         for path in &old_paths {
             crate::fault::check_io("gzr.compact.remove")?;
             fs::remove_file(path)?;
-            let _ = fs::remove_file(sidecar::sidecar_path(path));
         }
         crate::fault::check_io("gzr.compact.dirsync")?;
         if let Ok(dir_handle) = File::open(&self.dir) {
@@ -1033,8 +919,8 @@ impl ResultsStore {
         Ok(CompactStats {
             segments_before,
             segments_after: self.segments.len(),
-            runs: runs.len(),
-            mixes: mixes.len(),
+            runs: run_count,
+            mixes: mix_count,
             duplicates_dropped,
         })
     }
@@ -1058,8 +944,8 @@ impl ResultsStore {
     /// kept.
     ///
     /// Segments are immutable, so the common case — new segments appended
-    /// by another process — loads **only the unknown files' headers and
-    /// sidecars**, O(new segments). Only when a known segment has
+    /// by another process — scans **only the unknown files**, O(new
+    /// records). Only when a known segment has
     /// *disappeared* (the directory was rebuilt or compacted by another
     /// process) does the store fall back to a full reopen, re-appending
     /// its pending rows and resetting the diagnostic counters.
@@ -1374,65 +1260,6 @@ mod tests {
     }
 
     #[test]
-    fn open_reads_sidecars_not_payloads() {
-        let dir = temp_dir("lazy-open");
-        let mut store = ResultsStore::open(&dir).expect("open");
-        for i in 0..50u64 {
-            store.append(record(&format!("w{i}"), "gaze", 1_000 + i));
-        }
-        store.flush().expect("flush");
-
-        let reopened = ResultsStore::open(&dir).expect("reopen");
-        assert_eq!(reopened.len(), 50);
-        assert_eq!(
-            reopened.records_decoded(),
-            0,
-            "a sidecar'd open must not materialize record payloads"
-        );
-        let hit = reopened.get(fnv("w7"), 42, "gaze").expect("point lookup");
-        assert_eq!(hit.workload, "w7");
-        assert_eq!(
-            reopened.records_decoded(),
-            1,
-            "a point lookup reads exactly the one record"
-        );
-        assert!(reopened.get(fnv("absent"), 42, "gaze").is_none());
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_segments_without_sidecars_are_scanned_and_backfilled() {
-        let dir = temp_dir("legacy");
-        let mut store = ResultsStore::open(&dir).expect("open");
-        store.append(record("a", "gaze", 1_000));
-        store.append(record("b", "pmp", 2_000));
-        store.flush().expect("flush");
-
-        // Simulate a pre-sidecar store: delete the .gzx files.
-        for entry in fs::read_dir(&dir).expect("dir").filter_map(|e| e.ok()) {
-            if entry.path().extension().and_then(|e| e.to_str()) == Some("gzx") {
-                fs::remove_file(entry.path()).expect("remove sidecar");
-            }
-        }
-
-        let mut reopened = ResultsStore::open(&dir).expect("reopen legacy");
-        assert_eq!(reopened.len(), 2);
-        assert!(
-            reopened.records_decoded() >= 2,
-            "legacy segments are indexed by a one-time scan"
-        );
-        assert_eq!(reopened.sidecars_rejected(), 0, "absent is not rejected");
-        assert!(reopened.get(fnv("a"), 42, "gaze").is_some());
-
-        // The next flush backfills the sidecar; a fresh open is lazy again.
-        reopened.flush().expect("backfill flush");
-        let lazy = ResultsStore::open(&dir).expect("reopen backfilled");
-        assert_eq!(lazy.len(), 2);
-        assert_eq!(lazy.records_decoded(), 0, "backfilled sidecar serves open");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn dedup_on_reappend_and_across_segments() {
         let dir = temp_dir("dedup");
         let mut store = ResultsStore::open(&dir).expect("open");
@@ -1512,8 +1339,8 @@ mod tests {
         let reopened = ResultsStore::open(&dir).expect("reopen");
         assert_eq!(
             reopened.records_decoded(),
-            0,
-            "compacted store opens lazily"
+            3,
+            "open decodes each surviving row once, duplicates gone"
         );
         assert_eq!(reopened.records(), before_runs);
         assert_eq!(reopened.mix_records(), before_mixes);

@@ -14,8 +14,7 @@ use sim_core::stats::{CoreStats, SimReport};
 
 /// Every failpoint a compaction can cross, in execution order: the
 /// explicit `gzr.compact.*` steps, the loud segment scans, the ordinary
-/// crash-safe segment-write path the merged segments go through, and the
-/// (best-effort, swallowed-on-error) sidecar writes.
+/// crash-safe segment-write path the merged segments go through.
 const COMPACT_POINTS: &[&str] = &[
     "gzr.compact.begin",
     "gzr.segment.scan",
@@ -25,10 +24,6 @@ const COMPACT_POINTS: &[&str] = &[
     "gzr.segment.fsync",
     "gzr.segment.rename",
     "gzr.segment.dirsync",
-    "gzx.sidecar.create",
-    "gzx.sidecar.write",
-    "gzx.sidecar.fsync",
-    "gzx.sidecar.rename",
     "gzr.compact.remove",
     "gzr.compact.dirsync",
 ];
@@ -135,8 +130,9 @@ fn build_fixture(dir: &PathBuf) {
 }
 
 /// The directory reopens cleanly and serves exactly the canonical rows:
-/// nothing lost, nothing duplicated.
+/// nothing lost, nothing duplicated, and no `.gzx` file written.
 fn assert_canonical(dir: &PathBuf, context: &str) -> ResultsStore {
+    assert_no_gzx(dir);
     let store = match ResultsStore::open(dir) {
         Ok(store) => store,
         Err(e) => panic!("{context}: store failed to reopen: {e}"),
@@ -152,6 +148,19 @@ fn assert_canonical(dir: &PathBuf, context: &str) -> ResultsStore {
     assert_eq!((store.len(), store.mix_len()), (3, 3), "{context}: counts");
     assert_eq!(store.read_errors(), 0, "{context}: read errors");
     store
+}
+
+/// Neither a flush nor a compaction writes a `.gzx` index file.
+fn assert_no_gzx(dir: &PathBuf) {
+    let names: Vec<String> = fs::read_dir(dir)
+        .expect("read dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        !names.iter().any(|n| n.ends_with(".gzx")),
+        "unexpected .gzx file: {names:?}"
+    );
 }
 
 #[test]
@@ -174,15 +183,10 @@ fn clean_compaction_merges_and_drops_duplicates() {
     assert_eq!(again.segments_after, 2);
     assert_eq!(again.duplicates_dropped, 0);
 
-    // The compacted directory opens lazily through its fresh sidecars
+    // The compacted directory's open decodes each surviving row once
     // (checked before any row read, which would itself decode records)…
     let reopened = ResultsStore::open(&dir).expect("reopen compacted");
-    assert_eq!(reopened.sidecars_rejected(), 0);
-    assert_eq!(
-        reopened.records_decoded(),
-        0,
-        "compacted segments open lazily"
-    );
+    assert_eq!(reopened.records_decoded(), 6, "3 runs + 3 mixes, no dups");
     drop(reopened);
     // …and serves identically.
     let reopened = assert_canonical(&dir, "after compaction");
@@ -219,9 +223,8 @@ fn killing_compaction_anywhere_loses_and_duplicates_nothing() {
                 fault::clear_all();
                 drop(store);
 
-                // Sidecar faults are swallowed (sidecars are derived data)
-                // and Interrupted on the buffered write path self-heals, so
-                // a fired fault does not imply a failed compaction — but a
+                // Interrupted on the buffered write path self-heals, so a
+                // fired fault does not imply a failed compaction — but a
                 // *non*-fired fault must mean compaction simply ran out of
                 // hits for this point and succeeded.
                 if !fired {

@@ -418,3 +418,36 @@ fn lcg_kill_mid_flush_schedules_always_recover() {
     assert_eq!(final_store.conflicting_appends(), 0);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `GAZE_FAILPOINTS` arms points in a fresh process and names every
+/// malformed entry in a warning: `gzr-store info` fails at the armed
+/// segment read, and the bad entries are skipped, not fatal.
+#[test]
+fn env_failpoints_arm_a_fresh_process_and_warn_on_bad_entries() {
+    let dir = temp_dir("env");
+    let mut store = ResultsStore::open(&dir).expect("open");
+    store.append(record("a", "gaze", 1_000));
+    store.flush().expect("flush");
+
+    let info = |failpoints: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_gzr-store"))
+            .arg("info")
+            .arg(&dir)
+            .env("GAZE_FAILPOINTS", failpoints)
+            .env("GAZE_LOG", "warn")
+            .output()
+            .expect("run gzr-store")
+    };
+    let out = info("junk;gzr.nope=error;gzr.segment.read=error");
+    assert!(
+        !out.status.success(),
+        "the armed segment read fails the open"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("entry=junk"), "{stderr}");
+    assert!(stderr.contains("unknown point 'gzr.nope'"), "{stderr}");
+
+    let out = info("gzr.segment.read=1:error");
+    assert!(out.status.success(), "the one segment is the 0th hit");
+    std::fs::remove_dir_all(&dir).ok();
+}

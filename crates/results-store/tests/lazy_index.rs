@@ -1,18 +1,16 @@
-//! Property tests of the lazy sidecar index (tentpole: O(segments)
-//! opens).
+//! Property tests of the store's segment index.
 //!
-//! A store served through bloom filters + sorted `.gzx` key tables must
-//! be *indistinguishable* from one that materializes every record: the
-//! LCG property drives randomized v1+v2 stores and checks every
-//! `get`/`get_mix`, every randomized `RunQuery`/`MixQuery`, and the full
-//! record listings bit-identically against a fully-resident reference
-//! model — including directories that mix sidecar-indexed and legacy
-//! (sidecar-less) segments.
+//! A store served through per-segment sorted key tables and positioned
+//! record reads must be *indistinguishable* from one that materializes
+//! every record: the LCG property drives randomized v1+v2 stores and
+//! checks every `get`/`get_mix`, every randomized `RunQuery`/`MixQuery`,
+//! and the full record listings bit-identically against a fully-resident
+//! reference model.
 //!
-//! The scaling tests at the bottom prove the point of the design: a
-//! 50 000-record store (and, `#[ignore]`d for CI release runs, a
-//! 1 000 000-record store) opens with **zero** record payloads read, and
-//! point lookups decode only the records they return.
+//! The tests at the bottom pin the cost model: an open decodes each
+//! persisted record exactly once, a point lookup decodes exactly the one
+//! record it returns, and stray index files left by older stores change
+//! nothing.
 
 use std::collections::HashSet;
 use std::fs;
@@ -227,7 +225,7 @@ fn assert_store_matches(store: &ResultsStore, reference: &Reference, seed: u64, 
             .unwrap_or_else(|| panic!("{context}: missing {}/{}", rec.label, rec.prefetcher));
         assert_eq!(&hit, rec, "{context}: mix payload");
     }
-    // Absent keys miss through the bloom/sidecar path, never a wrong row.
+    // Absent keys miss through the key table, never a wrong row.
     let run_keys: HashSet<(u64, u64, &str)> = reference
         .runs
         .iter()
@@ -285,141 +283,116 @@ fn lazy_store_answers_identically_to_resident_reference() {
     }
 }
 
-/// Directories mixing sidecar-indexed and legacy (sidecar-less) segments
-/// serve identically: deleted sidecars fall back to a one-time scan and
-/// are backfilled by the next flush.
+/// Opening decodes each persisted record exactly once (the index scan);
+/// after that, each point lookup decodes exactly the one record it
+/// returns and an absent key decodes nothing.
 #[test]
-fn mixed_sidecar_and_legacy_directories_serve_identically() {
-    let seed = 99u64;
-    let dir = temp_dir("mixed");
+fn open_decodes_each_record_once_and_lookups_one() {
+    let seed = 50u64;
+    let dir = temp_dir("decode-once");
     let reference = build_store(&dir, seed, 6);
+    let persisted = (reference.runs.len() + reference.mixes.len()) as u64;
 
-    // Strip every other sidecar — a store written before sidecars
-    // existed, half-upgraded.
-    let mut sidecars: Vec<PathBuf> = fs::read_dir(&dir)
+    let store = ResultsStore::open(&dir).expect("reopen");
+    assert_eq!(store.segment_count(), 12, "one segment per kind per round");
+    assert_eq!(store.records_decoded(), persisted, "one decode per record");
+
+    let mut decoded = persisted;
+    for rec in &reference.runs {
+        let hit = store.get(
+            rec.trace_fingerprint,
+            rec.params_fingerprint,
+            &rec.prefetcher,
+        );
+        assert_eq!(hit.as_ref(), Some(rec));
+        decoded += 1;
+        assert_eq!(store.records_decoded(), decoded, "one decode per run get");
+    }
+    for rec in &reference.mixes {
+        let hit = store.get_mix(rec.mix_fingerprint, rec.params_fingerprint, &rec.prefetcher);
+        assert_eq!(hit.as_ref(), Some(rec));
+        decoded += 1;
+        assert_eq!(store.records_decoded(), decoded, "one decode per mix get");
+    }
+    assert!(store.get(0xdead_beef, 42, "gaze").is_none());
+    assert!(store.get_mix(0xdead_beef, 42, "gaze").is_none());
+    assert_eq!(store.records_decoded(), decoded, "a miss decodes nothing");
+    assert_eq!(store.read_errors(), 0);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A well-formed `.gzx` index in the layout older stores wrote next to
+/// each segment (header, one filter word, a sorted entry table), with
+/// every key hash zeroed — an index that would answer wrongly if it were
+/// read.
+fn old_index_bytes(version: u16, records: u64) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(b"GZX1");
+    bytes.extend_from_slice(&1u16.to_le_bytes());
+    bytes.extend_from_slice(&version.to_le_bytes());
+    bytes.extend_from_slice(&records.to_le_bytes());
+    bytes.extend_from_slice(&1u64.to_le_bytes());
+    bytes.extend_from_slice(&[0u8; 8]);
+    bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+    for index in 0..records {
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&index.to_le_bytes());
+    }
+    bytes
+}
+
+/// `.gzx` files from older stores are ignored: a directory holding a
+/// well-formed one, a corrupt one and an orphan (no matching segment)
+/// opens, answers identically to the reference, is not stale, and leaves
+/// all three files byte-for-byte as they were.
+#[test]
+fn leftover_gzx_files_are_ignored_and_left_untouched() {
+    let seed = 77u64;
+    let dir = temp_dir("leftover-gzx");
+    let reference = build_store(&dir, seed, 3);
+
+    let mut segments: Vec<PathBuf> = fs::read_dir(&dir)
         .expect("read dir")
         .filter_map(|e| e.ok())
         .map(|e| e.path())
-        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("gzx"))
         .collect();
-    sidecars.sort();
-    assert!(sidecars.len() >= 4, "expected many sidecars");
-    for sidecar in sidecars.iter().step_by(2) {
-        fs::remove_file(sidecar).expect("remove sidecar");
+    segments.sort();
+    // Round one's flush wrote a v1 segment, then a v2 segment.
+    let run_segment = &segments[0];
+    let mix_segment = &segments[1];
+    let run_count = u64::from_le_bytes(
+        fs::read(run_segment).expect("segment")[8..16]
+            .try_into()
+            .expect("8 bytes"),
+    );
+    let leftovers = [
+        (
+            run_segment.with_extension("gzx"),
+            old_index_bytes(1, run_count),
+        ),
+        (mix_segment.with_extension("gzx"), b"GZX1 torn".to_vec()),
+        (dir.join("seg-99999999-orphan.gzx"), old_index_bytes(2, 3)),
+    ];
+    for (path, bytes) in &leftovers {
+        fs::write(path, bytes).expect("write leftover index");
     }
 
-    let mut store = ResultsStore::open(&dir).expect("reopen mixed");
-    assert_eq!(
-        store.sidecars_rejected(),
-        0,
-        "an absent sidecar is legacy, not corruption"
-    );
+    let mut store = ResultsStore::open(&dir).expect("open with leftovers");
     assert!(
-        store.records_decoded() > 0,
-        "legacy segments are scanned once"
+        !store.is_stale().expect("listing"),
+        "leftovers are not segments"
     );
-    assert_store_matches(&store, &reference, seed, "mixed sidecar/legacy");
-
-    // A flush backfills the missing sidecars; the next open is fully lazy
-    // again and still bit-identical.
-    store.flush().expect("backfill flush");
-    let restored = ResultsStore::open(&dir).expect("reopen backfilled");
-    assert_eq!(restored.records_decoded(), 0, "all sidecars restored");
-    assert_store_matches(&restored, &reference, seed, "after backfill");
-    fs::remove_dir_all(&dir).ok();
-}
-
-/// Writes `count` unique-key v1 rows into `dir` across `flushes`
-/// segments; returns per-index workload names implicitly (wl-{i}).
-fn write_unique_rows(dir: &Path, count: u64, flushes: u64) {
-    let mut store = ResultsStore::open(dir).expect("open");
-    let per_flush = count / flushes;
-    for i in 0..count {
-        let stats = CoreStats {
-            instructions: 10_000,
-            cycles: 4_000 + (i % 997),
-            ..CoreStats::default()
-        };
-        let mut baseline = stats;
-        baseline.cycles *= 2;
-        assert!(store.append(RunRecord {
-            trace_fingerprint: i,
-            params_fingerprint: 42,
-            workload: format!("wl-{i}"),
-            prefetcher: "gaze".to_string(),
-            stats,
-            baseline,
-        }));
-        if (i + 1) % per_flush == 0 {
-            store.flush().expect("flush");
-        }
-    }
-    store.flush().expect("final flush");
-}
-
-/// Opening a 50 000-record store touches headers and sidecars only —
-/// zero record payloads — and each point lookup decodes exactly the
-/// records it verifies.
-#[test]
-fn fifty_thousand_record_store_opens_without_reading_payloads() {
-    let dir = temp_dir("50k");
-    write_unique_rows(&dir, 50_000, 5);
-
-    let store = ResultsStore::open(&dir).expect("reopen");
-    assert_eq!(store.len(), 50_000);
-    assert_eq!(store.segment_count(), 5);
-    assert_eq!(
-        store.records_decoded(),
-        0,
-        "open must not materialize record payloads"
-    );
-
-    let mut rng = Lcg::new(50_000);
-    for _ in 0..100 {
-        let i = rng.pick(50_000) as u64;
-        let hit = store.get(i, 42, "gaze").expect("stored row");
-        assert_eq!(hit.workload, format!("wl-{i}"));
-    }
-    let decoded = store.records_decoded();
-    assert!(
-        decoded <= 100,
-        "100 point lookups decoded {decoded} records (expected ≤ 1 each)"
-    );
+    assert_store_matches(&store, &reference, seed, "leftover .gzx files");
     assert_eq!(store.read_errors(), 0);
-    fs::remove_dir_all(&dir).ok();
-}
 
-/// The acceptance-scale version: ≥ 1 000 000 records (~530 MB on disk)
-/// open in O(segments) with zero payload reads. `#[ignore]`d for regular
-/// runs; CI executes it in release (`cargo test --release -- --ignored`).
-#[test]
-#[ignore = "writes ~530 MB; run in release via CI's large-store step"]
-fn million_record_store_opens_without_reading_payloads() {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("gzr-lazy-1m");
-    let _ = fs::remove_dir_all(&dir);
-    write_unique_rows(&dir, 1_000_000, 10);
-
-    let store = ResultsStore::open(&dir).expect("reopen");
-    assert_eq!(store.len(), 1_000_000);
-    assert_eq!(store.segment_count(), 10);
-    assert_eq!(
-        store.records_decoded(),
-        0,
-        "a 1M-record store must open without materializing payloads"
-    );
-
-    let mut rng = Lcg::new(1_000_000);
-    for _ in 0..1_000 {
-        let i = rng.pick(1_000_000) as u64;
-        let hit = store.get(i, 42, "gaze").expect("stored row");
-        assert_eq!(hit.workload, format!("wl-{i}"));
+    // A later flush neither rewrites nor removes them.
+    let mut fresh = random_run(&mut Lcg::new(seed));
+    fresh.trace_fingerprint ^= 0xdead_beef;
+    assert!(store.append(fresh));
+    store.flush().expect("flush");
+    assert!(!store.is_stale().expect("listing"));
+    for (path, bytes) in &leftovers {
+        assert_eq!(&fs::read(path).expect("leftover kept"), bytes, "{path:?}");
     }
-    let decoded = store.records_decoded();
-    assert!(
-        decoded <= 1_000,
-        "1000 point lookups decoded {decoded} records"
-    );
-    assert!(store.get(2_000_000, 42, "gaze").is_none());
-    assert_eq!(store.read_errors(), 0);
     fs::remove_dir_all(&dir).ok();
 }
