@@ -123,20 +123,24 @@ impl Response {
     }
 }
 
-/// Decodes `%XX` escapes and `+`-as-space in a target component. Invalid
-/// escapes are passed through literally (lenient, like most servers).
+/// Decodes `%XX` escapes and `+`-as-space in a target component. A `%`
+/// not followed by two ASCII hex digits is passed through literally
+/// (lenient, like most servers).
 pub fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
+    let hex = |at: usize| {
+        bytes
+            .get(at)
+            .and_then(|&b| char::from(b).to_digit(16))
+            .map(|d| d as u8)
+    };
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
-            b'%' if i + 3 <= bytes.len() => {
-                if let Some(v) = s
-                    .get(i + 1..i + 3)
-                    .and_then(|hex| u8::from_str_radix(hex, 16).ok())
-                {
-                    out.push(v);
+            b'%' => {
+                if let (Some(hi), Some(lo)) = (hex(i + 1), hex(i + 2)) {
+                    out.push(hi << 4 | lo);
                     i += 3;
                 } else {
                     out.push(b'%');
@@ -232,6 +236,12 @@ mod tests {
         assert_eq!(percent_decode("a%20b+c"), "a b c");
         assert_eq!(percent_decode("100%"), "100%"); // lenient on bad escapes
         assert_eq!(percent_decode("%zz"), "%zz");
+        assert_eq!(percent_decode("%4a%4A"), "JJ");
+        // A sign is not a hex digit: `%+a` and `%-1` stay literal (the
+        // `+` then decodes to a space as usual).
+        assert_eq!(percent_decode("%+a"), "% a");
+        assert_eq!(percent_decode("%-1"), "%-1");
+        assert_eq!(percent_decode("%a"), "%a");
         let (_, query) = parse_target("/runs?workload=cloud%2Dstreaming");
         assert_eq!(
             query.get("workload").map(String::as_str),

@@ -3,7 +3,7 @@
 //!
 //! Cold sweeps take minutes; running one inside a request worker ties
 //! that worker (and the client's socket) down for the duration. Instead,
-//! `POST /experiments` (or `GET` with `async=1`) *submits* the sweep: the
+//! `POST /experiments` *submits* the sweep: the
 //! request returns `202 Accepted` with a job id immediately, the
 //! executor pool runs the spec through the ordinary store-backed
 //! pipeline, and `GET /jobs/<id>` reports progress until the CSV is

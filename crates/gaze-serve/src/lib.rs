@@ -11,7 +11,8 @@
 //! worker thread pool ([`server`]), a minimal HTTP/1.1 reader/writer
 //! ([`http`]) and the hand-rolled JSON writer [`gaze_obs::json`].
 //!
-//! Endpoints ([`routes`]; full contract in `docs/RESULTS.md`):
+//! Endpoints ([`routes`]; full contract in `docs/RESULTS.md`), one per
+//! operation:
 //!
 //! * `GET /healthz` — liveness + store shape, cache effectiveness,
 //!   queue depth and uptime,
@@ -19,28 +20,23 @@
 //!   exposition format (see `docs/OBSERVABILITY.md`),
 //! * `GET /runs` — stored runs as JSON, filtered by query string
 //!   (`workload`, `prefetcher`, `scale`, `trace`, `limit`),
-//! * `GET /figures/{fig06..fig18}` — figure CSVs, byte-identical to
-//!   `gaze-experiments <figure> --csv`; stored rows are served without
-//!   simulation and missing rows are simulated once, write-through,
 //! * `GET /specs` — every runnable experiment spec (built-in figures
 //!   plus `--spec-dir` files; see `docs/EXPERIMENTS.md`),
-//! * `GET /experiments?spec=NAME` — run an arbitrary spec and return its
-//!   CSV, byte-identical to `gaze-experiments run --spec NAME --csv`; a
-//!   warm store serves it with zero simulation,
-//! * `POST /experiments?spec=NAME` (or `GET` with `async=1`) — submit
-//!   the same work as a background job ([`jobs`]): `202 Accepted` + job
+//! * `GET /experiments?spec=NAME` — run a spec (every paper figure is a
+//!   built-in one) and return its CSV, byte-identical to
+//!   `gaze-experiments run --spec NAME --csv`; stored rows are served
+//!   without simulation and missing rows are simulated once,
+//!   write-through,
+//! * `POST /experiments?spec=NAME` — submit the same work as a background job ([`jobs`]): `202 Accepted` + job
 //!   id, bounded queue with `429` + `Retry-After` admission control,
 //!   in-flight dedup of identical submissions,
 //! * `GET /jobs`, `GET /jobs/<id>`, `GET /jobs/<id>/result` — job
 //!   listing, lifecycle status (`queued|running|done|failed`), and the
-//!   finished CSV,
-//! * `GET /jobs/<id>/events` — the same lifecycle as a live
-//!   `text/event-stream`: one SSE event per status change
-//!   (`queued`, `running` with progress, `done`/`failed`), closing on
-//!   the terminal state,
-//! * `POST /admin/compact` — merge every store segment into at most one
-//!   per record kind, dropping superseded duplicates; returns the
-//!   compaction stats as JSON.
+//!   finished CSV.
+//!
+//! The store is compacted offline by `gzr-store compact`, also while a
+//! server runs on it: every request reopens the store once a segment it
+//! knows has gone (reopen-on-stale).
 //!
 //! Long sweeps run on the job executor pool, never inside an HTTP
 //! worker; a panicking handler costs one `500`, not a worker thread; and

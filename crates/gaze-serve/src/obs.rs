@@ -9,19 +9,10 @@
 use gaze_obs::metrics::{registry, Gauge};
 
 /// Maps a request path to its fixed route label. Unknown paths are
-/// `other`; `/jobs/<id>/events` streams get their own label because
-/// their latency (connection-lifetime) would poison the `/jobs`
-/// histogram.
+/// `other`.
 pub(crate) fn route_label(path: &str) -> &'static str {
     if path.starts_with("/jobs") {
-        return if path.ends_with("/events") {
-            "/jobs/events"
-        } else {
-            "/jobs"
-        };
-    }
-    if path.starts_with("/figures") {
-        return "/figures";
+        return "/jobs";
     }
     match path {
         "/healthz" => "/healthz",
@@ -29,7 +20,6 @@ pub(crate) fn route_label(path: &str) -> &'static str {
         "/runs" => "/runs",
         "/specs" => "/specs",
         "/experiments" => "/experiments",
-        "/admin/compact" => "/admin/compact",
         _ => "other",
     }
 }
@@ -154,11 +144,12 @@ mod tests {
         assert_eq!(route_label("/jobs"), "/jobs");
         assert_eq!(route_label("/jobs/job-1a2b-0"), "/jobs");
         assert_eq!(route_label("/jobs/job-1a2b-0/result"), "/jobs");
-        assert_eq!(route_label("/jobs/job-1a2b-0/events"), "/jobs/events");
-        assert_eq!(route_label("/figures/fig06"), "/figures");
         assert_eq!(route_label("/experiments"), "/experiments");
-        assert_eq!(route_label("/admin/compact"), "/admin/compact");
         assert_eq!(route_label("/nope"), "other");
+        // Every other path lands in the same 7 labels.
+        assert_eq!(route_label("/jobs/job-1a2b-0/events"), "/jobs");
+        assert_eq!(route_label("/figures/fig06"), "other");
+        assert_eq!(route_label("/admin/compact"), "other");
         assert_eq!(route_label("/runs"), "/runs");
         assert_eq!(route_label("/specs"), "/specs");
     }

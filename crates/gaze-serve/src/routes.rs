@@ -1,13 +1,12 @@
-//! Route handlers: `/healthz`, `/runs`,
-//! `/figures/{fig06..fig09,fig13..fig18}`, `/specs`, `/experiments`,
-//! `/jobs` and the `/admin/compact` maintenance hook.
+//! Route handlers: `/healthz`, `/metrics`, `/runs`, `/specs`,
+//! `/experiments` and `/jobs`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use gaze_obs::json::{json_array, json_f64, json_string, JsonObject};
-use gaze_sim::experiments::{run_experiment, ExperimentScale};
+use gaze_sim::experiments::ExperimentScale;
 use gaze_sim::results::StoreHandle;
 use gaze_sim::spec::{builtin, run_spec, text, ExperimentSpec};
 use results_store::{MixQuery, MixRecord, RunQuery, RunRecord};
@@ -15,22 +14,14 @@ use results_store::{MixQuery, MixRecord, RunQuery, RunRecord};
 use crate::http::{Request, Response};
 use crate::jobs::{panic_message, JobInfo, JobManager, JobResult, JobStatus, SubmitOutcome};
 
-/// Figure endpoints the service exposes: the single-core comparison
-/// figures (store-backed by v1 records) and the multi-core/sensitivity
-/// figures (store-backed by v1 + v2 records).
-pub const SERVED_FIGURES: [&str; 10] = [
-    "fig06", "fig07", "fig08", "fig09", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-];
-
 /// Shared state of the service: the open results store and the scale
-/// figures are assembled at unless the request overrides it.
+/// specs run at unless the request overrides it.
 #[derive(Debug)]
 pub struct AppState {
-    /// The store every query reads (and figure regeneration writes
-    /// through).
+    /// The store every query reads (and spec execution writes through).
     pub store: Arc<StoreHandle>,
-    /// Default scale name for `/figures` and `/experiments` requests
-    /// (`quick`, `bench`, `paper`).
+    /// Default scale name for `/experiments` requests (`test`, `quick`,
+    /// `bench`/`full`, `paper`).
     pub default_scale: String,
     /// Directory of custom `.spec` files served by
     /// `/experiments?spec=<name>` alongside the built-ins (`--spec-dir`).
@@ -42,7 +33,8 @@ pub struct AppState {
     pub started: std::time::Instant,
 }
 
-/// Dispatches one parsed request to its handler.
+/// Dispatches one parsed request to its handler. Every route answers
+/// `GET`; `/experiments` also takes `POST`, which submits a job.
 ///
 /// Every request first checks the store directory for segments flushed
 /// by *other* processes since the store was opened and reloads if so
@@ -51,13 +43,8 @@ pub struct AppState {
 /// (possibly stale) in-memory data rather than erroring.
 pub fn handle(state: &AppState, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", _) | ("POST", "/experiments") | ("POST", "/admin/compact") => {}
-        _ => {
-            return Response::error(
-                405,
-                "only GET is supported (plus POST /experiments and POST /admin/compact)",
-            )
-        }
+        ("GET", _) | ("POST", "/experiments") => {}
+        _ => return Response::error(405, "only GET is supported (plus POST /experiments)"),
     }
     // Failpoint for the pool-survival test: a panicking handler must
     // cost one 500 response, not a worker thread.
@@ -78,16 +65,10 @@ pub fn handle(state: &AppState, req: &Request) -> Response {
         "/specs" => specs(state),
         "/experiments" => experiments(state, req),
         "/jobs" => jobs_list(state),
-        "/admin/compact" => admin_compact(state, req),
-        path => {
-            if let Some(figure) = path.strip_prefix("/figures/") {
-                figures(state, req, figure)
-            } else if let Some(rest) = path.strip_prefix("/jobs/") {
-                job_detail(state, rest)
-            } else {
-                Response::error(404, "unknown path")
-            }
-        }
+        path => match path.strip_prefix("/jobs/") {
+            Some(rest) => job_detail(state, rest),
+            None => Response::error(404, "unknown path"),
+        },
     }
 }
 
@@ -182,11 +163,10 @@ fn resolve_spec(state: &AppState, name: &str) -> Result<ExperimentSpec, Response
 /// returns its CSV. With a warm store this serves without simulating;
 /// missing rows are simulated once and persisted write-through.
 ///
-/// `POST /experiments?...` (or `GET` with `async=1`) *submits* the same
-/// work as a background job instead: `202 Accepted` + a job id to poll
-/// at `/jobs/<id>`, `429` + `Retry-After` when the job queue is full,
-/// `503` while shutting down. Identical in-flight submissions dedup
-/// onto one job.
+/// `POST /experiments?...` *submits* the same work as a background job
+/// instead: `202 Accepted` + a job id to poll at `/jobs/<id>`, `429` +
+/// `Retry-After` when the job queue is full, `503` while shutting down.
+/// Identical in-flight submissions dedup onto one job.
 fn experiments(state: &AppState, req: &Request) -> Response {
     let Some(name) = req.query.get("spec") else {
         return Response::error(400, "missing spec=<name> parameter");
@@ -203,12 +183,7 @@ fn experiments(state: &AppState, req: &Request) -> Response {
     let Some(scale) = ExperimentScale::named(scale_name) else {
         return Response::error(400, "scale must be test, quick, bench/full or paper");
     };
-    let wants_async = req.method == "POST"
-        || matches!(
-            req.query.get("async").map(String::as_str),
-            Some("1") | Some("true")
-        );
-    if wants_async {
+    if req.method == "POST" {
         return submit_job(state, spec, name, scale, scale_name);
     }
     // A panic inside spec execution (misconfigured future spec, bug in a
@@ -288,17 +263,7 @@ fn jobs_list(state: &AppState) -> Response {
 
 /// `GET /jobs/<id>` — one job's status; `GET /jobs/<id>/result` — a
 /// finished job's CSV (`409` while unfinished, `500` if it failed).
-///
-/// `/jobs/<id>/events` never reaches this function over HTTP — the
-/// connection layer intercepts it and streams SSE — but a direct call
-/// (unit tests, embedders) gets a loud hint instead of a silent 404.
 fn job_detail(state: &AppState, rest: &str) -> Response {
-    if rest.ends_with("/events") {
-        return Response::error(
-            400,
-            "/jobs/<id>/events is a server-sent event stream; connect over HTTP",
-        );
-    }
     if let Some(id) = rest.strip_suffix("/result") {
         return match state.jobs.result(id) {
             None => Response::error(404, "unknown job id"),
@@ -312,30 +277,6 @@ fn job_detail(state: &AppState, rest: &str) -> Response {
     match state.jobs.get(rest) {
         Some(info) => Response::json(job_json(&info) + "\n"),
         None => Response::error(404, "unknown job id"),
-    }
-}
-
-/// `POST /admin/compact` — flushes pending rows, then merges every
-/// on-disk segment into at most one per record kind, dropping superseded
-/// duplicate rows. Returns the compaction stats as JSON. Compaction is
-/// crash-safe (see `results_store`): a request that dies mid-compaction
-/// leaves a store that reopens with the same logical contents.
-fn admin_compact(state: &AppState, req: &Request) -> Response {
-    if req.method != "POST" {
-        return Response::error(405, "compaction is POST-only");
-    }
-    match state.store.compact() {
-        Ok(stats) => {
-            let body = JsonObject::new()
-                .u64("segments_before", stats.segments_before as u64)
-                .u64("segments_after", stats.segments_after as u64)
-                .u64("runs", stats.runs as u64)
-                .u64("mixes", stats.mixes as u64)
-                .u64("duplicates_dropped", stats.duplicates_dropped)
-                .build();
-            Response::json(body + "\n")
-        }
-        Err(e) => Response::error(500, &format!("compaction failed: {e}")),
     }
 }
 
@@ -388,94 +329,6 @@ fn metrics(state: &AppState) -> Response {
     }
 }
 
-/// How often the SSE stream polls a job's status.
-const SSE_POLL: std::time::Duration = std::time::Duration::from_millis(20);
-
-/// Heartbeat comment cadence, in poll ticks (~1 s at [`SSE_POLL`]): a
-/// dead client is detected by the heartbeat's write failing, so a
-/// stream never outlives its connection by more than about a second.
-const SSE_HEARTBEAT_TICKS: u32 = 50;
-
-/// `GET /jobs/<id>/events` — streams the job's lifecycle as server-sent
-/// events over the raw connection (the buffered [`Response`] path cannot
-/// stream). One `event: <phase>` + `data: <job json>` block is written
-/// per observed status change — `queued`, `running` (re-emitted whenever
-/// `done` advances), and finally `done` or `failed`, after which the
-/// stream closes. Returns the HTTP status for the request log/metrics.
-///
-/// Unknown ids get an ordinary buffered 404. The write timeout
-/// configured on the socket bounds every write; a client that
-/// disconnects is noticed by the next event or heartbeat write failing.
-pub(crate) fn stream_job_events(
-    state: &AppState,
-    req: &crate::http::Request,
-    stream: &mut impl std::io::Write,
-) -> u16 {
-    let id = req
-        .path
-        .strip_prefix("/jobs/")
-        .and_then(|rest| rest.strip_suffix("/events"))
-        .unwrap_or_default();
-    let Some(mut last) = state.jobs.get(id) else {
-        let resp = Response::error(404, "unknown job id");
-        let _ = resp.write_to(stream);
-        return resp.status;
-    };
-    if stream
-        .write_all(
-            b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n",
-        )
-        .is_err()
-    {
-        return 200;
-    }
-    if write_sse_event(stream, &last).is_err() {
-        return 200;
-    }
-    let mut ticks = 0u32;
-    while !matches!(
-        last.status,
-        JobStatus::Done { .. } | JobStatus::Failed { .. }
-    ) {
-        std::thread::sleep(SSE_POLL);
-        // A job is never removed once listed, so a vanished id means the
-        // manager itself is gone; end the stream.
-        let Some(now) = state.jobs.get(id) else { break };
-        if now.status != last.status {
-            last = now;
-            if write_sse_event(stream, &last).is_err() {
-                break;
-            }
-            ticks = 0;
-        } else {
-            ticks += 1;
-            if ticks >= SSE_HEARTBEAT_TICKS {
-                ticks = 0;
-                if stream
-                    .write_all(b": keep-alive\n\n")
-                    .and_then(|()| stream.flush())
-                    .is_err()
-                {
-                    break;
-                }
-            }
-        }
-    }
-    200
-}
-
-/// Writes one SSE block: the phase as the event name, the job snapshot
-/// JSON as its data line.
-fn write_sse_event(out: &mut impl std::io::Write, info: &JobInfo) -> std::io::Result<()> {
-    write!(
-        out,
-        "event: {}\ndata: {}\n\n",
-        info.status.phase(),
-        job_json(info)
-    )?;
-    out.flush()
-}
-
 /// Resolves a `scale=` query value: a named scale (`quick`, `bench`,
 /// `paper`, ...) or a raw hexadecimal params fingerprint.
 fn parse_scale_filter(value: &str) -> Option<u64> {
@@ -485,8 +338,15 @@ fn parse_scale_filter(value: &str) -> Option<u64> {
     parse_hex(value)
 }
 
+/// Parses a 64-bit fingerprint: 1–16 hex digits after at most one `0x`.
+/// Signs and repeated prefixes are rejected (`from_str_radix` alone
+/// would take a leading `+`).
 fn parse_hex(value: &str) -> Option<u64> {
-    u64::from_str_radix(value.trim_start_matches("0x"), 16).ok()
+    let digits = value.strip_prefix("0x").unwrap_or(value);
+    if digits.is_empty() || digits.len() > 16 || !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    u64::from_str_radix(digits, 16).ok()
 }
 
 fn runs(state: &AppState, req: &Request) -> Response {
@@ -656,44 +516,6 @@ fn mix_json(rec: &MixRecord, baseline: Option<&MixRecord>) -> String {
         .build()
 }
 
-fn figures(state: &AppState, req: &Request, figure: &str) -> Response {
-    if !SERVED_FIGURES.contains(&figure) {
-        return Response::error(
-            404,
-            &format!("unknown figure (available: {})", SERVED_FIGURES.join(", ")),
-        );
-    }
-    let scale_name = req
-        .query
-        .get("scale")
-        .map(String::as_str)
-        .unwrap_or(&state.default_scale);
-    let Some(scale) = ExperimentScale::named(scale_name) else {
-        return Response::error(400, "scale must be quick, bench/full or paper");
-    };
-    // Assemble the figure through the experiment harness: with this
-    // process's store active, stored rows are used as-is and only missing
-    // (trace × prefetcher) pairs are simulated — and those are persisted
-    // write-through, so they are store hits from then on. The CSV bytes
-    // are identical to `gaze-experiments <figure> --csv` at the same
-    // scale, by construction (same code path, same exact counters).
-    match catch_unwind(AssertUnwindSafe(|| {
-        run_experiment(figure, &scale)
-            .iter()
-            .map(|t| t.to_csv())
-            .collect::<String>()
-    })) {
-        Ok(csv) => Response::csv(csv),
-        Err(payload) => Response::error(
-            500,
-            &format!(
-                "figure assembly panicked: {}",
-                panic_message(payload.as_ref())
-            ),
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -781,6 +603,18 @@ mod tests {
 
         assert_eq!(get(&state, "/runs?scale=bogus").status, 400);
         assert_eq!(get(&state, "/runs?limit=x").status, 400);
+
+        // Fingerprints are 1-16 hex digits after at most one `0x`.
+        assert_eq!(get(&state, "/runs?trace=0xff").status, 200);
+        assert_eq!(get(&state, "/runs?trace=ffffffffffffffff").status, 200);
+        for bad in ["%2Bff", "0x0x1f", "0x", "", "-1", "1ffffffffffffffff"] {
+            assert_eq!(
+                get(&state, &format!("/runs?trace={bad}")).status,
+                400,
+                "trace={bad}"
+            );
+        }
+        assert_eq!(get(&state, "/runs?scale=%2B1").status, 400);
     }
 
     fn seed_mix_row(state: &AppState, label: &str, prefetcher: &str, cores: usize, cycles: u64) {
@@ -882,46 +716,12 @@ mod tests {
     fn unknown_paths_and_methods_are_rejected() {
         let state = test_state("reject");
         assert_eq!(get(&state, "/nope").status, 404);
-        assert_eq!(get(&state, "/figures/fig99").status, 404);
-        let (path, query) = parse_target("/healthz");
-        let resp = handle(
-            &state,
-            &Request {
-                method: "POST".to_string(),
-                path,
-                query,
-            },
-        );
-        assert_eq!(resp.status, 405);
-    }
-
-    #[test]
-    fn admin_compact_merges_segments_and_reports_stats() {
-        let state = test_state("compact");
-        // Two flushes → two v1 segments on disk.
-        seed_row(&state, "bwaves_s", "gaze");
-        state.store.flush().expect("flush");
-        seed_row(&state, "mcf_s", "gaze");
-        state.store.flush().expect("flush");
-
-        let resp = post(&state, "/admin/compact");
-        assert_eq!(resp.status, 200);
-        let body = String::from_utf8(resp.body).expect("utf8");
-        assert!(body.contains("\"segments_before\":2"), "{body}");
-        assert!(body.contains("\"segments_after\":1"), "{body}");
-        assert!(body.contains("\"runs\":2"), "{body}");
-
-        // Compaction is GET-gated like every other mutating endpoint.
-        assert_eq!(get(&state, "/admin/compact").status, 405);
-        // The rows are still served after the merge.
-        let runs = String::from_utf8(get(&state, "/runs").body).expect("utf8");
-        assert_eq!(runs.matches("\"workload\"").count(), 2);
-    }
-
-    #[test]
-    fn figure_scale_must_be_known() {
-        let state = test_state("figscale");
-        assert_eq!(get(&state, "/figures/fig09?scale=bogus").status, 400);
+        // Figures are served by `/experiments?spec=`, job progress by
+        // polling `/jobs/<id>`, compaction by `gzr-store compact`.
+        assert_eq!(get(&state, "/figures/fig06").status, 404);
+        assert_eq!(get(&state, "/jobs/job-1a2b-0/events").status, 404);
+        assert_eq!(post(&state, "/admin/compact").status, 405);
+        assert_eq!(post(&state, "/healthz").status, 405);
     }
 
     #[test]
@@ -1029,11 +829,13 @@ mod tests {
         assert!(body.contains("\"status\":\"accepted\""), "{body}");
         let id = extract(&body, "id");
 
-        // An identical GET submission with async=1 dedups while queued or
-        // running; once done it would start a fresh job, so only check
-        // the response shape when the first job is still in flight.
-        let resp = get(&state, "/experiments?spec=table4&scale=test&async=1");
+        // An identical second POST dedups onto the first job while it is
+        // queued or running; once done it starts a fresh job instead.
+        let resp = post(&state, "/experiments?spec=table4&scale=test");
         assert_eq!(resp.status, 202);
+        let again = String::from_utf8(resp.body).expect("utf8");
+        let deduped = again.contains("\"deduped\":true");
+        assert_eq!(extract(&again, "id") == id, deduped, "{again}");
 
         let status = loop {
             let body = String::from_utf8(get(&state, &format!("/jobs/{id}")).body).expect("utf8");

@@ -31,8 +31,9 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads handling connections.
     pub threads: usize,
-    /// Default scale for `/figures` and `/experiments` requests
-    /// (`quick`, `bench`, `paper`).
+    /// Default scale for `/experiments` requests: any name
+    /// `ExperimentScale::named` accepts (`test`, `quick`, `bench`/`full`,
+    /// `paper`).
     pub default_scale: String,
     /// Directory of custom `.spec` files served by `/experiments`
     /// (`--spec-dir`); `None` serves built-ins only.
@@ -207,8 +208,7 @@ impl StopHandle {
 /// single request does.
 ///
 /// Every request is timed and counted against its route label
-/// (`gaze_http_*`); `GET /jobs/<id>/events` is intercepted *before* the
-/// buffered response path and streamed as server-sent events instead.
+/// (`gaze_http_*`).
 fn serve_connection(state: &AppState, mut stream: TcpStream, timeout: Duration) {
     let _ = stream.set_read_timeout(Some(timeout));
     let _ = stream.set_write_timeout(Some(timeout));
@@ -218,12 +218,6 @@ fn serve_connection(state: &AppState, mut stream: TcpStream, timeout: Duration) 
     let (route, response) = match read_request(&mut stream) {
         Ok(req) => {
             let route = crate::obs::route_label(&req.path);
-            if route == "/jobs/events" && req.method == "GET" {
-                let status = crate::routes::stream_job_events(state, &req, &mut stream);
-                finish_request(&req, route, status, started);
-                in_flight.sub(1);
-                return;
-            }
             let response =
                 catch_unwind(AssertUnwindSafe(|| handle(state, &req))).unwrap_or_else(|payload| {
                     Response::error(

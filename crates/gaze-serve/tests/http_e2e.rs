@@ -100,7 +100,7 @@ end
 
     // The warm figure comes back byte-identical, with zero simulation.
     let before = simulated_instructions();
-    let (head, body) = request(addr, "GET", "/figures/fig06");
+    let (head, body) = request(addr, "GET", "/experiments?spec=fig06");
     assert_eq!(status(&head), "HTTP/1.1 200 OK");
     assert_eq!(
         simulated_instructions(),
@@ -127,7 +127,7 @@ end
     // Unknown routes 404 over the wire; bad methods 405.
     let (head, _) = request(addr, "GET", "/nope");
     assert_eq!(status(&head), "HTTP/1.1 404 Not Found");
-    let (head, _) = request(addr, "GET", "/figures/fig99");
+    let (head, _) = request(addr, "GET", "/experiments?spec=fig99");
     assert_eq!(status(&head), "HTTP/1.1 404 Not Found");
     let (head, _) = request(addr, "POST", "/healthz");
     assert!(head.starts_with("HTTP/1.1 405"), "{head}");
@@ -447,7 +447,7 @@ fn job_churn_keeps_metrics_identities_exact() {
                     );
                     String::from_utf8(body).expect("utf8")
                 };
-                call("GET", "/figures/fig06");
+                call("GET", "/experiments?spec=fig06");
                 call("GET", "/runs?limit=100");
                 call("GET", "/runs?prefetcher=gaze&limit=100");
                 let accepted = call("POST", "/experiments?spec=fig06&scale=test");
@@ -500,121 +500,6 @@ fn job_churn_keeps_metrics_identities_exact() {
         delta("gaze_http_requests_total") >= sent as f64,
         "{sent} requests sent, counter rose by {}",
         delta("gaze_http_requests_total")
-    );
-
-    stop.stop();
-    join.join().expect("server thread");
-    gaze_sim::results::configure(None).expect("deactivate store");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `GET /jobs/<id>/events` end-to-end: the stream is served as
-/// `text/event-stream`, every frame is a well-formed SSE event carrying
-/// the job JSON, the final frame reports the terminal state, and the
-/// server closes the connection afterwards. Unknown ids still get a
-/// buffered 404 on the same route.
-#[test]
-fn job_event_stream_reports_lifecycle_to_terminal_state() {
-    let _guard = server_lock();
-    let dir: PathBuf = std::env::temp_dir().join(format!("gzr-e2e-{}-sse", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let spec_dir = dir.join("specs");
-    std::fs::create_dir_all(&spec_dir).expect("spec dir");
-    const SSE_SPEC: &str = "\
-spec sse-sweep
-
-table
-title SSE sweep (speedup)
-kind workload-rows
-traces list:bwaves_s,mcf_s
-metric speedup
-row gaze
-end
-";
-    std::fs::write(spec_dir.join("sse-sweep.spec"), SSE_SPEC).expect("write spec");
-    let config = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        threads: 2,
-        default_scale: "test".to_string(),
-        spec_dir: Some(spec_dir),
-        ..ServerConfig::new(&dir)
-    };
-    let (addr, stop, join) = Server::spawn(&config).expect("spawn server");
-
-    // Unknown job id: buffered 404, not a stream.
-    let (head, _) = request(addr, "GET", "/jobs/job-nope-0/events");
-    assert_eq!(status(&head), "HTTP/1.1 404 Not Found");
-
-    // Submit a job and attach to its event stream immediately; the
-    // connection stays open until the job reaches a terminal state.
-    let (head, body) = request(addr, "POST", "/experiments?spec=sse-sweep&scale=test");
-    assert_eq!(status(&head), "HTTP/1.1 202 Accepted");
-    let body = String::from_utf8(body).expect("utf8");
-    let id = json_str(&body, "id");
-
-    let mut stream = TcpStream::connect(addr).expect("connect SSE");
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
-        .expect("read timeout");
-    write!(
-        stream,
-        "GET /jobs/{id}/events HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send SSE request");
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .expect("server closes at terminal state");
-    let raw = String::from_utf8_lossy(&raw).into_owned();
-
-    let (head, frames) = raw
-        .split_once("\r\n\r\n")
-        .expect("SSE response has a header block");
-    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-    assert!(head.contains("Content-Type: text/event-stream"), "{head}");
-
-    // Every frame is `event: <phase>` + `data: <job json>` (keep-alive
-    // comments allowed); phases only move forward; the last one is
-    // terminal and carries the job id.
-    let events: Vec<(&str, &str)> = frames
-        .split("\n\n")
-        .filter(|f| !f.trim().is_empty() && !f.trim_start().starts_with(':'))
-        .map(|f| {
-            let mut event = "";
-            let mut data = "";
-            for line in f.lines() {
-                if let Some(v) = line.strip_prefix("event: ") {
-                    event = v;
-                } else if let Some(v) = line.strip_prefix("data: ") {
-                    data = v;
-                } else {
-                    assert!(line.starts_with(':'), "unexpected SSE line {line:?}");
-                }
-            }
-            (event, data)
-        })
-        .collect();
-    assert!(!events.is_empty(), "stream carried no events: {raw}");
-    let order = ["queued", "running", "done", "failed"];
-    let mut last_rank = 0;
-    for (event, data) in &events {
-        let rank = order
-            .iter()
-            .position(|p| p == event)
-            .unwrap_or_else(|| panic!("unknown phase {event:?}"));
-        assert!(rank >= last_rank, "phases went backwards: {raw}");
-        last_rank = rank;
-        assert!(
-            data.contains(&format!("\"id\":\"{id}\"")),
-            "event data carries the job: {data}"
-        );
-        assert_eq!(json_str(data, "status"), *event, "event name matches data");
-    }
-    let (last_event, _) = events.last().expect("at least one event");
-    assert_eq!(
-        *last_event, "done",
-        "stream ends at the terminal state: {raw}"
     );
 
     stop.stop();
@@ -711,10 +596,11 @@ fn panicking_handler_costs_one_500_not_the_pool() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The multi-core serving path end-to-end: `/figures/fig13` over real TCP
-/// is byte-identical to the CLI CSV and warm-served with zero simulation;
-/// and rows flushed by a *second* store handle after server start appear
-/// without a restart (reopen-on-stale).
+/// The multi-core serving path end-to-end: `/experiments?spec=fig13`
+/// over real TCP is byte-identical to the CLI CSV and warm-served with
+/// zero simulation; rows flushed by a *second* store handle after server
+/// start appear without a restart (reopen-on-stale); and a compaction by
+/// a *third* handle while the server runs leaves every row served.
 #[test]
 fn server_serves_fig13_and_reloads_stale_stores() {
     let _guard = server_lock();
@@ -738,7 +624,7 @@ fn server_serves_fig13_and_reloads_stale_stores() {
         .collect();
 
     let before = simulated_instructions();
-    let (head, body) = request(addr, "GET", "/figures/fig13");
+    let (head, body) = request(addr, "GET", "/experiments?spec=fig13");
     assert_eq!(status(&head), "HTTP/1.1 200 OK");
     assert_eq!(
         simulated_instructions(),
@@ -805,6 +691,47 @@ fn server_serves_fig13_and_reloads_stale_stores() {
     assert!(
         !body.contains("\"mix_rows\":0"),
         "health reflects the reloaded store: {body}"
+    );
+
+    // Live compaction, as `gzr-store compact` does it from another
+    // process: the server's known segments vanish, it reopens on the next
+    // request and serves every row from the merged segments.
+    results_store::ResultsStore::open(&dir)
+        .expect("third handle")
+        .compact()
+        .expect("compact while serving");
+    let before = simulated_instructions();
+    let (head, body) = request(addr, "GET", "/experiments?spec=fig13");
+    assert_eq!(status(&head), "HTTP/1.1 200 OK");
+    assert_eq!(
+        String::from_utf8(body).expect("utf8"),
+        cli_csv,
+        "fig13 after a live compaction must be byte-identical to the CLI output"
+    );
+    assert_eq!(
+        simulated_instructions(),
+        before,
+        "the compacted store must serve fig13 without simulating"
+    );
+    let (_, body) = request(addr, "GET", "/healthz");
+    let body = String::from_utf8(body).expect("utf8");
+    assert!(
+        body.contains("\"segments\":1,") || body.contains("\"segments\":2,"),
+        "at most one segment per record kind: {body}"
+    );
+    let (_, body) = request(addr, "GET", "/runs?workload=stale-probe");
+    let body = String::from_utf8(body).expect("utf8");
+    assert_eq!(
+        body.matches("\"workload\":\"stale-probe\"").count(),
+        1,
+        "the probe row survives compaction: {body}"
+    );
+    let (_, body) = request(addr, "GET", "/runs?kind=mix&label=stale%2Bprobe");
+    let body = String::from_utf8(body).expect("utf8");
+    assert_eq!(
+        body.matches("\"label\":\"stale+probe\"").count(),
+        1,
+        "the probe mix row survives compaction: {body}"
     );
 
     stop.stop();

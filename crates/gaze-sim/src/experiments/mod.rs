@@ -4,9 +4,9 @@
 //! declarative [`ExperimentSpec`](crate::spec::ExperimentSpec) (see
 //! [`crate::spec`]); [`run_experiment`] resolves a name and runs it
 //! through the spec pipeline (plan → execute → render). The
-//! `gaze-experiments` binary, the bench targets, `gaze-serve` and the
-//! integration tests all go through this one path, so CLI, HTTP and test
-//! output are byte-identical by construction.
+//! `gaze-experiments` binary, `gaze-serve`, perfbench and the
+//! integration tests all run figures through that one pipeline, so CLI,
+//! HTTP and test output are byte-identical by construction.
 //!
 //! This module also keeps the per-suite table shaping helpers the
 //! renderer uses.

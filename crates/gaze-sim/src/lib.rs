@@ -23,8 +23,8 @@
 //!   simulates each shared no-prefetching baseline once — and render to
 //!   [`report::Table`]s,
 //! * [`experiments`] — the experiment registry (scales, names,
-//!   [`experiments::run_experiment`]) the binary, the benches,
-//!   `gaze-serve` and the integration tests share.
+//!   [`experiments::run_experiment`]) the binary and the integration
+//!   tests share.
 //!
 //! The `gaze-experiments` binary runs any experiment from the command line:
 //!

@@ -238,15 +238,6 @@ impl StoreHandle {
         self.store.lock().expect("results store poisoned").flush()
     }
 
-    /// Compacts the underlying store: pending rows are flushed, then all
-    /// on-disk segments are merged into at most one segment per record
-    /// kind, dropping superseded duplicate rows. `gaze-serve`'s
-    /// `POST /admin/compact` endpoint and the `gzr-store compact`
-    /// subcommand go through this.
-    pub fn compact(&self) -> io::Result<results_store::CompactStats> {
-        self.store.lock().expect("results store poisoned").compact()
-    }
-
     /// Reloads the store from disk when another process has flushed new
     /// segments since this handle opened (or last reloaded); pending rows
     /// of this handle are carried over. Returns whether a reload

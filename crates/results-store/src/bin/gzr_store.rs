@@ -5,11 +5,13 @@
 //! gzr-store compact DIR    # merge segments, drop superseded duplicates
 //! ```
 //!
-//! `compact` is the same operation as `POST /admin/compact` on
-//! `gaze-serve` and is crash-safe at every step: killed mid-compaction,
-//! the directory reopens with the same logical contents (the merged and
+//! `compact` is crash-safe at every step: killed mid-compaction, the
+//! directory reopens with the same logical contents (the merged and
 //! superseded segments may briefly coexist; dedup-on-read collapses
-//! them, and the next compact finishes the cleanup).
+//! them, and the next compact finishes the cleanup). It is also safe
+//! against a running `gaze-serve`: the server reopens the store on its
+//! next request once a segment it knows has gone (reopen-on-stale), and
+//! on unix its open file handles keep lookups working until then.
 
 use std::process::ExitCode;
 
