@@ -275,6 +275,18 @@ fn metrics_exposition_parses_and_counters_are_monotonic() {
         family_sum(&text2, "gaze_sim_cycles_stepped_total") > 0.0,
         "cold sweep must step simulator cycles"
     );
+    // The cold sweep's prefetchers attempt and get refused issues, and
+    // its stall windows make the skip target evaluate queued requests.
+    for family in [
+        "gaze_sim_prefetch_attempts_total",
+        "gaze_sim_prefetch_refusals_total",
+        "gaze_sim_skip_evaluations_total",
+    ] {
+        assert!(
+            family_sum(&text2, family) > family_sum(&text, family),
+            "cold sweep must raise {family}"
+        );
+    }
     assert!(
         family_sum(&text2, "gaze_store_misses_total") > 0.0,
         "cold sweep must record store misses (write-through)"

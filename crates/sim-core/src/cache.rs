@@ -17,10 +17,10 @@ pub struct Eviction {
     pub was_dirty: bool,
 }
 
+/// Replacement and prefetch metadata of one way. Which block a way holds
+/// lives in the parallel tag array, not here.
 #[derive(Debug, Clone, Copy)]
 struct Line {
-    block: BlockAddr,
-    valid: bool,
     lru: u64,
     prefetched: bool,
     used: bool,
@@ -30,15 +30,13 @@ struct Line {
 }
 
 impl Line {
-    fn invalid() -> Self {
+    fn filled(tick: u64, prefetched: bool, owner: usize) -> Self {
         Line {
-            block: BlockAddr::new(0),
-            valid: false,
-            lru: 0,
-            prefetched: false,
+            lru: tick,
+            prefetched,
             used: false,
             dirty: false,
-            owner: 0,
+            owner,
         }
     }
 }
@@ -46,12 +44,17 @@ impl Line {
 /// A set-associative cache array with LRU replacement and per-line prefetch
 /// metadata (prefetched / used / dirty bits plus the owning core).
 ///
+/// Lookups search a dense tag array (`tags`, one `u64` block number per
+/// way, `u64::MAX` for an empty way) and touch the metadata array
+/// only on a hit or a fill, so a 16-way set probe reads 128 B of tags.
+///
 /// The array only models *contents*; timing (latencies, MSHRs, bandwidth) is
 /// handled by the memory hierarchy.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     sets: usize,
     ways: usize,
+    tags: Vec<u64>,
     lines: Vec<Line>,
     tick: u64,
 }
@@ -67,16 +70,13 @@ pub struct HitInfo {
 }
 
 impl CacheArray {
+    /// Tag of an empty way. Block numbers are byte addresses shifted right
+    /// by the line bits, so no real block can collide with it.
+    const INVALID: u64 = u64::MAX;
+
     /// Creates an empty cache with the geometry of `config`.
     pub fn new(config: &CacheConfig) -> Self {
-        let sets = config.sets();
-        let ways = config.ways;
-        CacheArray {
-            sets,
-            ways,
-            lines: vec![Line::invalid(); sets * ways],
-            tick: 0,
-        }
+        Self::build(config.sets(), config.ways)
     }
 
     /// Creates a cache with an explicit set/way shape (used for the shared
@@ -87,10 +87,15 @@ impl CacheArray {
             "sets must be a power of two"
         );
         assert!(ways > 0, "ways must be non-zero");
+        Self::build(sets, ways)
+    }
+
+    fn build(sets: usize, ways: usize) -> Self {
         CacheArray {
             sets,
             ways,
-            lines: vec![Line::invalid(); sets * ways],
+            tags: vec![Self::INVALID; sets * ways],
+            lines: vec![Line::filled(0, false, 0); sets * ways],
             tick: 0,
         }
     }
@@ -105,12 +110,19 @@ impl CacheArray {
         self.ways
     }
 
-    fn set_of(&self, block: BlockAddr) -> usize {
-        (block.raw() as usize) & (self.sets - 1)
+    /// Index of the first way of `block`'s set.
+    fn set_base(&self, block: BlockAddr) -> usize {
+        ((block.raw() as usize) & (self.sets - 1)) * self.ways
     }
 
-    fn set_slice(&mut self, set: usize) -> &mut [Line] {
-        &mut self.lines[set * self.ways..(set + 1) * self.ways]
+    /// Global way index holding `block`, if present.
+    fn find(&self, block: BlockAddr) -> Option<usize> {
+        debug_assert_ne!(block.raw(), Self::INVALID, "block collides with sentinel");
+        let base = self.set_base(block);
+        self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == block.raw())
+            .map(|way| base + way)
     }
 
     fn next_tick(&mut self) -> u64 {
@@ -120,10 +132,7 @@ impl CacheArray {
 
     /// Whether `block` is present.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        let set = self.set_of(block);
-        self.lines[set * self.ways..(set + 1) * self.ways]
-            .iter()
-            .any(|l| l.valid && l.block == block)
+        self.find(block).is_some()
     }
 
     /// Performs a demand access to `block`. On a hit, updates LRU, marks the
@@ -131,11 +140,8 @@ impl CacheArray {
     /// first demand use of a prefetched line. Returns `None` on a miss.
     pub fn demand_access(&mut self, block: BlockAddr, is_store: bool) -> Option<HitInfo> {
         let tick = self.next_tick();
-        let set = self.set_of(block);
-        let line = self
-            .set_slice(set)
-            .iter_mut()
-            .find(|l| l.valid && l.block == block)?;
+        let i = self.find(block)?;
+        let line = &mut self.lines[i];
         line.lru = tick;
         if is_store {
             line.dirty = true;
@@ -152,13 +158,8 @@ impl CacheArray {
     /// (used when an upper level writes back into this level).
     pub fn touch(&mut self, block: BlockAddr) {
         let tick = self.next_tick();
-        let set = self.set_of(block);
-        if let Some(line) = self
-            .set_slice(set)
-            .iter_mut()
-            .find(|l| l.valid && l.block == block)
-        {
-            line.lru = tick;
+        if let Some(i) = self.find(block) {
+            self.lines[i].lru = tick;
         }
     }
 
@@ -170,41 +171,31 @@ impl CacheArray {
     /// used bit).
     pub fn fill(&mut self, block: BlockAddr, prefetched: bool, owner: usize) -> Option<Eviction> {
         let tick = self.next_tick();
-        let ways = self.ways;
-        let set = self.set_of(block);
-        let slice = self.set_slice(set);
-        if let Some(line) = slice.iter_mut().find(|l| l.valid && l.block == block) {
-            line.lru = tick;
+        if let Some(i) = self.find(block) {
+            self.lines[i].lru = tick;
             return None;
         }
+        let base = self.set_base(block);
+        let set = base..base + self.ways;
         // Prefer an invalid way.
-        if let Some(line) = slice.iter_mut().find(|l| !l.valid) {
-            *line = Line {
-                block,
-                valid: true,
-                lru: tick,
-                prefetched,
-                used: false,
-                dirty: false,
-                owner,
-            };
+        if let Some(way) = self.tags[set.clone()]
+            .iter()
+            .position(|&t| t == Self::INVALID)
+        {
+            self.tags[base + way] = block.raw();
+            self.lines[base + way] = Line::filled(tick, prefetched, owner);
             return None;
         }
-        let victim_idx = (0..ways)
-            .min_by_key(|&i| slice[i].lru)
-            .expect("full set has a victim");
-        let victim = slice[victim_idx];
-        slice[victim_idx] = Line {
-            block,
-            valid: true,
-            lru: tick,
-            prefetched,
-            used: false,
-            dirty: false,
-            owner,
-        };
+        let victim_idx = base
+            + (0..self.ways)
+                .min_by_key(|&way| self.lines[base + way].lru)
+                .expect("full set has a victim");
+        let victim = self.lines[victim_idx];
+        let victim_block = BlockAddr::new(self.tags[victim_idx]);
+        self.tags[victim_idx] = block.raw();
+        self.lines[victim_idx] = Line::filled(tick, prefetched, owner);
         Some(Eviction {
-            block: victim.block,
+            block: victim_block,
             was_prefetch: victim.prefetched,
             was_used: victim.used,
             was_dirty: victim.dirty,
@@ -213,34 +204,31 @@ impl CacheArray {
 
     /// Invalidates `block` if present, returning its eviction record.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<Eviction> {
-        let set = self.set_of(block);
-        let line = self
-            .set_slice(set)
-            .iter_mut()
-            .find(|l| l.valid && l.block == block)?;
-        let ev = Eviction {
-            block: line.block,
+        let i = self.find(block)?;
+        let line = self.lines[i];
+        self.tags[i] = Self::INVALID;
+        Some(Eviction {
+            block,
             was_prefetch: line.prefetched,
             was_used: line.used,
             was_dirty: line.dirty,
-        };
-        line.valid = false;
-        Some(ev)
+        })
     }
 
     /// Iterates over all valid lines, reporting `(block, prefetched, used)`.
     /// Used at end of simulation to account for still-resident unused
     /// prefetches.
     pub fn resident_lines(&self) -> impl Iterator<Item = (BlockAddr, bool, bool, usize)> + '_ {
-        self.lines
+        self.tags
             .iter()
-            .filter(|l| l.valid)
-            .map(|l| (l.block, l.prefetched, l.used, l.owner))
+            .zip(&self.lines)
+            .filter(|(&t, _)| t != Self::INVALID)
+            .map(|(&t, l)| (BlockAddr::new(t), l.prefetched, l.used, l.owner))
     }
 
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&t| t != Self::INVALID).count()
     }
 }
 
@@ -359,6 +347,148 @@ mod tests {
                 c.fill(BlockAddr::new(b), false, 0);
                 assert!(c.contains(BlockAddr::new(b)));
             }
+        }
+    }
+
+    /// The layout before the tag array: one record per way carrying its
+    /// own block and valid bit, searched record by record. Kept as the
+    /// reference the tag-array lookups must agree with.
+    struct ReferenceSets {
+        sets: usize,
+        ways: usize,
+        /// `None` = invalid way.
+        lines: Vec<Option<RefLine>>,
+        tick: u64,
+    }
+
+    /// `(block, lru, prefetched, used, dirty, owner)`.
+    type RefLine = (u64, u64, bool, bool, bool, usize);
+
+    impl ReferenceSets {
+        fn set(&mut self, block: u64) -> &mut [Option<RefLine>] {
+            let base = (block as usize & (self.sets - 1)) * self.ways;
+            &mut self.lines[base..base + self.ways]
+        }
+
+        fn contains(&mut self, block: u64) -> bool {
+            self.set(block).iter().flatten().any(|l| l.0 == block)
+        }
+
+        fn demand(&mut self, block: u64, store: bool) -> Option<HitInfo> {
+            self.tick += 1;
+            let tick = self.tick;
+            let line = self
+                .set(block)
+                .iter_mut()
+                .flatten()
+                .find(|l| l.0 == block)?;
+            line.1 = tick;
+            line.4 |= store;
+            let first = line.2 && !line.3;
+            line.3 = true;
+            Some(HitInfo {
+                first_use_of_prefetch: first,
+                owner: line.5,
+            })
+        }
+
+        fn touch(&mut self, block: u64) {
+            self.tick += 1;
+            let tick = self.tick;
+            if let Some(line) = self.set(block).iter_mut().flatten().find(|l| l.0 == block) {
+                line.1 = tick;
+            }
+        }
+
+        fn fill(&mut self, block: u64, prefetched: bool, owner: usize) -> Option<Eviction> {
+            self.tick += 1;
+            let tick = self.tick;
+            let set = self.set(block);
+            if let Some(line) = set.iter_mut().flatten().find(|l| l.0 == block) {
+                line.1 = tick;
+                return None;
+            }
+            let fresh = (block, tick, prefetched, false, false, owner);
+            if let Some(way) = set.iter_mut().find(|l| l.is_none()) {
+                *way = Some(fresh);
+                return None;
+            }
+            let victim = (0..set.len())
+                .min_by_key(|&i| set[i].expect("full set").1)
+                .expect("non-empty set");
+            let (b, _, p, u, d, _) = set[victim].replace(fresh).expect("full set");
+            Some(Eviction {
+                block: BlockAddr::new(b),
+                was_prefetch: p,
+                was_used: u,
+                was_dirty: d,
+            })
+        }
+
+        fn invalidate(&mut self, block: u64) -> Option<Eviction> {
+            let way = self
+                .set(block)
+                .iter_mut()
+                .find(|l| matches!(l, Some(l) if l.0 == block))?;
+            let (b, _, p, u, d, _) = way.take().expect("matched a valid way");
+            Some(Eviction {
+                block: BlockAddr::new(b),
+                was_prefetch: p,
+                was_used: u,
+                was_dirty: d,
+            })
+        }
+    }
+
+    #[test]
+    fn tag_array_matches_a_reference_set_model_under_churn() {
+        for (sets, ways) in [(1, 1), (4, 2), (8, 12), (16, 16)] {
+            let mut cache = CacheArray::with_shape(sets, ways);
+            let mut reference = ReferenceSets {
+                sets,
+                ways,
+                lines: vec![None; sets * ways],
+                tick: 0,
+            };
+            let modulus = (sets * ways * 3) as u64;
+            let ops = block_stream(0xfeed ^ sets as u64, 1 << 20).take(20_000);
+            for (step, r) in ops.enumerate() {
+                let block = (r >> 3) % modulus;
+                let b = BlockAddr::new(block);
+                match r % 8 {
+                    0..=2 => {
+                        let owner = (r >> 16) as usize % 4;
+                        let pf = r & 0x100 != 0;
+                        assert_eq!(cache.fill(b, pf, owner), reference.fill(block, pf, owner));
+                    }
+                    3 | 4 => {
+                        let store = r & 0x100 != 0;
+                        assert_eq!(
+                            cache.demand_access(b, store),
+                            reference.demand(block, store)
+                        );
+                    }
+                    5 => {
+                        cache.touch(b);
+                        reference.touch(block);
+                    }
+                    6 => assert_eq!(cache.invalidate(b), reference.invalidate(block)),
+                    _ => {}
+                }
+                assert_eq!(cache.contains(b), reference.contains(block), "step {step}");
+                let occupied = reference.lines.iter().flatten().count();
+                assert_eq!(cache.occupancy(), occupied, "step {step}");
+            }
+            let mut resident: Vec<_> = cache.resident_lines().collect();
+            let mut expected: Vec<_> = reference
+                .lines
+                .iter()
+                .flatten()
+                .map(|l| (BlockAddr::new(l.0), l.2, l.3, l.5))
+                .collect();
+            resident.sort_by_key(|l| l.0.raw());
+            expected.sort_by_key(|l| l.0.raw());
+            assert_eq!(resident, expected, "{sets}x{ways}");
         }
     }
 }

@@ -88,9 +88,15 @@ impl DramModel {
         self.stats
     }
 
+    /// The channel `block` maps to: the only part of [`Self::map`] the
+    /// prefetch-backlog checks need, without its bank and row divisions.
+    fn channel_of(&self, block: BlockAddr) -> usize {
+        (block.raw() as usize) % self.config.channels
+    }
+
     fn map(&self, block: BlockAddr) -> (usize, usize, u64) {
         let raw = block.raw();
-        let channel = (raw as usize) % self.config.channels;
+        let channel = self.channel_of(block);
         let banks_per_channel = self.config.ranks_per_channel * self.config.banks_per_rank;
         let bank_in_channel = ((raw as usize) / self.config.channels) % banks_per_channel;
         let bank = channel * banks_per_channel + bank_in_channel;
@@ -108,7 +114,7 @@ impl DramModel {
     /// Whether a prefetch read for `block` would currently be accepted by the
     /// controller (see [`Self::PREFETCH_BACKLOG_LIMIT`]).
     pub fn accepts_prefetch(&self, block: BlockAddr, now: u64) -> bool {
-        let (channel_idx, _, _) = self.map(block);
+        let channel_idx = self.channel_of(block);
         let unloaded_completion = now + self.idle_closed_latency();
         self.channels[channel_idx].bus_free_at <= unloaded_completion + Self::PREFETCH_BACKLOG_LIMIT
     }
@@ -118,7 +124,7 @@ impl DramModel {
     /// skipping to bound how far the clock may fast-forward while a refused
     /// prefetch waits for the channel backlog to clear.
     pub fn prefetch_accepted_from(&self, block: BlockAddr) -> u64 {
-        let (channel_idx, _, _) = self.map(block);
+        let channel_idx = self.channel_of(block);
         self.channels[channel_idx]
             .bus_free_at
             .saturating_sub(self.idle_closed_latency() + Self::PREFETCH_BACKLOG_LIMIT)

@@ -10,7 +10,7 @@
 //! time, which is how useless prefetch traffic hurts co-running cores.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use prefetch_common::addr::BlockAddr;
 use prefetch_common::request::{FillLevel, PrefetchRequest};
@@ -54,8 +54,51 @@ pub enum PrefetchOutcome {
     /// The block was already cached at (or above) the requested level, or
     /// already in flight.
     Redundant,
-    /// No MSHR was available at the target level.
-    MshrFull,
+    /// The request was refused for now and stays queued for a retry.
+    Refused(Refusal),
+}
+
+/// Why [`MemoryHierarchy::issue_prefetch`] refused a prefetch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// Every L1 prefetch fill buffer is busy (L1-targeted requests).
+    L1FillBuffers,
+    /// Every L2 MSHR is live (L2- and LLC-targeted requests).
+    L2Mshrs,
+    /// The DRAM controller's prefetch backlog window is full.
+    DramBacklog,
+}
+
+impl Refusal {
+    /// Every refusal reason, in label order.
+    pub const ALL: [Refusal; 3] = [
+        Refusal::L1FillBuffers,
+        Refusal::L2Mshrs,
+        Refusal::DramBacklog,
+    ];
+
+    /// The metric label of this reason.
+    pub fn label(self) -> &'static str {
+        match self {
+            Refusal::L1FillBuffers => "l1_fill_buffers",
+            Refusal::L2Mshrs => "l2_mshrs",
+            Refusal::DramBacklog => "dram_backlog",
+        }
+    }
+}
+
+/// The per-core, per-class part of the skip target's prefetch wake bound
+/// ([`MemoryHierarchy::prefetch_class_bounds`]): the earliest cycle at
+/// which a refused request of each fill-level class could get its fill
+/// buffer or MSHR, `0` when one is free now.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PrefetchClassBounds {
+    /// L1-targeted requests: the next pending-fill completion while every
+    /// L1 prefetch fill buffer is busy.
+    l1: u64,
+    /// L2- and LLC-targeted requests: the earliest live L2 MSHR expiry
+    /// while every L2 MSHR is live.
+    l2: u64,
 }
 
 /// A block filled into the L1D (reported to the prefetcher).
@@ -67,53 +110,50 @@ pub struct L1FillEvent {
     pub was_prefetch: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Outstanding {
     ready: u64,
     is_prefetch: bool,
     demand_touched: bool,
 }
 
-/// Open-addressed map from outstanding block number to its
-/// [`Outstanding`] entry: linear probing, Fibonacci hashing, and
+/// Open-addressed map from block number to a `V` (an outstanding L1
+/// miss, an in-flight L2 prefetch's completion cycle, or the slot of a
+/// pending prefetch fill): linear probing, Fibonacci hashing, and
 /// backward-shift deletion (no tombstones), sized to a power of two and
 /// doubled at 7/8 load.
 ///
 /// This sits on the per-access hot path (every demand access and every
 /// prefetch issue probes it at least once), where it replaces a
-/// `HashMap<u64, Outstanding>`: entries live in one flat slot array, so
-/// a probe is one multiply plus a short linear scan with no SipHash and
-/// no per-entry indirection. All operations are deterministic, and the
-/// only iteration ([`min_ready`](Self::min_ready)) computes an
+/// `HashMap<u64, V>`: entries live in one flat slot array, so a probe is
+/// one multiply plus a short linear scan with no SipHash and no
+/// per-entry indirection. All operations are deterministic, and the only
+/// iteration ([`min_ready`](Self::min_ready)) computes an
 /// order-independent minimum, so simulations stay bit-exact (guarded by
 /// the determinism integration tests).
 #[derive(Debug)]
-struct OutstandingTable {
+struct OutstandingTable<V> {
     /// Slot keys (block numbers); [`Self::EMPTY`] marks a free slot.
     /// Block numbers are byte addresses shifted right by the line bits,
     /// so the sentinel can never collide with a real key.
     keys: Vec<u64>,
-    entries: Vec<Outstanding>,
+    entries: Vec<V>,
     mask: usize,
+    /// `64 - log2(capacity)`: the home slot is the top bits of the hash.
+    shift: u32,
     len: usize,
 }
 
-impl OutstandingTable {
+impl<V: Copy + Default> OutstandingTable<V> {
     const EMPTY: u64 = u64::MAX;
     const INITIAL_CAPACITY: usize = 64;
 
     fn new() -> Self {
         OutstandingTable {
             keys: vec![Self::EMPTY; Self::INITIAL_CAPACITY],
-            entries: vec![
-                Outstanding {
-                    ready: 0,
-                    is_prefetch: false,
-                    demand_touched: false,
-                };
-                Self::INITIAL_CAPACITY
-            ],
+            entries: vec![V::default(); Self::INITIAL_CAPACITY],
             mask: Self::INITIAL_CAPACITY - 1,
+            shift: 64 - Self::INITIAL_CAPACITY.trailing_zeros(),
             len: 0,
         }
     }
@@ -126,7 +166,7 @@ impl OutstandingTable {
     /// block numbers across the table, then the high bits select a slot.
     fn home(&self, key: u64) -> usize {
         let hash = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (hash >> (64 - self.mask.count_ones())) as usize & self.mask
+        (hash >> self.shift) as usize
     }
 
     fn find(&self, key: u64) -> Option<usize> {
@@ -147,11 +187,15 @@ impl OutstandingTable {
         self.find(key).is_some()
     }
 
-    fn get_mut(&mut self, key: u64) -> Option<&mut Outstanding> {
+    fn get(&self, key: u64) -> Option<V> {
+        self.find(key).map(|i| self.entries[i])
+    }
+
+    fn get_mut(&mut self, key: u64) -> Option<&mut V> {
         self.find(key).map(|i| &mut self.entries[i])
     }
 
-    fn insert(&mut self, key: u64, entry: Outstanding) -> Option<Outstanding> {
+    fn insert(&mut self, key: u64, entry: V) -> Option<V> {
         debug_assert_ne!(key, Self::EMPTY, "block number collides with sentinel");
         // Grow before the probe so the table never saturates (a full
         // table would loop forever) and stays below 7/8 load.
@@ -174,7 +218,7 @@ impl OutstandingTable {
         }
     }
 
-    fn remove(&mut self, key: u64) -> Option<Outstanding> {
+    fn remove(&mut self, key: u64) -> Option<V> {
         let mut i = self.find(key)?;
         let removed = self.entries[i];
         self.len -= 1;
@@ -204,6 +248,22 @@ impl OutstandingTable {
         Some(removed)
     }
 
+    fn grow(&mut self) {
+        let new_cap = self.keys.len() * 2;
+        let old_keys = std::mem::replace(&mut self.keys, vec![Self::EMPTY; new_cap]);
+        let old_entries = std::mem::replace(&mut self.entries, vec![V::default(); new_cap]);
+        self.mask = new_cap - 1;
+        self.shift = 64 - new_cap.trailing_zeros();
+        self.len = 0;
+        for (key, entry) in old_keys.into_iter().zip(old_entries) {
+            if key != Self::EMPTY {
+                self.insert(key, entry);
+            }
+        }
+    }
+}
+
+impl OutstandingTable<Outstanding> {
     /// The minimum `ready` cycle over all entries (`None` when empty).
     fn min_ready(&self) -> Option<u64> {
         if self.len == 0 {
@@ -221,27 +281,58 @@ impl OutstandingTable {
         }
         min
     }
+}
 
-    fn grow(&mut self) {
-        let new_cap = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![Self::EMPTY; new_cap]);
-        let old_entries = std::mem::replace(
-            &mut self.entries,
-            vec![
-                Outstanding {
-                    ready: 0,
-                    is_prefetch: false,
-                    demand_touched: false,
-                };
-                new_cap
-            ],
-        );
-        self.mask = new_cap - 1;
-        self.len = 0;
-        for (key, entry) in old_keys.into_iter().zip(old_entries) {
-            if key != Self::EMPTY {
-                self.insert(key, entry);
+/// Completion cycles of the in-flight requests holding MSHRs at one
+/// level, as a min-heap: expiring the ones done by a cycle is amortized
+/// O(log n), and the live count and earliest expiry are O(1) after it.
+#[derive(Debug, Default)]
+struct Reservations(BinaryHeap<Reverse<u64>>);
+
+impl Reservations {
+    fn push(&mut self, ready: u64) {
+        self.0.push(Reverse(ready));
+    }
+
+    /// Drops every reservation that completed at or before `now`.
+    fn expire(&mut self, now: u64) {
+        while self.0.peek().is_some_and(|&Reverse(r)| r <= now) {
+            self.0.pop();
+        }
+    }
+
+    /// The cycle a request arriving at `now` can claim one of `mshrs`
+    /// MSHRs: `now` if one is free, else the earliest expiry.
+    fn start(&mut self, now: u64, mshrs: usize) -> u64 {
+        self.expire(now);
+        match self.0.peek() {
+            Some(&Reverse(earliest)) if self.0.len() >= mshrs => earliest.max(now),
+            _ => now,
+        }
+    }
+
+    /// Whether every one of `mshrs` MSHRs is held at `now`.
+    fn full(&mut self, now: u64, mshrs: usize) -> bool {
+        self.expire(now);
+        self.0.len() >= mshrs
+    }
+
+    /// The earliest expiry after `now` if at least `mshrs` reservations
+    /// are live at `now`, else `0`. Read-only: it counts around expired
+    /// entries rather than dropping them.
+    fn bound(&self, now: u64, mshrs: usize) -> u64 {
+        let mut live = 0usize;
+        let mut earliest = u64::MAX;
+        for &Reverse(r) in self.0.iter() {
+            if r > now {
+                live += 1;
+                earliest = earliest.min(r);
             }
+        }
+        if live >= mshrs {
+            earliest
+        } else {
+            0
         }
     }
 }
@@ -260,6 +351,122 @@ struct PendingFill {
     /// metadata (usefulness is accounted at the targeted level only, matching
     /// the paper's accuracy definition).
     target: Option<FillLevel>,
+}
+
+/// The cache fills in flight, applied in (completion cycle, insertion
+/// seq) order.
+///
+/// Fills live in a slab (`slots`, reused through a free list); a min-heap
+/// of `(cycle, seq, slot)` handles orders them, which is exactly the
+/// stable sort-by-completion order, so LRU state evolves bit-exactly.
+/// Promoting a fill (lowering its cycle) pushes a fresh handle at the
+/// lowered cycle with the same seq; the superseded handle turns stale and
+/// is skipped when it surfaces, because by then the fill has been applied
+/// and its slot is free or holds a later seq. A per-core index maps a
+/// block to the slot of its pending *prefetch* fill, so promotion is a
+/// lookup, not a scan. A core has at most one pending prefetch fill per
+/// block: `issue_prefetch` drops a request as redundant while the block
+/// is in `l1_outstanding` or `l2_pf_inflight`, and both stay set until
+/// that fill applies.
+#[derive(Debug)]
+struct PendingFills {
+    /// `(seq, fill)` per slot; `None` marks a free slot.
+    slots: Vec<Option<(u64, PendingFill)>>,
+    free: Vec<u32>,
+    queue: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// Per core: block number -> slot of its pending prefetch fill.
+    prefetch_slot: Vec<OutstandingTable<u32>>,
+    /// Monotone insertion counter feeding the heap's tie-breaking.
+    next_seq: u64,
+    /// Minimum completion cycle over live fills (`u64::MAX` when none).
+    /// Pushes and promotions keep it exact; while [`pop_due`] drains it
+    /// may lag behind (never ahead of) the true minimum, and the draining
+    /// call that returns `None` makes it exact again.
+    ///
+    /// [`pop_due`]: Self::pop_due
+    next_at: u64,
+    len: usize,
+}
+
+impl PendingFills {
+    fn new(cores: usize) -> Self {
+        PendingFills {
+            slots: Vec::new(),
+            free: Vec::new(),
+            queue: BinaryHeap::new(),
+            prefetch_slot: (0..cores).map(|_| OutstandingTable::new()).collect(),
+            next_seq: 0,
+            next_at: u64::MAX,
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, fill: PendingFill) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some((seq, fill));
+                slot
+            }
+            None => {
+                self.slots.push(Some((seq, fill)));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        if fill.is_prefetch {
+            let prev = self.prefetch_slot[fill.core].insert(fill.block.raw(), slot);
+            debug_assert!(prev.is_none(), "two pending prefetch fills of one block");
+        }
+        self.len += 1;
+        self.next_at = self.next_at.min(fill.at);
+        self.queue.push(Reverse((fill.at, seq, slot)));
+    }
+
+    /// Lowers the completion cycle of `core`'s pending prefetch fill of
+    /// `block` to `at` if that is earlier, first marking it demand-touched
+    /// when `touch` is set. No-op when no such fill is pending.
+    fn promote_prefetch(&mut self, core: usize, block: BlockAddr, at: u64, touch: bool) {
+        let Some(slot) = self.prefetch_slot[core].get(block.raw()) else {
+            return;
+        };
+        let (seq, fill) = self.slots[slot as usize]
+            .as_mut()
+            .expect("indexed slot is live");
+        fill.demand_touched |= touch;
+        if at < fill.at {
+            fill.at = at;
+            // The original seq keeps equal-cycle ordering stable.
+            self.queue.push(Reverse((at, *seq, slot)));
+            self.next_at = self.next_at.min(at);
+        }
+    }
+
+    /// Removes and returns the earliest fill due at or before `now`.
+    fn pop_due(&mut self, now: u64) -> Option<PendingFill> {
+        while let Some(&Reverse((at, seq, slot))) = self.queue.peek() {
+            let live = matches!(self.slots[slot as usize], Some((s, _)) if s == seq);
+            if !live {
+                self.queue.pop();
+                continue;
+            }
+            if at > now {
+                self.next_at = at;
+                return None;
+            }
+            self.queue.pop();
+            let (_, fill) = self.slots[slot as usize].take().expect("live slot");
+            debug_assert_eq!(fill.at, at, "live heap handle matches its entry");
+            self.free.push(slot);
+            self.len -= 1;
+            if fill.is_prefetch {
+                self.prefetch_slot[fill.core].remove(fill.block.raw());
+            }
+            return Some(fill);
+        }
+        self.next_at = u64::MAX;
+        None
+    }
 }
 
 /// Per-core statistics kept by the hierarchy.
@@ -284,37 +491,18 @@ pub struct MemoryHierarchy {
     l2c: Vec<CacheArray>,
     llc: CacheArray,
     dram: DramModel,
-    l1_outstanding: Vec<OutstandingTable>,
+    l1_outstanding: Vec<OutstandingTable<Outstanding>>,
     /// Per-core counts of outstanding L1 demands/prefetches, maintained
     /// incrementally (the occupancy checks run on every dispatch slot).
     l1_demand_count: Vec<usize>,
     l1_prefetch_count: Vec<usize>,
-    /// In-flight prefetches that target the L2 (or LLC), keyed by block, so a
-    /// later demand miss merges with them instead of re-fetching from DRAM.
-    l2_pf_inflight: Vec<HashMap<u64, u64>>,
-    l2_inflight: Vec<Vec<u64>>,
-    llc_inflight: Vec<u64>,
-    /// Pending cache fills, keyed by insertion sequence number. The heap
-    /// below orders them; the map owns them so in-flight promotion can
-    /// mutate an entry (lower its completion time, mark it
-    /// demand-touched) without re-sorting anything.
-    pending_fills: HashMap<u64, PendingFill>,
-    /// Min-heap of (completion cycle, insertion seq) handles into
-    /// `pending_fills`. Applying fills pops in (cycle, seq) order, which
-    /// is exactly the stable sort-by-completion order the previous
-    /// sorted-Vec implementation produced — bit-exact LRU evolution,
-    /// without the per-apply sort. Promotion pushes a fresh handle at
-    /// the lowered cycle (same seq); the superseded handle becomes
-    /// stale and is skipped lazily when it surfaces.
-    fill_queue: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Monotone insertion counter feeding `fill_queue` tie-breaking.
-    fill_seq: u64,
-    /// Cached minimum completion cycle over live pending fills
-    /// (`u64::MAX` when none): the O(1) early-out of `advance_to` and
-    /// the O(1) answer of [`next_fill_at`](Self::next_fill_at). Exact at
-    /// all times — pushes and promotions only lower it, and every drain
-    /// recomputes it from the heap.
-    next_pending_at: u64,
+    /// In-flight prefetches that target the L2 (or LLC): block number ->
+    /// completion cycle, so a later demand miss merges with them instead
+    /// of re-fetching from DRAM.
+    l2_pf_inflight: Vec<OutstandingTable<u64>>,
+    l2_inflight: Vec<Reservations>,
+    llc_inflight: Reservations,
+    pending: PendingFills,
     l1_fill_events: Vec<Vec<L1FillEvent>>,
     l1_evict_events: Vec<Vec<BlockAddr>>,
     stats: Vec<HierarchyStats>,
@@ -336,13 +524,10 @@ impl MemoryHierarchy {
             l1_outstanding: (0..cores).map(|_| OutstandingTable::new()).collect(),
             l1_demand_count: vec![0; cores],
             l1_prefetch_count: vec![0; cores],
-            l2_pf_inflight: (0..cores).map(|_| HashMap::new()).collect(),
-            l2_inflight: (0..cores).map(|_| Vec::new()).collect(),
-            llc_inflight: Vec::new(),
-            pending_fills: HashMap::new(),
-            fill_queue: BinaryHeap::new(),
-            fill_seq: 0,
-            next_pending_at: u64::MAX,
+            l2_pf_inflight: (0..cores).map(|_| OutstandingTable::new()).collect(),
+            l2_inflight: (0..cores).map(|_| Reservations::default()).collect(),
+            llc_inflight: Reservations::default(),
+            pending: PendingFills::new(cores),
             l1_fill_events: (0..cores).map(|_| Vec::new()).collect(),
             l1_evict_events: (0..cores).map(|_| Vec::new()).collect(),
             stats: vec![HierarchyStats::default(); cores],
@@ -379,15 +564,18 @@ impl MemoryHierarchy {
     }
 
     /// Drains L1 fill notifications for `core` (for the prefetcher's
-    /// `on_fill` hook).
-    pub fn take_l1_fills(&mut self, core: usize) -> Vec<L1FillEvent> {
-        std::mem::take(&mut self.l1_fill_events[core])
+    /// `on_fill` hook) into `out`, which is cleared first. The two buffers
+    /// swap, so a caller that keeps `out` across cycles never allocates.
+    pub fn take_l1_fills(&mut self, core: usize, out: &mut Vec<L1FillEvent>) {
+        out.clear();
+        std::mem::swap(out, &mut self.l1_fill_events[core]);
     }
 
     /// Drains L1 eviction notifications for `core` (for the prefetcher's
-    /// `on_evict` hook).
-    pub fn take_l1_evictions(&mut self, core: usize) -> Vec<BlockAddr> {
-        std::mem::take(&mut self.l1_evict_events[core])
+    /// `on_evict` hook) into `out`, like [`take_l1_fills`](Self::take_l1_fills).
+    pub fn take_l1_evictions(&mut self, core: usize, out: &mut Vec<BlockAddr>) {
+        out.clear();
+        std::mem::swap(out, &mut self.l1_evict_events[core]);
     }
 
     /// Number of outstanding L1-level misses for `core` (occupied MSHRs),
@@ -422,66 +610,29 @@ impl MemoryHierarchy {
     /// [`advance_to`](Self::advance_to)`(now)` every remaining fill is
     /// strictly in the future, so this is the hierarchy's next event time —
     /// the cycle-skipping fast-forward target. O(1): the cached minimum is
-    /// exact at all times.
+    /// exact outside `advance_to`.
     pub fn next_fill_at(&self) -> Option<u64> {
-        (self.next_pending_at != u64::MAX).then_some(self.next_pending_at)
-    }
-
-    /// Schedules a fill and keeps the event queue's invariants.
-    fn push_fill(&mut self, fill: PendingFill) {
-        let seq = self.fill_seq;
-        self.fill_seq += 1;
-        self.next_pending_at = self.next_pending_at.min(fill.at);
-        self.fill_queue.push(Reverse((fill.at, seq)));
-        self.pending_fills.insert(seq, fill);
+        (self.pending.next_at != u64::MAX).then_some(self.pending.next_at)
     }
 
     /// Applies all fills scheduled at or before `now`.
     pub fn advance_to(&mut self, now: u64) {
         // Called on every access and every cycle; the cached minimum makes
         // the no-fill-due case O(1).
-        if self.next_pending_at > now {
+        if self.pending.next_at > now {
             return;
         }
-        // Pop due fills in (completion cycle, insertion seq) order so LRU
-        // state evolves deterministically; skip handles superseded by a
-        // promotion (their entry is gone by the time they surface, because
-        // the promoted handle sorts earlier).
-        while let Some(&Reverse((at, seq))) = self.fill_queue.peek() {
-            let Some(fill) = self.pending_fills.get(&seq) else {
-                self.fill_queue.pop();
-                continue;
-            };
-            debug_assert_eq!(fill.at, at, "live heap handle matches its entry");
-            if at > now {
-                break;
-            }
-            self.fill_queue.pop();
-            let fill = self
-                .pending_fills
-                .remove(&seq)
-                .expect("entry checked above");
+        while let Some(fill) = self.pending.pop_due(now) {
             self.apply_fill(fill);
         }
-        // Recompute the cached minimum from the first live handle.
-        self.next_pending_at = u64::MAX;
-        while let Some(&Reverse((at, seq))) = self.fill_queue.peek() {
-            if self.pending_fills.contains_key(&seq) {
-                self.next_pending_at = at;
-                break;
-            }
-            self.fill_queue.pop();
-        }
-        self.l2_inflight
-            .iter_mut()
-            .for_each(|v| v.retain(|&r| r > now));
-        self.llc_inflight.retain(|&r| r > now);
+        self.l2_inflight.iter_mut().for_each(|r| r.expire(now));
+        self.llc_inflight.expire(now);
     }
 
     fn apply_fill(&mut self, fill: PendingFill) {
         let core = fill.core;
         if fill.is_prefetch {
-            self.l2_pf_inflight[core].remove(&fill.block.raw());
+            self.l2_pf_inflight[core].remove(fill.block.raw());
         }
         // A prefetch whose in-flight request was touched by a demand access is
         // installed as a demand line (it has already been credited as useful).
@@ -550,27 +701,12 @@ impl MemoryHierarchy {
     }
 
     fn l2_mshr_start(&mut self, core: usize, now: u64) -> u64 {
-        let inflight = &mut self.l2_inflight[core];
-        inflight.retain(|&r| r > now);
-        if inflight.len() < self.cfg.l2c.mshrs {
-            now
-        } else {
-            inflight.iter().copied().min().unwrap_or(now).max(now)
-        }
+        self.l2_inflight[core].start(now, self.cfg.l2c.mshrs)
     }
 
     fn llc_mshr_start(&mut self, now: u64) -> u64 {
-        self.llc_inflight.retain(|&r| r > now);
-        if self.llc_inflight.len() < self.cfg.llc_per_core.mshrs * self.cfg.cores {
-            now
-        } else {
-            self.llc_inflight
-                .iter()
-                .copied()
-                .min()
-                .unwrap_or(now)
-                .max(now)
-        }
+        self.llc_inflight
+            .start(now, self.cfg.llc_per_core.mshrs * self.cfg.cores)
     }
 
     /// Performs a demand access for `core` to the line containing `block`.
@@ -620,23 +756,7 @@ impl MemoryHierarchy {
                 let fresh = self.dram.estimate_demand(block, now + path);
                 if fresh < entry.ready {
                     entry.ready = fresh;
-                    let mut promoted = Vec::new();
-                    // gaze-lint: allow(map_iteration) -- per-entry predicate + min() update; no effect depends on visit order
-                    for (&seq, pending) in &mut self.pending_fills {
-                        if pending.core == core
-                            && pending.block == block
-                            && pending.is_prefetch
-                            && fresh < pending.at
-                        {
-                            pending.at = fresh;
-                            promoted.push(seq);
-                        }
-                    }
-                    for seq in promoted {
-                        // Original seq keeps equal-cycle ordering stable.
-                        self.fill_queue.push(Reverse((fresh, seq)));
-                        self.next_pending_at = self.next_pending_at.min(fresh);
-                    }
+                    self.pending.promote_prefetch(core, block, fresh, false);
                 }
             }
             let ready = entry.ready.max(now + self.cfg.l1d.latency);
@@ -667,7 +787,7 @@ impl MemoryHierarchy {
                     false,
                     false,
                 )
-            } else if let Some(&pf_ready) = self.l2_pf_inflight[core].get(&block.raw()) {
+            } else if let Some(pf_ready) = self.l2_pf_inflight[core].get(block.raw()) {
                 // The block is already on its way to the L2 because of a
                 // prefetch: merge with it instead of fetching again (a late but
                 // useful prefetch, credited at the L2). The in-flight request is
@@ -682,21 +802,7 @@ impl MemoryHierarchy {
                 let fresh = self.dram.estimate_demand(block, l2_lookup_at + path);
                 let promoted = pf_ready.min(fresh);
                 self.l2_pf_inflight[core].insert(block.raw(), promoted);
-                let mut lowered = Vec::new();
-                // gaze-lint: allow(map_iteration) -- per-entry predicate + min() update; no effect depends on visit order
-                for (&seq, pending) in &mut self.pending_fills {
-                    if pending.core == core && pending.block == block && pending.is_prefetch {
-                        pending.demand_touched = true;
-                        if promoted < pending.at {
-                            pending.at = promoted;
-                            lowered.push(seq);
-                        }
-                    }
-                }
-                for seq in lowered {
-                    self.fill_queue.push(Reverse((promoted, seq)));
-                    self.next_pending_at = self.next_pending_at.min(promoted);
-                }
+                self.pending.promote_prefetch(core, block, promoted, true);
                 let ready = promoted.max(l2_lookup_at) + self.cfg.l2c.latency;
                 (ready, HitLevel::InFlight, false, false)
             } else {
@@ -742,7 +848,7 @@ impl MemoryHierarchy {
             "demand insert over an existing outstanding entry"
         );
         self.l1_demand_count[core] += 1;
-        self.push_fill(PendingFill {
+        self.pending.push(PendingFill {
             at: ready,
             core,
             block,
@@ -760,9 +866,41 @@ impl MemoryHierarchy {
         }
     }
 
+    /// Whether a prefetch of `req` would be dropped as redundant: the block
+    /// is already cached at (or above) the requested level, or already in
+    /// flight.
+    fn prefetch_redundant(&self, core: usize, req: &PrefetchRequest) -> bool {
+        let block = req.block;
+        (match req.fill_level {
+            FillLevel::L1 => self.l1d[core].contains(block),
+            FillLevel::L2 => self.l1d[core].contains(block) || self.l2c[core].contains(block),
+            FillLevel::Llc => {
+                self.l1d[core].contains(block)
+                    || self.l2c[core].contains(block)
+                    || self.llc.contains(block)
+            }
+        }) || self.l1_outstanding[core].contains(block.raw())
+            || self.l2_pf_inflight[core].contains(block.raw())
+    }
+
+    /// Where a prefetch of `req` that is not redundant would read its data
+    /// from: [`HitLevel::L2`], [`HitLevel::Llc`] or [`HitLevel::Dram`].
+    /// Redundancy already rules out the levels at and above the target.
+    fn prefetch_source(&self, core: usize, req: &PrefetchRequest) -> HitLevel {
+        let block = req.block;
+        let in_l2 = req.fill_level == FillLevel::L1 && self.l2c[core].contains(block);
+        if in_l2 {
+            HitLevel::L2
+        } else if req.fill_level != FillLevel::Llc && self.llc.contains(block) {
+            HitLevel::Llc
+        } else {
+            HitLevel::Dram
+        }
+    }
+
     /// Attempts to issue a prefetch on behalf of `core`.
     ///
-    /// Returning [`PrefetchOutcome::MshrFull`] does not consume the request:
+    /// Returning [`PrefetchOutcome::Refused`] does not consume the request:
     /// the caller (the prefetch queue) is expected to retry it later, so MSHR
     /// pressure delays prefetches rather than silently discarding them.
     pub fn issue_prefetch(
@@ -775,17 +913,7 @@ impl MemoryHierarchy {
         let block = req.block;
         let enabled = self.stats_enabled;
 
-        let redundant = match req.fill_level {
-            FillLevel::L1 => self.l1d[core].contains(block),
-            FillLevel::L2 => self.l1d[core].contains(block) || self.l2c[core].contains(block),
-            FillLevel::Llc => {
-                self.l1d[core].contains(block)
-                    || self.l2c[core].contains(block)
-                    || self.llc.contains(block)
-            }
-        } || self.l1_outstanding[core].contains(block.raw())
-            || self.l2_pf_inflight[core].contains_key(&block.raw());
-        if redundant {
+        if self.prefetch_redundant(core, &req) {
             if enabled {
                 self.stats[core].prefetch.requested += 1;
                 self.stats[core].prefetch.dropped_redundant += 1;
@@ -799,41 +927,40 @@ impl MemoryHierarchy {
                 // buffers so a saturated demand stream cannot starve them
                 // completely (and vice versa).
                 if self.l1_prefetch_occupancy(core) >= self.cfg.l1d.mshrs {
-                    return PrefetchOutcome::MshrFull;
+                    return PrefetchOutcome::Refused(Refusal::L1FillBuffers);
                 }
             }
             FillLevel::L2 | FillLevel::Llc => {
-                self.l2_inflight[core].retain(|&r| r > now);
-                if self.l2_inflight[core].len() >= self.cfg.l2c.mshrs {
-                    return PrefetchOutcome::MshrFull;
+                if self.l2_inflight[core].full(now, self.cfg.l2c.mshrs) {
+                    return PrefetchOutcome::Refused(Refusal::L2Mshrs);
                 }
             }
         }
 
         let lookup_at = now + self.cfg.l1d.latency;
-        let (ready, fill_l1, fill_l2, fill_llc) = if self.l2c[core].contains(block) {
-            // Consuming a prefetched L2 line to move it up counts that line as
-            // used (its usefulness will be observed at the L1 instead).
-            self.l2c[core].demand_access(block, false);
-            (
-                lookup_at + self.cfg.l2c.latency,
-                req.fill_level == FillLevel::L1,
-                false,
-                false,
-            )
-        } else if self.llc.contains(block) {
-            self.llc.demand_access(block, false);
-            let ready = lookup_at + self.cfg.l2c.latency + self.cfg.llc_per_core.latency;
-            (ready, req.fill_level == FillLevel::L1, true, false)
-        } else {
-            let dram_at = lookup_at + self.cfg.l2c.latency + self.cfg.llc_per_core.latency;
-            // Prefetch reads are refused (and retried later) when the DRAM
-            // controller's prefetch backlog window is full.
-            if !self.dram.accepts_prefetch(block, dram_at) {
-                return PrefetchOutcome::MshrFull;
+        let fill_l1 = req.fill_level == FillLevel::L1;
+        let (ready, fill_l2, fill_llc) = match self.prefetch_source(core, &req) {
+            HitLevel::L2 => {
+                // Consuming a prefetched L2 line to move it up counts that
+                // line as used (its usefulness will be observed at the L1
+                // instead).
+                self.l2c[core].demand_access(block, false);
+                (lookup_at + self.cfg.l2c.latency, false, false)
             }
-            let ready = self.dram.access_prefetch(block, dram_at);
-            (ready, req.fill_level == FillLevel::L1, true, true)
+            HitLevel::Llc => {
+                self.llc.demand_access(block, false);
+                let ready = lookup_at + self.cfg.l2c.latency + self.cfg.llc_per_core.latency;
+                (ready, true, false)
+            }
+            _ => {
+                let dram_at = lookup_at + self.cfg.l2c.latency + self.cfg.llc_per_core.latency;
+                // Prefetch reads are refused (and retried later) when the DRAM
+                // controller's prefetch backlog window is full.
+                if !self.dram.accepts_prefetch(block, dram_at) {
+                    return PrefetchOutcome::Refused(Refusal::DramBacklog);
+                }
+                (self.dram.access_prefetch(block, dram_at), true, true)
+            }
         };
 
         // An L1-targeted prefetch whose data is already in the L2 and which
@@ -842,7 +969,7 @@ impl MemoryHierarchy {
             self.stats[core].prefetch.requested += 1;
             self.stats[core].prefetch.issued += 1;
         }
-        if req.fill_level == FillLevel::L1 {
+        if fill_l1 {
             let prev = self.l1_outstanding[core].insert(
                 block.raw(),
                 Outstanding {
@@ -863,7 +990,7 @@ impl MemoryHierarchy {
         if fill_llc {
             self.llc_inflight.push(ready);
         }
-        self.push_fill(PendingFill {
+        self.pending.push(PendingFill {
             at: ready,
             core,
             block,
@@ -877,80 +1004,113 @@ impl MemoryHierarchy {
         PrefetchOutcome::Issued
     }
 
+    /// The fill-buffer and MSHR part of [`issue_prefetch`]'s refusals for
+    /// `core` at `now`, computed once per core per skip-target evaluation
+    /// rather than once per queued request:
+    ///
+    /// - L1-targeted requests wait for a prefetch fill buffer while all
+    ///   `l1d.mshrs` are busy; one frees only when a pending fill applies,
+    ///   so the bound is [`next_fill_at`](Self::next_fill_at).
+    /// - L2- and LLC-targeted requests wait while `l2c.mshrs` entries of
+    ///   `l2_inflight` are live (complete after `now`); the bound is the
+    ///   earliest live expiry. A demand-promoted
+    ///   prefetch can leave an entry whose expiry is no pending fill's
+    ///   time, so this is a wake source apart from `next_fill_at`.
+    ///
+    /// [`issue_prefetch`]: Self::issue_prefetch
+    pub(crate) fn prefetch_class_bounds(&self, core: usize, now: u64) -> PrefetchClassBounds {
+        let l1 = if self.l1_prefetch_count[core] >= self.cfg.l1d.mshrs {
+            self.pending.next_at
+        } else {
+            0
+        };
+        let l2 = self.l2_inflight[core].bound(now, self.cfg.l2c.mshrs);
+        PrefetchClassBounds { l1, l2 }
+    }
+
     /// Read-only mirror of [`issue_prefetch`](Self::issue_prefetch)'s gating
     /// for queue-aware cycle skipping: the earliest cycle at which an attempt
     /// to issue `req` could *consume* it (issue or drop-as-redundant) rather
-    /// than be refused with `MshrFull`, assuming no intervening simulation
-    /// activity. `0` means an attempt would consume it right now.
+    /// than be refused, assuming no intervening simulation activity. `0`
+    /// means an attempt would consume it right now. A bound that reaches
+    /// [`next_fill_at`](Self::next_fill_at) may be reported without its
+    /// DRAM part, since the skip target stops at the next fill anyway.
+    /// `class` is
+    /// [`prefetch_class_bounds`](Self::prefetch_class_bounds) of the same
+    /// core and cycle, so per request only the redundancy check and the
+    /// DRAM-channel bound remain.
     ///
     /// The bound is conservative (never later than the true clear time):
     /// while every core is stalled, cache contents, outstanding tables and
     /// DRAM channel backlog are all frozen until the next fill applies, so
     /// the only time-dependent refusals are the ones reproduced here —
-    /// L1 prefetch fill buffers free when a pending fill applies
-    /// ([`next_fill_at`](Self::next_fill_at)), L2 MSHR reservations expire at
-    /// recorded completion times, and the DRAM prefetch-backlog window
+    /// the class bounds above, and the DRAM prefetch-backlog window, which
     /// reopens as the channel bus drains. The skip target additionally
     /// includes `next_fill_at` itself, so a bound that clears only at a fill
     /// is never overshot.
-    pub fn prefetch_block_clear_at(&self, core: usize, req: &PrefetchRequest, now: u64) -> u64 {
-        let block = req.block;
-        let redundant = match req.fill_level {
-            FillLevel::L1 => self.l1d[core].contains(block),
-            FillLevel::L2 => self.l1d[core].contains(block) || self.l2c[core].contains(block),
-            FillLevel::Llc => {
-                self.l1d[core].contains(block)
-                    || self.l2c[core].contains(block)
-                    || self.llc.contains(block)
-            }
-        } || self.l1_outstanding[core].contains(block.raw())
-            || self.l2_pf_inflight[core].contains_key(&block.raw());
-        if redundant {
+    pub(crate) fn prefetch_block_clear_at(
+        &self,
+        core: usize,
+        req: &PrefetchRequest,
+        class: PrefetchClassBounds,
+    ) -> u64 {
+        if self.prefetch_redundant(core, req) {
             return 0;
         }
-
-        let mut clear = 0u64;
-        match req.fill_level {
-            FillLevel::L1 => {
-                if self.l1_prefetch_occupancy(core) >= self.cfg.l1d.mshrs {
-                    // Prefetch fill buffers free only when a fill applies.
-                    clear = clear.max(self.next_pending_at);
-                }
-            }
-            FillLevel::L2 | FillLevel::Llc => {
-                // Live entries are those `issue_prefetch`'s retain would
-                // keep; the earliest expiry is when one MSHR frees. (A
-                // demand-promoted prefetch can leave an entry whose expiry
-                // is not any pending fill's time, so this is a distinct
-                // wake source from `next_fill_at`.)
-                let mut live = 0usize;
-                let mut earliest = u64::MAX;
-                for &r in &self.l2_inflight[core] {
-                    if r > now {
-                        live += 1;
-                        earliest = earliest.min(r);
-                    }
-                }
-                if live >= self.cfg.l2c.mshrs {
-                    clear = clear.max(earliest);
-                }
-            }
+        let class_bound = match req.fill_level {
+            FillLevel::L1 => class.l1,
+            FillLevel::L2 | FillLevel::Llc => class.l2,
+        };
+        // The skip target never passes the next fill, so a bound at or
+        // beyond it needs no DRAM refinement (this skips the lower-level
+        // lookups for every L1 request while the fill buffers are full).
+        if class_bound >= self.pending.next_at || self.prefetch_source(core, req) != HitLevel::Dram
+        {
+            return class_bound;
         }
-
         // Off-chip requests are additionally refused while the DRAM
         // prefetch-backlog window is full; translate the channel's
         // acceptance time from DRAM-arrival space back to issue cycles.
-        if !self.l2c[core].contains(block) && !self.llc.contains(block) {
-            let path = self.cfg.l1d.latency + self.cfg.l2c.latency + self.cfg.llc_per_core.latency;
-            clear = clear.max(self.dram.prefetch_accepted_from(block).saturating_sub(path));
-        }
-        clear
+        let path = self.cfg.l1d.latency + self.cfg.l2c.latency + self.cfg.llc_per_core.latency;
+        class_bound.max(
+            self.dram
+                .prefetch_accepted_from(req.block)
+                .saturating_sub(path),
+        )
     }
 
     /// Flushes all pending fills and accounts still-resident unused
     /// prefetched lines as useless. Call once at the end of a measured run.
+    ///
+    /// Debug builds then check the end-of-run accounting identities: every
+    /// in-flight structure is empty, and every requested prefetch was
+    /// issued or dropped for a counted reason.
     pub fn finalize(&mut self) {
         self.advance_to(u64::MAX);
+        debug_assert!(
+            self.pending.len == 0
+                && self.pending.next_at == u64::MAX
+                && self.pending.prefetch_slot.iter().all(|t| t.len() == 0),
+            "fills still pending after finalize"
+        );
+        debug_assert!(
+            self.l1_outstanding.iter().all(|t| t.len() == 0)
+                && self.l1_demand_count.iter().all(|&n| n == 0)
+                && self.l1_prefetch_count.iter().all(|&n| n == 0),
+            "L1 misses still outstanding after finalize"
+        );
+        debug_assert!(
+            self.l2_pf_inflight.iter().all(|t| t.len() == 0),
+            "L2 prefetches still in flight after finalize"
+        );
+        debug_assert!(
+            self.stats.iter().all(|s| {
+                let p = s.prefetch;
+                p.requested
+                    == p.issued + p.dropped_redundant + p.dropped_queue_full + p.dropped_mshr_full
+            }),
+            "requested prefetches != issued + dropped"
+        );
         if !self.stats_enabled {
             return;
         }
@@ -1113,7 +1273,7 @@ mod tests {
                 0,
                 PrefetchRequest::to_l1(BlockAddr::new(0x10_0000 + i as u64)),
                 0,
-            ) == PrefetchOutcome::MshrFull
+            ) == PrefetchOutcome::Refused(Refusal::L1FillBuffers)
             {
                 deferred += 1;
             }
@@ -1140,11 +1300,13 @@ mod tests {
         let b = BlockAddr::new(0x8000);
         let r = h.demand_access(0, b, false, 0);
         h.advance_to(r.complete_at);
-        let fills = h.take_l1_fills(0);
+        let mut fills = Vec::new();
+        h.take_l1_fills(0, &mut fills);
         assert_eq!(fills.len(), 1);
         assert_eq!(fills[0].block, b);
         assert!(!fills[0].was_prefetch);
-        assert!(h.take_l1_fills(0).is_empty(), "notifications are drained");
+        h.take_l1_fills(0, &mut fills);
+        assert!(fills.is_empty(), "notifications are drained");
     }
 
     #[test]
@@ -1164,7 +1326,7 @@ mod tests {
     fn outstanding_table_matches_a_reference_map_under_churn() {
         // Deterministic LCG churn: interleaved inserts, removes, lookups
         // and mutations, mirrored against std's HashMap.
-        let mut table = OutstandingTable::new();
+        let mut table = OutstandingTable::<Outstanding>::new();
         let mut reference: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut lcg = || {
@@ -1219,8 +1381,8 @@ mod tests {
 
     #[test]
     fn outstanding_table_grows_past_its_initial_capacity() {
-        let mut table = OutstandingTable::new();
-        let n = (OutstandingTable::INITIAL_CAPACITY * 4) as u64;
+        let mut table = OutstandingTable::<Outstanding>::new();
+        let n = (OutstandingTable::<Outstanding>::INITIAL_CAPACITY * 4) as u64;
         for key in 0..n {
             assert!(table
                 .insert(
@@ -1239,6 +1401,97 @@ mod tests {
             assert_eq!(table.remove(key).map(|o| o.ready), Some(key * 10));
         }
         assert_eq!(table.len(), 0);
+    }
+
+    #[test]
+    fn pending_fills_match_a_reference_btreemap_under_churn() {
+        // Deterministic LCG churn over a monotone clock: pushes (at most
+        // one pending prefetch fill per core and block, as the hierarchy
+        // guarantees), promotions through the (core, block) index, and
+        // drains, mirrored by a seq-keyed BTreeMap that promotes by
+        // scanning and drains by minimum (cycle, seq).
+        use std::collections::BTreeMap;
+        let mut fills = PendingFills::new(2);
+        let mut reference: BTreeMap<u64, PendingFill> = BTreeMap::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        let mut state = 0x5eed_f111_u64;
+        let mut lcg = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 16
+        };
+        for step in 0..30_000 {
+            let r = lcg();
+            let core = (r % 2) as usize;
+            let block = BlockAddr::new((r >> 1) % 24);
+            let pending_prefetch = |reference: &BTreeMap<u64, PendingFill>| {
+                reference
+                    .values()
+                    .any(|f| f.core == core && f.block == block && f.is_prefetch)
+            };
+            match (r >> 8) % 6 {
+                0 | 1 => {
+                    let is_prefetch = r & 0x4000 != 0 && !pending_prefetch(&reference);
+                    let fill = PendingFill {
+                        at: now + 1 + (r >> 16) % 200,
+                        core,
+                        block,
+                        is_prefetch,
+                        demand_touched: !is_prefetch,
+                        fill_l1: true,
+                        fill_l2: false,
+                        fill_llc: false,
+                        target: None,
+                    };
+                    fills.push(fill);
+                    reference.insert(seq, fill);
+                    seq += 1;
+                }
+                2 => {
+                    let at = now + 1 + (r >> 16) % 150;
+                    let touch = r & 0x4000 != 0;
+                    fills.promote_prefetch(core, block, at, touch);
+                    for f in reference.values_mut() {
+                        if f.core == core && f.block == block && f.is_prefetch {
+                            f.demand_touched |= touch;
+                            f.at = f.at.min(at);
+                        }
+                    }
+                }
+                3 => now += (r >> 16) % 60,
+                _ => {
+                    now += 1;
+                    loop {
+                        let due = reference
+                            .iter()
+                            .filter(|(_, f)| f.at <= now)
+                            .min_by_key(|(&s, f)| (f.at, s))
+                            .map(|(&s, _)| s);
+                        let got = fills.pop_due(now);
+                        match due {
+                            Some(s) => {
+                                let want = reference.remove(&s).expect("due entry");
+                                let got = got.expect("a fill is due");
+                                assert_eq!(
+                                    (got.at, got.core, got.block, got.demand_touched),
+                                    (want.at, want.core, want.block, want.demand_touched),
+                                    "step {step}"
+                                );
+                            }
+                            None => {
+                                assert!(got.is_none(), "step {step}: nothing is due");
+                                break;
+                            }
+                        }
+                    }
+                    let min = reference.values().map(|f| f.at).min();
+                    assert_eq!(fills.next_at, min.unwrap_or(u64::MAX), "step {step}");
+                }
+            }
+            assert_eq!(fills.len, reference.len(), "step {step}");
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod trace;
 
 pub use config::{CacheConfig, CoreConfig, DramConfig, SimConfig};
 pub use gzt::{GztReader, GztTrace, GztWriter};
-pub use hierarchy::{HitLevel, MemoryHierarchy, PrefetchOutcome};
+pub use hierarchy::{HitLevel, MemoryHierarchy, PrefetchOutcome, Refusal};
 pub use params::{records_for, RunParams};
 pub use stats::{geometric_mean, CacheStats, CoreStats, PrefetchStats, SimReport};
 pub use system::System;

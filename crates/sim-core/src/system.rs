@@ -15,13 +15,14 @@
 use std::collections::VecDeque;
 
 use prefetch_common::access::{AccessKind, DemandAccess};
+use prefetch_common::addr::BlockAddr;
 use prefetch_common::prefetcher::Prefetcher;
 use prefetch_common::request::{FillLevel, PrefetchRequest};
 use prefetch_common::sink::RequestSink;
 
 use crate::config::SimConfig;
 use crate::core::CoreModel;
-use crate::hierarchy::MemoryHierarchy;
+use crate::hierarchy::{L1FillEvent, MemoryHierarchy, PrefetchOutcome, Refusal};
 use crate::stats::{CoreStats, SimReport};
 use crate::trace::{TraceReader, TraceRecord, TraceSource};
 
@@ -38,11 +39,39 @@ struct PerCore<'t> {
     /// Reusable request buffer for this core's prefetcher hooks — the hot
     /// path never allocates.
     sink: RequestSink,
+    /// Reusable buffers the hierarchy's L1 fill and eviction notifications
+    /// are swapped into each cycle.
+    fills: Vec<L1FillEvent>,
+    evictions: Vec<BlockAddr>,
     pending: Option<(TraceRecord, u32)>,
     instr_id: u64,
     measured_cycles: Option<u64>,
     measure_start_cycle: u64,
     measured_instructions: u64,
+}
+
+/// Deterministic counts of the prefetch issue path and of the skip
+/// target's work, accumulated in plain fields (the per-cycle loop touches
+/// no shared atomics) and published once per [`System::run`]. They
+/// describe host work, not the simulated machine: a skipped and an
+/// unskipped run of one system differ here while their reports match, so
+/// they never enter a [`SimReport`] or a stored record.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IssueCounters {
+    /// Prefetch-queue requests handed to the hierarchy for issue.
+    pub attempts: u64,
+    /// Attempts refused, indexed like [`Refusal::ALL`]: L1 prefetch fill
+    /// buffers busy, L2 MSHRs busy, DRAM prefetch backlog full.
+    pub refused: [u64; 3],
+    /// Queued requests whose wake bound the skip target computed.
+    pub skip_evaluations: u64,
+}
+
+impl IssueCounters {
+    /// Attempts refused for `reason`.
+    pub fn refused(&self, reason: Refusal) -> u64 {
+        self.refused[reason as usize]
+    }
 }
 
 /// A complete simulated machine executing one trace per core.
@@ -62,10 +91,12 @@ pub struct System<'t> {
     /// failure path, not recovered idle time, and must not inflate the
     /// skip-engagement numbers the metrics and the benchmark report.
     cycles_wedged: u64,
+    issue: IssueCounters,
     /// Watermarks of what has already been folded into the process-global
     /// metrics, so the public getters can stay cumulative across runs.
     published_stepped: u64,
     published_skipped: u64,
+    published_issue: IssueCounters,
 }
 
 impl<'t> System<'t> {
@@ -109,6 +140,8 @@ impl<'t> System<'t> {
                 l2_prefetcher: None,
                 prefetch_queue: VecDeque::new(),
                 sink: RequestSink::new(),
+                fills: Vec::new(),
+                evictions: Vec::new(),
                 pending: None,
                 instr_id: 0,
                 measured_cycles: None,
@@ -125,8 +158,10 @@ impl<'t> System<'t> {
             cycles_stepped: 0,
             cycles_skipped: 0,
             cycles_wedged: 0,
+            issue: IssueCounters::default(),
             published_stepped: 0,
             published_skipped: 0,
+            published_issue: IssueCounters::default(),
         }
     }
 
@@ -192,11 +227,13 @@ impl<'t> System<'t> {
         let mut progress = false;
 
         // 1. Deliver fill / eviction notifications to the L1 prefetcher.
-        for fill in self.hierarchy.take_l1_fills(idx) {
+        self.hierarchy.take_l1_fills(idx, &mut pc.fills);
+        for fill in &pc.fills {
             pc.l1_prefetcher.on_fill(fill.block, fill.was_prefetch);
             progress = true;
         }
-        for block in self.hierarchy.take_l1_evictions(idx) {
+        self.hierarchy.take_l1_evictions(idx, &mut pc.evictions);
+        for &block in &pc.evictions {
             pc.l1_prefetcher.on_evict(block);
             progress = true;
         }
@@ -312,9 +349,9 @@ impl<'t> System<'t> {
             let Some(req) = pc.prefetch_queue.pop_front() else {
                 break;
             };
-            if self.hierarchy.issue_prefetch(idx, req, now)
-                == crate::hierarchy::PrefetchOutcome::MshrFull
-            {
+            self.issue.attempts += 1;
+            if let PrefetchOutcome::Refused(reason) = self.hierarchy.issue_prefetch(idx, req, now) {
+                self.issue.refused[reason as usize] += 1;
                 pc.prefetch_queue.push_back(req);
             } else {
                 progress = true;
@@ -335,10 +372,10 @@ impl<'t> System<'t> {
     /// before the returned one is a provable no-op (queued prefetches only
     /// rotate), so the clock may jump there. `None` means no event is
     /// scheduled at all (the simulation is wedged).
-    fn next_issue_cycle(&self) -> Option<u64> {
+    fn next_issue_cycle(&mut self) -> Option<u64> {
         let now = self.cycle;
         let mut next = self.hierarchy.next_fill_at().unwrap_or(u64::MAX);
-        for pc in &self.cores {
+        for pc in &mut self.cores {
             if let Some(t) = pc.core.next_event_at(now) {
                 next = next.min(t);
             }
@@ -352,21 +389,36 @@ impl<'t> System<'t> {
         // Queued prefetches: request at queue position `p` gets its next
         // issue attempt at `now + 1 + p / width` (each futile cycle attempts
         // and rotates exactly `width` requests), but the attempt can only
-        // consume the request once its hierarchy-side refusal clears.
+        // consume the request once its hierarchy-side refusal clears. The
+        // fill-buffer and MSHR bounds are per core, so they are computed
+        // once per core; each request adds its redundancy check and DRAM
+        // bound.
         let width = self.cfg.prefetch_issue_width;
+        if width == 0 {
+            // Queued requests can never issue.
+            return (next != u64::MAX).then_some(next);
+        }
         for (idx, pc) in self.cores.iter().enumerate() {
-            for (pos, req) in pc.prefetch_queue.iter().enumerate() {
-                let Some(batch) = pos.checked_div(width) else {
-                    // Zero issue width: queued requests can never issue.
-                    break;
-                };
-                let attempt = now + 1 + batch as u64;
+            if pc.prefetch_queue.is_empty() || now + 1 >= next {
+                continue;
+            }
+            let class = self.hierarchy.prefetch_class_bounds(idx, now);
+            // `attempt` is `now + 1 + pos / width`, advanced batch by batch.
+            let mut attempt = now + 1;
+            let mut batch_left = width;
+            for req in &pc.prefetch_queue {
+                if batch_left == 0 {
+                    attempt += 1;
+                    batch_left = width;
+                }
+                batch_left -= 1;
                 if attempt >= next {
                     // Attempt times grow with the position; nothing
                     // further back can beat the current bound.
                     break;
                 }
-                let clear = self.hierarchy.prefetch_block_clear_at(idx, req, now);
+                self.issue.skip_evaluations += 1;
+                let clear = self.hierarchy.prefetch_block_clear_at(idx, req, class);
                 next = next.min(attempt.max(clear));
             }
         }
@@ -477,7 +529,7 @@ impl<'t> System<'t> {
         self.hierarchy.reset_stats();
         self.run_phase(measured, true);
         self.hierarchy.finalize();
-        self.publish_cycle_metrics();
+        self.publish_metrics();
 
         let cores = self
             .cores
@@ -522,32 +574,69 @@ impl<'t> System<'t> {
         self.cycles_wedged
     }
 
-    /// Folds cycle counts accumulated since the previous publication into
-    /// the process-global metrics (`gaze_sim_cycles_*_total`). Two atomic
-    /// adds per `run`, nothing per cycle — and purely observational, so
-    /// simulation output stays bit-exact. Wedge jumps are never published:
-    /// they would inflate the skip totals right before the wedge panic.
-    fn publish_cycle_metrics(&mut self) {
+    /// Prefetch issue and skip-target counts since construction.
+    pub fn issue_counters(&self) -> IssueCounters {
+        self.issue
+    }
+
+    /// Folds the cycle and issue counts accumulated since the previous
+    /// publication into the process-global metrics
+    /// (`gaze_sim_cycles_*_total`, `gaze_sim_prefetch_*_total`,
+    /// `gaze_sim_skip_evaluations_total`). Seven atomic adds per `run`,
+    /// nothing per cycle — and purely observational, so simulation output
+    /// stays bit-exact. Wedge jumps are never published: they would inflate
+    /// the skip totals right before the wedge panic.
+    fn publish_metrics(&mut self) {
+        use gaze_obs::metrics::Counter;
         use std::sync::OnceLock;
-        static CYCLES: OnceLock<(gaze_obs::metrics::Counter, gaze_obs::metrics::Counter)> =
-            OnceLock::new();
-        let (stepped, skipped) = CYCLES.get_or_init(|| {
+        struct Published {
+            stepped: Counter,
+            skipped: Counter,
+            attempts: Counter,
+            refused: [Counter; 3],
+            skip_evaluations: Counter,
+        }
+        static METRICS: OnceLock<Published> = OnceLock::new();
+        let m = METRICS.get_or_init(|| {
             let reg = gaze_obs::metrics::registry();
-            (
-                reg.counter(
+            Published {
+                stepped: reg.counter(
                     "gaze_sim_cycles_stepped_total",
                     "Simulator cycles advanced one at a time",
                 ),
-                reg.counter(
+                skipped: reg.counter(
                     "gaze_sim_cycles_skipped_total",
                     "Simulator cycles fast-forwarded by event-driven skipping",
                 ),
-            )
+                attempts: reg.counter(
+                    "gaze_sim_prefetch_attempts_total",
+                    "Prefetch-queue requests handed to the hierarchy for issue",
+                ),
+                refused: Refusal::ALL.map(|reason| {
+                    reg.counter_with(
+                        "gaze_sim_prefetch_refusals_total",
+                        "Prefetch issue attempts refused and requeued, by reason",
+                        &[("reason", reason.label())],
+                    )
+                }),
+                skip_evaluations: reg.counter(
+                    "gaze_sim_skip_evaluations_total",
+                    "Queued prefetch requests whose wake bound the skip target computed",
+                ),
+            }
         });
-        stepped.add(self.cycles_stepped - self.published_stepped);
-        skipped.add(self.cycles_skipped - self.published_skipped);
+        let (issue, seen) = (self.issue, self.published_issue);
+        m.stepped.add(self.cycles_stepped - self.published_stepped);
+        m.skipped.add(self.cycles_skipped - self.published_skipped);
+        m.attempts.add(issue.attempts - seen.attempts);
+        for (i, counter) in m.refused.iter().enumerate() {
+            counter.add(issue.refused[i] - seen.refused[i]);
+        }
+        m.skip_evaluations
+            .add(issue.skip_evaluations - seen.skip_evaluations);
         self.published_stepped = self.cycles_stepped;
         self.published_skipped = self.cycles_skipped;
+        self.published_issue = issue;
     }
 }
 
@@ -845,5 +934,93 @@ mod tests {
             skipped.cycles_stepped() + skipped.cycles_skipped(),
             unskipped.cycles_stepped()
         );
+    }
+
+    /// Skip-vs-unskipped exactness for one system constructor: reports,
+    /// final cycle and the stepped/skipped identity. Returns the skipped
+    /// run's issue counters.
+    fn assert_skip_exact<'t>(mk: &dyn Fn() -> System<'t>, what: &str) -> IssueCounters {
+        let mut skipped = mk();
+        let mut unskipped = mk();
+        unskipped.set_cycle_skip(false);
+        let a = skipped.run(1_000, 8_000);
+        let b = unskipped.run(1_000, 8_000);
+        assert_eq!(a, b, "{what}: skipped run diverged");
+        assert_eq!(skipped.cycle(), unskipped.cycle(), "{what}: final cycle");
+        assert!(skipped.cycles_skipped() > 0, "{what}: skip never engaged");
+        assert_eq!(
+            skipped.cycles_stepped() + skipped.cycles_skipped(),
+            unskipped.cycles_stepped(),
+            "{what}: stepped + skipped"
+        );
+        let counters = skipped.issue_counters();
+        assert!(counters.skip_evaluations > 0, "{what}: no skip evaluations");
+        counters
+    }
+
+    /// An L2-attached prefetcher queues L2-clamped requests, so the skip
+    /// target's hoisted L2-MSHR bound (not the L1 fill-buffer bound) gates
+    /// them; skipping must stay exact.
+    #[test]
+    fn skip_is_exact_with_an_l2_attached_prefetcher() {
+        let random = random_ish_trace(3000);
+        let counters = assert_skip_exact(
+            &|| {
+                let mut sys = System::single_core(
+                    SimConfig::paper_single_core(),
+                    &random,
+                    Box::new(NextLine {
+                        degree: 4,
+                        l1_degree: 4,
+                    }),
+                );
+                sys.set_l2_prefetcher(
+                    0,
+                    Box::new(NextLine {
+                        degree: 24,
+                        l1_degree: 0,
+                    }),
+                );
+                sys
+            },
+            "l2-attached",
+        );
+        assert!(counters.refused(Refusal::L2Mshrs) > 0, "{counters:?}");
+    }
+
+    /// Four cores of aggressive prefetching saturate every refusal class:
+    /// L1 fill buffers, L2 MSHRs and the shared DRAM channel's prefetch
+    /// backlog. Each reason must occur, so every branch of the skip
+    /// target's wake bound is exercised, and skipping must stay exact.
+    #[test]
+    fn skip_is_exact_when_four_cores_hit_every_refusal_reason() {
+        let stream = streaming_trace(3000);
+        let random = random_ish_trace(3000);
+        let counters = assert_skip_exact(
+            &|| {
+                System::new(
+                    SimConfig::paper_multi_core(4),
+                    vec![&stream as &dyn TraceSource, &random, &stream, &random],
+                    (0..4)
+                        .map(|_| {
+                            Box::new(NextLine {
+                                degree: 32,
+                                l1_degree: 8,
+                            }) as Box<dyn Prefetcher>
+                        })
+                        .collect(),
+                )
+            },
+            "4-core aggressive",
+        );
+        for reason in Refusal::ALL {
+            assert!(
+                counters.refused(reason) > 0,
+                "{} never refused: {counters:?}",
+                reason.label()
+            );
+        }
+        let refused: u64 = counters.refused.iter().sum();
+        assert!(counters.attempts > refused, "{counters:?}");
     }
 }
