@@ -81,11 +81,16 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
 struct MapBinding {
     name: String,
     line: usize,
+    /// The binding is a `Vec` of maps (`name: Vec<HashMap<…>>`, e.g. one
+    /// map per core): iterating an element (`name[i]`) runs in hash
+    /// order, iterating the `Vec` itself does not.
+    elements: bool,
 }
 
 /// Heuristically collects identifiers bound to `HashMap`/`HashSet` in
-/// this file: `name: HashMap<...>` (fields, params, typed lets) and
-/// `let [mut] name = HashMap::new/with_capacity/from/default`.
+/// this file: `name: HashMap<...>` (fields, params, typed lets),
+/// `name: Vec<HashMap<...>>` and `let [mut] name =
+/// HashMap::new/with_capacity/from/default`.
 fn collect_map_bindings(file: &SourceFile) -> Vec<MapBinding> {
     let mut names: Vec<MapBinding> = Vec::new();
     for (idx, line) in file.lex.code.iter().enumerate() {
@@ -96,10 +101,12 @@ fn collect_map_bindings(file: &SourceFile) -> Vec<MapBinding> {
                     .strip_suffix("std::collections::")
                     .map(str::trim_end)
                     .unwrap_or(before);
-                if let Some(name) = collect_binding(before, line, pos) {
+                let vec_of = before.strip_suffix("Vec<").map(str::trim_end);
+                if let Some(name) = collect_binding(vec_of.unwrap_or(before), line, pos) {
                     names.push(MapBinding {
                         name,
                         line: idx + 1,
+                        elements: vec_of.is_some(),
                     });
                 }
             }
@@ -143,7 +150,8 @@ fn last_identifier(text: &str) -> Option<String> {
 }
 
 /// Flags hash-order iteration: map-specific calls anywhere, and generic
-/// iteration (`.iter()`, `for … in`) on identifiers known to be maps.
+/// iteration (`.iter()`, `for … in`) on identifiers known to be maps or
+/// on elements of identifiers known to be `Vec`s of maps.
 fn check_map_iteration(
     file: &SourceFile,
     bindings: &[MapBinding],
@@ -177,19 +185,24 @@ fn check_map_iteration(
     if flagged {
         return;
     }
-    let mut seen: Vec<&str> = Vec::new();
+    let mut seen: Vec<(&str, bool)> = Vec::new();
     for binding in bindings {
         let name = binding.name.as_str();
-        if seen.contains(&name) {
+        let elements = binding.elements;
+        if seen.contains(&(name, elements)) {
             continue;
         }
-        seen.push(name);
-        if !binding_applies(file, bindings, name, lineno) {
+        seen.push((name, elements));
+        if !binding_applies(file, bindings, name, elements, lineno) {
             continue;
         }
-        let method_hit = NAMED_ITER.iter().any(|m| occurs_as_receiver(line, name, m));
-        let for_hit = line.contains("for ") && in_for_source(line, name);
-        if method_hit || for_hit {
+        let hit = if elements {
+            element_iterated(line, name)
+        } else {
+            NAMED_ITER.iter().any(|m| occurs_as_receiver(line, name, m))
+                || (line.contains("for ") && in_for_source(line, name))
+        };
+        if hit {
             out.push(Finding {
                 path: file.path.clone(),
                 line: lineno,
@@ -205,21 +218,30 @@ fn check_map_iteration(
     }
 }
 
-/// Whether the map binding for `name` is in force at `lineno`.
+/// Whether a map binding for `name` of the given kind (a map, or a `Vec`
+/// of maps when `elements` is set) is in force at `lineno`.
 ///
 /// A binding made inside the enclosing function wins. Otherwise, if the
 /// function locally binds `name` to something this pass could not prove
-/// is a map (a `name: …` parameter or typed let, or any `let [mut]
-/// name`), the file-level binding is shadowed and does not apply. Only
-/// then does a file-level binding — a struct field — reach the line.
-fn binding_applies(file: &SourceFile, bindings: &[MapBinding], name: &str, lineno: usize) -> bool {
+/// is of that kind (a `name: …` parameter or typed let, or any `let
+/// [mut] name`), the file-level binding is shadowed and does not apply.
+/// Only then does a file-level binding — a struct field — reach the line.
+fn binding_applies(
+    file: &SourceFile,
+    bindings: &[MapBinding],
+    name: &str,
+    elements: bool,
+    lineno: usize,
+) -> bool {
+    let same_kind = |b: &&MapBinding| b.name == name && b.elements == elements;
     let Some(region) = file.enclosing_fn(lineno) else {
         // Not inside any fn (e.g. a const initializer): any binding counts.
-        return bindings.iter().any(|b| b.name == name);
+        return bindings.iter().any(|b| same_kind(&b));
     };
     let local_map = bindings
         .iter()
-        .any(|b| b.name == name && region.start_line <= b.line && b.line <= region.end_line);
+        .filter(same_kind)
+        .any(|b| region.start_line <= b.line && b.line <= region.end_line);
     if local_map {
         return true;
     }
@@ -228,7 +250,8 @@ fn binding_applies(file: &SourceFile, bindings: &[MapBinding], name: &str, linen
     }
     bindings
         .iter()
-        .any(|b| b.name == name && file.enclosing_fn(b.line).is_none())
+        .filter(same_kind)
+        .any(|b| file.enclosing_fn(b.line).is_none())
 }
 
 /// Whether `text` (a function's masked source) binds `name` locally:
@@ -269,6 +292,37 @@ fn occurs_as_receiver(line: &str, name: &str, method: &str) -> bool {
         }
     }
     false
+}
+
+/// Whether `line` iterates an element of `name`, a `Vec` of maps: an
+/// iterating call on `name[…]`, or `name[…]` as the whole source of a
+/// `for … in` (`for (k, v) in &name[i] {`). Iterating `name` itself
+/// walks the `Vec` in index order and is not flagged.
+fn element_iterated(line: &str, name: &str) -> bool {
+    let for_source = line
+        .find(" in ")
+        .filter(|_| line.contains("for "))
+        .map(|pos| pos + 4);
+    token_positions(line, name).into_iter().any(|pos| {
+        let Some(index) = line[pos + name.len()..].strip_prefix('[') else {
+            return false;
+        };
+        let mut depth = 1usize;
+        let Some(close) = index.find(|c| {
+            match c {
+                '[' => depth += 1,
+                ']' => depth -= 1,
+                _ => {}
+            }
+            depth == 0
+        }) else {
+            return false;
+        };
+        let tail = &index[close + 1..];
+        let whole_for_source = for_source.is_some_and(|src| src <= pos)
+            && (tail.trim().is_empty() || tail.trim_start().starts_with('{'));
+        whole_for_source || NAMED_ITER.iter().any(|m| tail.starts_with(m))
+    })
 }
 
 /// Whether `name` appears (word-bounded) in the source of a `for … in`.

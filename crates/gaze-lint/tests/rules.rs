@@ -88,6 +88,49 @@ impl S {
     assert_eq!(findings, vec![("map_iteration", 6)]);
 }
 
+#[test]
+fn map_iteration_flags_elements_of_a_vec_of_maps() {
+    let src = "\
+pub struct S {
+    per_core: Vec<std::collections::HashMap<u64, u64>>,
+}
+impl S {
+    pub fn tick(&mut self, core: usize) -> u64 {
+        let a: u64 = self.per_core[core].iter().map(|(k, _)| *k).sum();
+        let mut b = 0;
+        for (k, _) in &self.per_core[core] {
+            b += *k;
+        }
+        a + b
+    }
+}
+";
+    let findings = fired(&[("crates/sim-core/src/x.rs", src)], &no_docs());
+    assert_eq!(findings, vec![("map_iteration", 6), ("map_iteration", 8)]);
+}
+
+#[test]
+fn map_iteration_ignores_iterating_the_vec_of_maps_itself() {
+    let src = "\
+pub struct S {
+    per_core: Vec<std::collections::HashMap<u64, u64>>,
+}
+impl S {
+    pub fn idle(&self) -> bool {
+        let mut n = 0;
+        for map in &self.per_core {
+            n += map.len();
+        }
+        for i in 0..self.per_core[0].len() {
+            n += i;
+        }
+        n == 0 && self.per_core.iter().all(|m| m.is_empty())
+    }
+}
+";
+    assert!(fired(&[("crates/sim-core/src/x.rs", src)], &no_docs()).is_empty());
+}
+
 // ----------------------------------------------------------- fault_coverage
 
 #[test]

@@ -77,19 +77,21 @@ impl ExperimentScale {
     }
 
     /// Looks up a named scale (`test`, `quick`, `bench`/`full`, `paper`),
-    /// matching the CLI flags and `GAZE_SCALE` values. `test` is the tiny
-    /// budget the integration tests use (one workload per suite).
+    /// matching the CLI flags and `GAZE_SCALE` values: the params come
+    /// from [`RunParams::named_scale`], so every CLI accepts the same
+    /// names. `test` is the tiny budget the integration tests use (one
+    /// workload per suite).
     pub fn named(name: &str) -> Option<Self> {
-        match name {
-            "test" => Some(ExperimentScale {
-                params: RunParams::test(),
-                workloads_per_suite: 1,
-            }),
-            "quick" => Some(Self::quick()),
-            "bench" | "full" => Some(Self::default_bench()),
-            "paper" => Some(Self::paper()),
-            _ => None,
-        }
+        let params = RunParams::named_scale(name)?;
+        let workloads_per_suite = match name {
+            "test" => 1,
+            "quick" => Self::quick().workloads_per_suite,
+            _ => usize::MAX,
+        };
+        Some(ExperimentScale {
+            params,
+            workloads_per_suite,
+        })
     }
 }
 
@@ -144,6 +146,50 @@ pub fn run_experiment(name: &str, scale: &ExperimentScale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_names_match_the_run_params_table() {
+        let candidates = [
+            "test",
+            "quick",
+            "bench",
+            "full",
+            "paper",
+            "experiment",
+            "Quick",
+            "",
+            "nope",
+        ];
+        let scales: Vec<&str> = candidates
+            .into_iter()
+            .filter(|name| ExperimentScale::named(name).is_some())
+            .collect();
+        let params: Vec<&str> = candidates
+            .into_iter()
+            .filter(|name| RunParams::named_scale(name).is_some())
+            .collect();
+        assert_eq!(scales, ["test", "quick", "bench", "full", "paper"]);
+        assert_eq!(params, scales);
+        for name in scales {
+            assert_eq!(
+                ExperimentScale::named(name).map(|s| s.params.fingerprint()),
+                RunParams::named_scale(name).map(|p| p.fingerprint()),
+                "{name}"
+            );
+        }
+        assert_eq!(
+            ExperimentScale::named("test").unwrap().workloads_per_suite,
+            1
+        );
+        assert_eq!(
+            ExperimentScale::named("quick").unwrap().workloads_per_suite,
+            2
+        );
+        assert_eq!(
+            ExperimentScale::named("full").unwrap().workloads_per_suite,
+            usize::MAX
+        );
+    }
 
     #[test]
     fn experiment_registry_covers_every_figure_and_table() {

@@ -91,8 +91,9 @@ pub fn is_valid_prefetcher(name: &str) -> bool {
 ///
 /// Besides the evaluated baselines, the Gaze ablation variants of Fig. 4 /
 /// Fig. 9 / Fig. 10 are available (`gaze-k1..k4`, `gaze-pht`, `offset`,
-/// `pht4ss`, `sm4ss`), plus `vgaze-<region KB>` (e.g. `vgaze-16`) and
-/// `gaze-pht<entries>` (e.g. `gaze-pht512`) for the sensitivity sweeps.
+/// `pht4ss`, `sm4ss`), plus `vgaze-<region KB>` (e.g. `vgaze-16`),
+/// `gaze-pht-<entries>` (e.g. `gaze-pht-512`) and `gaze-region-<bytes>`
+/// (e.g. `gaze-region-4096`) for the sensitivity sweeps.
 ///
 /// # Panics
 ///

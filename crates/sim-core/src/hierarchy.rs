@@ -10,7 +10,8 @@
 //! time, which is how useless prefetch traffic hurts co-running cores.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use prefetch_common::addr::BlockAddr;
 use prefetch_common::request::{FillLevel, PrefetchRequest};
@@ -110,176 +111,39 @@ pub struct L1FillEvent {
     pub was_prefetch: bool,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Outstanding {
     ready: u64,
     is_prefetch: bool,
     demand_touched: bool,
 }
 
-/// Open-addressed map from block number to a `V` (an outstanding L1
-/// miss, an in-flight L2 prefetch's completion cycle, or the slot of a
-/// pending prefetch fill): linear probing, Fibonacci hashing, and
-/// backward-shift deletion (no tombstones), sized to a power of two and
-/// doubled at 7/8 load.
-///
-/// This sits on the per-access hot path (every demand access and every
-/// prefetch issue probes it at least once), where it replaces a
-/// `HashMap<u64, V>`: entries live in one flat slot array, so a probe is
-/// one multiply plus a short linear scan with no SipHash and no
-/// per-entry indirection. All operations are deterministic, and the only
-/// iteration ([`min_ready`](Self::min_ready)) computes an
-/// order-independent minimum, so simulations stay bit-exact (guarded by
-/// the determinism integration tests).
-#[derive(Debug)]
-struct OutstandingTable<V> {
-    /// Slot keys (block numbers); [`Self::EMPTY`] marks a free slot.
-    /// Block numbers are byte addresses shifted right by the line bits,
-    /// so the sentinel can never collide with a real key.
-    keys: Vec<u64>,
-    entries: Vec<V>,
-    mask: usize,
-    /// `64 - log2(capacity)`: the home slot is the top bits of the hash.
-    shift: u32,
-    len: usize,
-}
+/// Builds [`BlockHasher`]s: the hasher of every block-number-keyed map in
+/// the hierarchy.
+type BlockHash = BuildHasherDefault<BlockHasher>;
 
-impl<V: Copy + Default> OutstandingTable<V> {
-    const EMPTY: u64 = u64::MAX;
-    const INITIAL_CAPACITY: usize = 64;
+/// Hashes a block number with one multiply (Fibonacci hashing) instead of
+/// SipHash: these maps are probed on every demand access and prefetch
+/// issue. `HashMap` picks the bucket from the low bits, so the high half
+/// of the product, where the multiply mixes best, is folded into them.
+/// No random seed, so every run probes and grows the maps identically.
+/// Keys come from traces, so a trace crafted to collide can only slow its
+/// own simulation down.
+#[derive(Debug, Default)]
+struct BlockHasher(u64);
 
-    fn new() -> Self {
-        OutstandingTable {
-            keys: vec![Self::EMPTY; Self::INITIAL_CAPACITY],
-            entries: vec![V::default(); Self::INITIAL_CAPACITY],
-            mask: Self::INITIAL_CAPACITY - 1,
-            shift: 64 - Self::INITIAL_CAPACITY.trailing_zeros(),
-            len: 0,
-        }
+impl Hasher for BlockHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("block-keyed maps hash only u64 block numbers");
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn write_u64(&mut self, block: u64) {
+        let product = block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = product ^ (product >> 32);
     }
 
-    /// The home slot of a key: Fibonacci hashing spreads consecutive
-    /// block numbers across the table, then the high bits select a slot.
-    fn home(&self, key: u64) -> usize {
-        let hash = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (hash >> self.shift) as usize
-    }
-
-    fn find(&self, key: u64) -> Option<usize> {
-        let mut i = self.home(key);
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                return Some(i);
-            }
-            if k == Self::EMPTY {
-                return None;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn contains(&self, key: u64) -> bool {
-        self.find(key).is_some()
-    }
-
-    fn get(&self, key: u64) -> Option<V> {
-        self.find(key).map(|i| self.entries[i])
-    }
-
-    fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        self.find(key).map(|i| &mut self.entries[i])
-    }
-
-    fn insert(&mut self, key: u64, entry: V) -> Option<V> {
-        debug_assert_ne!(key, Self::EMPTY, "block number collides with sentinel");
-        // Grow before the probe so the table never saturates (a full
-        // table would loop forever) and stays below 7/8 load.
-        if (self.len + 1) * 8 > self.keys.len() * 7 {
-            self.grow();
-        }
-        let mut i = self.home(key);
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                return Some(std::mem::replace(&mut self.entries[i], entry));
-            }
-            if k == Self::EMPTY {
-                self.keys[i] = key;
-                self.entries[i] = entry;
-                self.len += 1;
-                return None;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn remove(&mut self, key: u64) -> Option<V> {
-        let mut i = self.find(key)?;
-        let removed = self.entries[i];
-        self.len -= 1;
-        // Backward-shift deletion: walk the probe chain after the hole
-        // and slide every entry whose home slot lies cyclically outside
-        // (i, j] back into the hole, keeping lookups tombstone-free.
-        let mut j = i;
-        loop {
-            j = (j + 1) & self.mask;
-            let k = self.keys[j];
-            if k == Self::EMPTY {
-                break;
-            }
-            let home = self.home(k);
-            let in_gap = if i <= j {
-                i < home && home <= j
-            } else {
-                i < home || home <= j
-            };
-            if !in_gap {
-                self.keys[i] = k;
-                self.entries[i] = self.entries[j];
-                i = j;
-            }
-        }
-        self.keys[i] = Self::EMPTY;
-        Some(removed)
-    }
-
-    fn grow(&mut self) {
-        let new_cap = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![Self::EMPTY; new_cap]);
-        let old_entries = std::mem::replace(&mut self.entries, vec![V::default(); new_cap]);
-        self.mask = new_cap - 1;
-        self.shift = 64 - new_cap.trailing_zeros();
-        self.len = 0;
-        for (key, entry) in old_keys.into_iter().zip(old_entries) {
-            if key != Self::EMPTY {
-                self.insert(key, entry);
-            }
-        }
-    }
-}
-
-impl OutstandingTable<Outstanding> {
-    /// The minimum `ready` cycle over all entries (`None` when empty).
-    fn min_ready(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut min = None;
-        for (i, &k) in self.keys.iter().enumerate() {
-            if k != Self::EMPTY {
-                let ready = self.entries[i].ready;
-                min = Some(match min {
-                    Some(m) if m <= ready => m,
-                    _ => ready,
-                });
-            }
-        }
-        min
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -354,118 +218,81 @@ struct PendingFill {
 }
 
 /// The cache fills in flight, applied in (completion cycle, insertion
-/// seq) order.
+/// seq) order: the stable sort-by-completion order, so LRU state evolves
+/// bit-exactly.
 ///
-/// Fills live in a slab (`slots`, reused through a free list); a min-heap
-/// of `(cycle, seq, slot)` handles orders them, which is exactly the
-/// stable sort-by-completion order, so LRU state evolves bit-exactly.
-/// Promoting a fill (lowering its cycle) pushes a fresh handle at the
-/// lowered cycle with the same seq; the superseded handle turns stale and
-/// is skipped when it surfaces, because by then the fill has been applied
-/// and its slot is free or holds a later seq. A per-core index maps a
-/// block to the slot of its pending *prefetch* fill, so promotion is a
-/// lookup, not a scan. A core has at most one pending prefetch fill per
-/// block: `issue_prefetch` drops a request as redundant while the block
-/// is in `l1_outstanding` or `l2_pf_inflight`, and both stay set until
-/// that fill applies.
+/// Promoting a fill (lowering its cycle) moves it to the lowered cycle
+/// with the same seq. A per-core index maps a block to the key of its
+/// pending *prefetch* fill, so promotion is a lookup, not a scan. A core
+/// has at most one pending prefetch fill per block: `issue_prefetch`
+/// drops a request as redundant while the block is in `l1_outstanding`
+/// or `l2_pf_inflight`, and both stay set until that fill applies.
 #[derive(Debug)]
 struct PendingFills {
-    /// `(seq, fill)` per slot; `None` marks a free slot.
-    slots: Vec<Option<(u64, PendingFill)>>,
-    free: Vec<u32>,
-    queue: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// Per core: block number -> slot of its pending prefetch fill.
-    prefetch_slot: Vec<OutstandingTable<u32>>,
-    /// Monotone insertion counter feeding the heap's tie-breaking.
+    /// Fills keyed by `(completion cycle, insertion seq)`.
+    queue: BTreeMap<(u64, u64), PendingFill>,
+    /// Per core: block number -> queue key of its pending prefetch fill.
+    prefetch_key: Vec<HashMap<u64, (u64, u64), BlockHash>>,
+    /// Monotone insertion counter breaking completion-cycle ties.
     next_seq: u64,
-    /// Minimum completion cycle over live fills (`u64::MAX` when none).
-    /// Pushes and promotions keep it exact; while [`pop_due`] drains it
-    /// may lag behind (never ahead of) the true minimum, and the draining
-    /// call that returns `None` makes it exact again.
-    ///
-    /// [`pop_due`]: Self::pop_due
+    /// The first queue key's completion cycle (`u64::MAX` when empty),
+    /// cached because every access reads it.
     next_at: u64,
-    len: usize,
 }
 
 impl PendingFills {
     fn new(cores: usize) -> Self {
         PendingFills {
-            slots: Vec::new(),
-            free: Vec::new(),
-            queue: BinaryHeap::new(),
-            prefetch_slot: (0..cores).map(|_| OutstandingTable::new()).collect(),
+            queue: BTreeMap::new(),
+            prefetch_key: (0..cores).map(|_| HashMap::default()).collect(),
             next_seq: 0,
             next_at: u64::MAX,
-            len: 0,
         }
     }
 
     fn push(&mut self, fill: PendingFill) {
-        let seq = self.next_seq;
+        let key = (fill.at, self.next_seq);
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some((seq, fill));
-                slot
-            }
-            None => {
-                self.slots.push(Some((seq, fill)));
-                (self.slots.len() - 1) as u32
-            }
-        };
         if fill.is_prefetch {
-            let prev = self.prefetch_slot[fill.core].insert(fill.block.raw(), slot);
+            let prev = self.prefetch_key[fill.core].insert(fill.block.raw(), key);
             debug_assert!(prev.is_none(), "two pending prefetch fills of one block");
         }
-        self.len += 1;
         self.next_at = self.next_at.min(fill.at);
-        self.queue.push(Reverse((fill.at, seq, slot)));
+        self.queue.insert(key, fill);
     }
 
     /// Lowers the completion cycle of `core`'s pending prefetch fill of
     /// `block` to `at` if that is earlier, first marking it demand-touched
     /// when `touch` is set. No-op when no such fill is pending.
     fn promote_prefetch(&mut self, core: usize, block: BlockAddr, at: u64, touch: bool) {
-        let Some(slot) = self.prefetch_slot[core].get(block.raw()) else {
+        let Some(key) = self.prefetch_key[core].get_mut(&block.raw()) else {
             return;
         };
-        let (seq, fill) = self.slots[slot as usize]
-            .as_mut()
-            .expect("indexed slot is live");
+        let mut fill = self.queue.remove(key).expect("indexed fill is pending");
         fill.demand_touched |= touch;
         if at < fill.at {
             fill.at = at;
             // The original seq keeps equal-cycle ordering stable.
-            self.queue.push(Reverse((at, *seq, slot)));
+            key.0 = at;
             self.next_at = self.next_at.min(at);
         }
+        self.queue.insert(*key, fill);
     }
 
     /// Removes and returns the earliest fill due at or before `now`.
     fn pop_due(&mut self, now: u64) -> Option<PendingFill> {
-        while let Some(&Reverse((at, seq, slot))) = self.queue.peek() {
-            let live = matches!(self.slots[slot as usize], Some((s, _)) if s == seq);
-            if !live {
-                self.queue.pop();
-                continue;
-            }
-            if at > now {
-                self.next_at = at;
-                return None;
-            }
-            self.queue.pop();
-            let (_, fill) = self.slots[slot as usize].take().expect("live slot");
-            debug_assert_eq!(fill.at, at, "live heap handle matches its entry");
-            self.free.push(slot);
-            self.len -= 1;
-            if fill.is_prefetch {
-                self.prefetch_slot[fill.core].remove(fill.block.raw());
-            }
-            return Some(fill);
+        if self.next_at > now {
+            return None;
         }
-        self.next_at = u64::MAX;
-        None
+        let (_, fill) = self.queue.pop_first()?;
+        self.next_at = self
+            .queue
+            .first_key_value()
+            .map_or(u64::MAX, |(&(at, _), _)| at);
+        if fill.is_prefetch {
+            self.prefetch_key[fill.core].remove(&fill.block.raw());
+        }
+        Some(fill)
     }
 }
 
@@ -491,7 +318,7 @@ pub struct MemoryHierarchy {
     l2c: Vec<CacheArray>,
     llc: CacheArray,
     dram: DramModel,
-    l1_outstanding: Vec<OutstandingTable<Outstanding>>,
+    l1_outstanding: Vec<HashMap<u64, Outstanding, BlockHash>>,
     /// Per-core counts of outstanding L1 demands/prefetches, maintained
     /// incrementally (the occupancy checks run on every dispatch slot).
     l1_demand_count: Vec<usize>,
@@ -499,7 +326,7 @@ pub struct MemoryHierarchy {
     /// In-flight prefetches that target the L2 (or LLC): block number ->
     /// completion cycle, so a later demand miss merges with them instead
     /// of re-fetching from DRAM.
-    l2_pf_inflight: Vec<OutstandingTable<u64>>,
+    l2_pf_inflight: Vec<HashMap<u64, u64, BlockHash>>,
     l2_inflight: Vec<Reservations>,
     llc_inflight: Reservations,
     pending: PendingFills,
@@ -521,10 +348,10 @@ impl MemoryHierarchy {
             l2c: (0..cores).map(|_| CacheArray::new(&cfg.l2c)).collect(),
             llc: CacheArray::with_shape(llc_sets, llc_cfg.ways),
             dram: DramModel::with_line_size(cfg.dram, cfg.l1d.line_size),
-            l1_outstanding: (0..cores).map(|_| OutstandingTable::new()).collect(),
+            l1_outstanding: (0..cores).map(|_| HashMap::default()).collect(),
             l1_demand_count: vec![0; cores],
             l1_prefetch_count: vec![0; cores],
-            l2_pf_inflight: (0..cores).map(|_| OutstandingTable::new()).collect(),
+            l2_pf_inflight: (0..cores).map(|_| HashMap::default()).collect(),
             l2_inflight: (0..cores).map(|_| Reservations::default()).collect(),
             llc_inflight: Reservations::default(),
             pending: PendingFills::new(cores),
@@ -609,8 +436,8 @@ impl MemoryHierarchy {
     /// The earliest completion cycle among pending fills, if any. After
     /// [`advance_to`](Self::advance_to)`(now)` every remaining fill is
     /// strictly in the future, so this is the hierarchy's next event time —
-    /// the cycle-skipping fast-forward target. O(1): the cached minimum is
-    /// exact outside `advance_to`.
+    /// the cycle-skipping fast-forward target. O(1): the minimum is
+    /// cached.
     pub fn next_fill_at(&self) -> Option<u64> {
         (self.pending.next_at != u64::MAX).then_some(self.pending.next_at)
     }
@@ -632,7 +459,7 @@ impl MemoryHierarchy {
     fn apply_fill(&mut self, fill: PendingFill) {
         let core = fill.core;
         if fill.is_prefetch {
-            self.l2_pf_inflight[core].remove(fill.block.raw());
+            self.l2_pf_inflight[core].remove(&fill.block.raw());
         }
         // A prefetch whose in-flight request was touched by a demand access is
         // installed as a demand line (it has already been credited as useful).
@@ -677,7 +504,7 @@ impl MemoryHierarchy {
                 was_prefetch: fill.is_prefetch,
             });
             // The miss (or prefetch) is no longer outstanding at the L1.
-            if let Some(entry) = self.l1_outstanding[core].remove(fill.block.raw()) {
+            if let Some(entry) = self.l1_outstanding[core].remove(&fill.block.raw()) {
                 if entry.is_prefetch {
                     self.l1_prefetch_count[core] -= 1;
                 } else {
@@ -696,7 +523,9 @@ impl MemoryHierarchy {
         if outstanding.len() < self.cfg.l1d.mshrs {
             now
         } else {
-            outstanding.min_ready().unwrap_or(now).max(now)
+            // gaze-lint: allow(map_iteration) -- the minimum of u64 cycles does not depend on iteration order
+            let min_ready = outstanding.values().map(|o| o.ready).min();
+            min_ready.unwrap_or(now).max(now)
         }
     }
 
@@ -744,7 +573,7 @@ impl MemoryHierarchy {
         // Merge with an in-flight request if one exists. A late prefetch is
         // promoted to demand priority at the memory controller, so the merged
         // request completes no later than a freshly issued demand would.
-        if let Some(entry) = self.l1_outstanding[core].get_mut(block.raw()) {
+        if let Some(entry) = self.l1_outstanding[core].get_mut(&block.raw()) {
             let was_untouched_prefetch = entry.is_prefetch && !entry.demand_touched;
             if was_untouched_prefetch && enabled {
                 self.stats[core].prefetch.late += 1;
@@ -787,7 +616,7 @@ impl MemoryHierarchy {
                     false,
                     false,
                 )
-            } else if let Some(pf_ready) = self.l2_pf_inflight[core].get(block.raw()) {
+            } else if let Some(pf_ready) = self.l2_pf_inflight[core].get(&block.raw()).copied() {
                 // The block is already on its way to the L2 because of a
                 // prefetch: merge with it instead of fetching again (a late but
                 // useful prefetch, credited at the L2). The in-flight request is
@@ -879,8 +708,8 @@ impl MemoryHierarchy {
                     || self.l2c[core].contains(block)
                     || self.llc.contains(block)
             }
-        }) || self.l1_outstanding[core].contains(block.raw())
-            || self.l2_pf_inflight[core].contains(block.raw())
+        }) || self.l1_outstanding[core].contains_key(&block.raw())
+            || self.l2_pf_inflight[core].contains_key(&block.raw())
     }
 
     /// Where a prefetch of `req` that is not redundant would read its data
@@ -1088,19 +917,19 @@ impl MemoryHierarchy {
     pub fn finalize(&mut self) {
         self.advance_to(u64::MAX);
         debug_assert!(
-            self.pending.len == 0
+            self.pending.queue.is_empty()
                 && self.pending.next_at == u64::MAX
-                && self.pending.prefetch_slot.iter().all(|t| t.len() == 0),
+                && self.pending.prefetch_key.iter().all(HashMap::is_empty),
             "fills still pending after finalize"
         );
         debug_assert!(
-            self.l1_outstanding.iter().all(|t| t.len() == 0)
+            self.l1_outstanding.iter().all(HashMap::is_empty)
                 && self.l1_demand_count.iter().all(|&n| n == 0)
                 && self.l1_prefetch_count.iter().all(|&n| n == 0),
             "L1 misses still outstanding after finalize"
         );
         debug_assert!(
-            self.l2_pf_inflight.iter().all(|t| t.len() == 0),
+            self.l2_pf_inflight.iter().all(HashMap::is_empty),
             "L2 prefetches still in flight after finalize"
         );
         debug_assert!(
@@ -1323,87 +1152,6 @@ mod tests {
     }
 
     #[test]
-    fn outstanding_table_matches_a_reference_map_under_churn() {
-        // Deterministic LCG churn: interleaved inserts, removes, lookups
-        // and mutations, mirrored against std's HashMap.
-        let mut table = OutstandingTable::<Outstanding>::new();
-        let mut reference: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut lcg = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state
-        };
-        for step in 0..20_000u64 {
-            let r = lcg();
-            // Small key space forces collisions; keys look like block numbers.
-            let key = (r >> 8) % 257;
-            match r % 4 {
-                0 | 1 => {
-                    let entry = Outstanding {
-                        ready: step,
-                        is_prefetch: r & 16 != 0,
-                        demand_touched: false,
-                    };
-                    let prev = table.insert(key, entry).map(|o| o.ready);
-                    assert_eq!(prev, reference.insert(key, step), "step {step}");
-                }
-                2 => {
-                    let removed = table.remove(key).map(|o| o.ready);
-                    assert_eq!(removed, reference.remove(&key), "step {step}");
-                }
-                _ => {
-                    let got = table.get_mut(key).map(|o| &mut o.ready);
-                    match (got, reference.get_mut(&key)) {
-                        (Some(a), Some(b)) => {
-                            assert_eq!(*a, *b, "step {step}");
-                            *a += 1;
-                            *b += 1;
-                        }
-                        (None, None) => {}
-                        (a, b) => panic!("step {step}: {a:?} vs {b:?}"),
-                    }
-                }
-            }
-            assert_eq!(table.len(), reference.len(), "step {step}");
-            assert_eq!(table.contains(key), reference.contains_key(&key));
-            assert_eq!(table.min_ready(), reference.values().min().copied());
-        }
-        // Drain everything through backward-shift deletion.
-        let keys: Vec<u64> = reference.keys().copied().collect();
-        for key in keys {
-            assert!(table.remove(key).is_some());
-        }
-        assert_eq!(table.len(), 0);
-        assert_eq!(table.min_ready(), None);
-    }
-
-    #[test]
-    fn outstanding_table_grows_past_its_initial_capacity() {
-        let mut table = OutstandingTable::<Outstanding>::new();
-        let n = (OutstandingTable::<Outstanding>::INITIAL_CAPACITY * 4) as u64;
-        for key in 0..n {
-            assert!(table
-                .insert(
-                    key,
-                    Outstanding {
-                        ready: key * 10,
-                        is_prefetch: false,
-                        demand_touched: false,
-                    },
-                )
-                .is_none());
-        }
-        assert_eq!(table.len(), n as usize);
-        assert_eq!(table.min_ready(), Some(0));
-        for key in 0..n {
-            assert_eq!(table.remove(key).map(|o| o.ready), Some(key * 10));
-        }
-        assert_eq!(table.len(), 0);
-    }
-
-    #[test]
     fn pending_fills_match_a_reference_btreemap_under_churn() {
         // Deterministic LCG churn over a monotone clock: pushes (at most
         // one pending prefetch fill per core and block, as the hierarchy
@@ -1490,8 +1238,49 @@ mod tests {
                     assert_eq!(fills.next_at, min.unwrap_or(u64::MAX), "step {step}");
                 }
             }
-            assert_eq!(fills.len, reference.len(), "step {step}");
+            assert_eq!(fills.queue.len(), reference.len(), "step {step}");
         }
+    }
+
+    #[test]
+    fn l2_class_bound_is_the_earliest_live_l2_mshr_expiry() {
+        // Core 1's demand misses stage the blocks in the shared LLC, so
+        // core 0's L2-targeted prefetches read them from the LLC and
+        // complete exactly one L1+L2+LLC path after issue (no DRAM).
+        let mut h = MemoryHierarchy::new(SimConfig::paper_multi_core(2));
+        let cfg = *h.config();
+        let mshrs = cfg.l2c.mshrs as u64;
+        let path = cfg.l1d.latency + cfg.l2c.latency + cfg.llc_per_core.latency;
+        assert!(
+            path >= mshrs,
+            "every prefetch below is still live at the last issue"
+        );
+        let block = |i: u64| BlockAddr::new(0x40_0000 + i);
+        for i in 0..=mshrs {
+            h.demand_access(1, block(i), false, i);
+        }
+        let base = 100_000;
+        h.advance_to(base);
+        for i in 0..mshrs {
+            let now = base + i;
+            assert_eq!(h.prefetch_class_bounds(0, now).l2, 0, "an L2 MSHR is free");
+            let outcome = h.issue_prefetch(0, PrefetchRequest::to_l2(block(i)), now);
+            assert_eq!(outcome, PrefetchOutcome::Issued);
+            assert_eq!(
+                h.l2_pf_inflight[0].get(&block(i).raw()),
+                Some(&(now + path))
+            );
+        }
+        let l2 = h.prefetch_class_bounds(0, base + mshrs - 1).l2;
+        assert_eq!(l2, base + path, "the first prefetch's completion");
+        let fresh = PrefetchRequest::to_l2(block(mshrs));
+        assert_eq!(
+            h.issue_prefetch(0, fresh, l2 - 1),
+            PrefetchOutcome::Refused(Refusal::L2Mshrs)
+        );
+        assert_eq!(h.prefetch_class_bounds(0, l2 - 1).l2, l2);
+        assert_eq!(h.prefetch_class_bounds(0, l2).l2, 0, "one MSHR expired");
+        assert_eq!(h.issue_prefetch(0, fresh, l2), PrefetchOutcome::Issued);
     }
 
     #[test]

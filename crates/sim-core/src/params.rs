@@ -71,14 +71,15 @@ impl RunParams {
         }
     }
 
-    /// Looks up a named scale preset (`test`, `quick`, `bench`/`full`/
-    /// `experiment`, or `paper`). The names match `GAZE_SCALE` and the
-    /// `--scale` flags of the CLIs.
+    /// Looks up a named scale preset (`test`, `quick`, `bench`/`full`, or
+    /// `paper`). This is the one table of scale names: `GAZE_SCALE`, the
+    /// `--scale` flags of the CLIs and `ExperimentScale::named` in
+    /// `gaze-sim` all resolve through it.
     pub fn named_scale(name: &str) -> Option<Self> {
         match name {
             "test" => Some(Self::test()),
             "quick" => Some(Self::quick()),
-            "bench" | "full" | "experiment" => Some(Self::experiment()),
+            "bench" | "full" => Some(Self::experiment()),
             "paper" => Some(Self::paper_scale()),
             _ => None,
         }
