@@ -275,12 +275,14 @@ fn metrics_exposition_parses_and_counters_are_monotonic() {
         family_sum(&text2, "gaze_sim_cycles_stepped_total") > 0.0,
         "cold sweep must step simulator cycles"
     );
-    // The cold sweep's prefetchers attempt and get refused issues, and
-    // its stall windows make the skip target evaluate queued requests.
+    // The cold sweep's prefetchers attempt and get refused issues, its
+    // stall windows make the skip target evaluate queued requests, and
+    // both classify requests whose blocks changed.
     for family in [
         "gaze_sim_prefetch_attempts_total",
         "gaze_sim_prefetch_refusals_total",
         "gaze_sim_skip_evaluations_total",
+        "gaze_sim_prefetch_classifications_total",
     ] {
         assert!(
             family_sum(&text2, family) > family_sum(&text, family),

@@ -102,6 +102,108 @@ pub(crate) struct PrefetchClassBounds {
     l2: u64,
 }
 
+/// What issuing a prefetch would do, fill buffers, MSHRs and the DRAM
+/// backlog aside: a function of which blocks are cached and in flight
+/// only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// Dropped: the block is cached at or above the target, or in flight.
+    Redundant,
+    /// Issued, reading the data from [`HitLevel::L2`], [`HitLevel::Llc`]
+    /// or [`HitLevel::Dram`].
+    From(HitLevel),
+}
+
+/// A prefetch-queue entry: the request and its latest [`Verdict`], with
+/// the change sequence number it was taken at. A request waits in the
+/// queue for many issue attempts and skip-target evaluations;
+/// [`MemoryHierarchy::verdict`] classifies it again only after a change
+/// to its block.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QueuedPrefetch {
+    pub(crate) req: PrefetchRequest,
+    classified: Option<(u64, Verdict)>,
+}
+
+impl QueuedPrefetch {
+    /// A request not yet classified.
+    pub(crate) fn new(req: PrefetchRequest) -> Self {
+        QueuedPrefetch {
+            req,
+            classified: None,
+        }
+    }
+}
+
+/// Each kind of change to which blocks are cached or in flight, the
+/// sites [`ChangeStamps::note`] is called from.
+#[derive(Debug, Clone, Copy)]
+enum Change {
+    /// A pending fill applying: it leaves `l1_outstanding` or
+    /// `l2_pf_inflight` and enters one or more cache levels.
+    Fill,
+    LlcEviction,
+    L2Eviction,
+    L1Eviction,
+    /// An L1 demand miss entering `l1_outstanding`.
+    DemandMiss,
+    /// An issued prefetch entering `l1_outstanding` or `l2_pf_inflight`.
+    PrefetchIssue,
+}
+
+/// log2 of the number of [`ChangeStamps`] slots.
+const STAMP_SLOT_BITS: u32 = 12;
+
+/// When each block last changed, for reusing [`Verdict`]s: a sequence
+/// number bumped on every [`Change`], and per slot the sequence number of
+/// the latest change to a block hashed there. A verdict taken at sequence
+/// `s` still holds while its block's slot stamp is at most `s`. Blocks
+/// that share a slot (or a block changing on another core) only cost a
+/// reclassification, never a stale verdict.
+#[derive(Debug)]
+struct ChangeStamps {
+    seq: u64,
+    slots: Box<[u64]>,
+    /// How often each [`Change`] occurred, so tests can check that their
+    /// churn reached every site.
+    #[cfg(test)]
+    counts: [u64; 6],
+}
+
+impl ChangeStamps {
+    fn new() -> Self {
+        ChangeStamps {
+            seq: 0,
+            slots: vec![0; 1 << STAMP_SLOT_BITS].into_boxed_slice(),
+            #[cfg(test)]
+            counts: [0; 6],
+        }
+    }
+
+    /// The slot of `block`: the top bits of a Fibonacci hash.
+    fn slot(block: BlockAddr) -> usize {
+        (block.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - STAMP_SLOT_BITS)) as usize
+    }
+
+    /// Records that `block` changed.
+    fn note(&mut self, block: BlockAddr, change: Change) {
+        self.seq += 1;
+        self.slots[Self::slot(block)] = self.seq;
+        #[cfg(test)]
+        {
+            self.counts[change as usize] += 1;
+        }
+        #[cfg(not(test))]
+        let _ = change;
+    }
+
+    /// Whether no block sharing `block`'s slot changed after sequence
+    /// number `seen`.
+    fn unchanged_since(&self, block: BlockAddr, seen: u64) -> bool {
+        self.slots[Self::slot(block)] <= seen
+    }
+}
+
 /// A block filled into the L1D (reported to the prefetcher).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L1FillEvent {
@@ -334,6 +436,7 @@ pub struct MemoryHierarchy {
     l1_evict_events: Vec<Vec<BlockAddr>>,
     stats: Vec<HierarchyStats>,
     stats_enabled: bool,
+    stamps: ChangeStamps,
 }
 
 impl MemoryHierarchy {
@@ -359,6 +462,7 @@ impl MemoryHierarchy {
             l1_evict_events: (0..cores).map(|_| Vec::new()).collect(),
             stats: vec![HierarchyStats::default(); cores],
             stats_enabled: true,
+            stamps: ChangeStamps::new(),
             cfg,
         }
     }
@@ -458,6 +562,8 @@ impl MemoryHierarchy {
 
     fn apply_fill(&mut self, fill: PendingFill) {
         let core = fill.core;
+        // One stamp covers the in-flight removals and every level's fill.
+        self.stamps.note(fill.block, Change::Fill);
         if fill.is_prefetch {
             self.l2_pf_inflight[core].remove(&fill.block.raw());
         }
@@ -472,6 +578,7 @@ impl MemoryHierarchy {
                 self.stats[core].llc.prefetch_fills += 1;
             }
             if let Some(ev) = self.llc.fill(fill.block, mark, core) {
+                self.stamps.note(ev.block, Change::LlcEviction);
                 if ev.was_prefetch && !ev.was_used && self.stats_enabled {
                     self.stats[core].llc.useless_prefetches += 1;
                 }
@@ -483,6 +590,7 @@ impl MemoryHierarchy {
                 self.stats[core].l2c.prefetch_fills += 1;
             }
             if let Some(ev) = self.l2c[core].fill(fill.block, mark, core) {
+                self.stamps.note(ev.block, Change::L2Eviction);
                 if ev.was_prefetch && !ev.was_used && self.stats_enabled {
                     self.stats[core].l2c.useless_prefetches += 1;
                 }
@@ -494,6 +602,7 @@ impl MemoryHierarchy {
                 self.stats[core].l1d.prefetch_fills += 1;
             }
             if let Some(ev) = self.l1d[core].fill(fill.block, mark, core) {
+                self.stamps.note(ev.block, Change::L1Eviction);
                 if ev.was_prefetch && !ev.was_used && self.stats_enabled {
                     self.stats[core].l1d.useless_prefetches += 1;
                 }
@@ -676,6 +785,7 @@ impl MemoryHierarchy {
             prev.is_none(),
             "demand insert over an existing outstanding entry"
         );
+        self.stamps.note(block, Change::DemandMiss);
         self.l1_demand_count[core] += 1;
         self.pending.push(PendingFill {
             at: ready,
@@ -727,6 +837,42 @@ impl MemoryHierarchy {
         }
     }
 
+    /// Classifies a prefetch of `req` for `core` as it stands now.
+    fn classify(&self, core: usize, req: &PrefetchRequest) -> Verdict {
+        if self.prefetch_redundant(core, req) {
+            Verdict::Redundant
+        } else {
+            Verdict::From(self.prefetch_source(core, req))
+        }
+    }
+
+    /// The current [`Verdict`] on `core`'s queued `entry`: the cached one
+    /// while no change stamp on its block is newer, else a fresh
+    /// classification, which is cached and counted in `classified`. Debug
+    /// builds classify a reused verdict again and assert that it agrees.
+    pub(crate) fn verdict(
+        &self,
+        core: usize,
+        entry: &mut QueuedPrefetch,
+        classified: &mut u64,
+    ) -> Verdict {
+        if let Some((seen, verdict)) = entry.classified {
+            if self.stamps.unchanged_since(entry.req.block, seen) {
+                debug_assert_eq!(
+                    verdict,
+                    self.classify(core, &entry.req),
+                    "stale verdict for core {core}: {:?}",
+                    entry.req
+                );
+                return verdict;
+            }
+        }
+        let verdict = self.classify(core, &entry.req);
+        *classified += 1;
+        entry.classified = Some((self.stamps.seq, verdict));
+        verdict
+    }
+
     /// Attempts to issue a prefetch on behalf of `core`.
     ///
     /// Returning [`PrefetchOutcome::Refused`] does not consume the request:
@@ -739,16 +885,30 @@ impl MemoryHierarchy {
         now: u64,
     ) -> PrefetchOutcome {
         self.advance_to(now);
+        let verdict = self.classify(core, &req);
+        self.issue_classified(core, req, verdict, now)
+    }
+
+    /// [`issue_prefetch`](Self::issue_prefetch) after its
+    /// [`advance_to`](Self::advance_to)`(now)`, given the current
+    /// [`Verdict`] on `req`.
+    pub(crate) fn issue_classified(
+        &mut self,
+        core: usize,
+        req: PrefetchRequest,
+        verdict: Verdict,
+        now: u64,
+    ) -> PrefetchOutcome {
         let block = req.block;
         let enabled = self.stats_enabled;
 
-        if self.prefetch_redundant(core, &req) {
+        let Verdict::From(source) = verdict else {
             if enabled {
                 self.stats[core].prefetch.requested += 1;
                 self.stats[core].prefetch.dropped_redundant += 1;
             }
             return PrefetchOutcome::Redundant;
-        }
+        };
 
         match req.fill_level {
             FillLevel::L1 => {
@@ -768,7 +928,7 @@ impl MemoryHierarchy {
 
         let lookup_at = now + self.cfg.l1d.latency;
         let fill_l1 = req.fill_level == FillLevel::L1;
-        let (ready, fill_l2, fill_llc) = match self.prefetch_source(core, &req) {
+        let (ready, fill_l2, fill_llc) = match source {
             HitLevel::L2 => {
                 // Consuming a prefetched L2 line to move it up counts that
                 // line as used (its usefulness will be observed at the L1
@@ -816,6 +976,7 @@ impl MemoryHierarchy {
             self.l2_inflight[core].push(ready);
             self.l2_pf_inflight[core].insert(block.raw(), ready);
         }
+        self.stamps.note(block, Change::PrefetchIssue);
         if fill_llc {
             self.llc_inflight.push(ready);
         }
@@ -859,15 +1020,15 @@ impl MemoryHierarchy {
 
     /// Read-only mirror of [`issue_prefetch`](Self::issue_prefetch)'s gating
     /// for queue-aware cycle skipping: the earliest cycle at which an attempt
-    /// to issue `req` could *consume* it (issue or drop-as-redundant) rather
-    /// than be refused, assuming no intervening simulation activity. `0`
-    /// means an attempt would consume it right now. A bound that reaches
+    /// to issue `req`, whose current [`Verdict`] is `verdict`, could
+    /// *consume* it (issue or drop-as-redundant) rather than be refused,
+    /// assuming no intervening simulation activity. `0` means an attempt
+    /// would consume it right now. A bound that reaches
     /// [`next_fill_at`](Self::next_fill_at) may be reported without its
     /// DRAM part, since the skip target stops at the next fill anyway.
     /// `class` is
     /// [`prefetch_class_bounds`](Self::prefetch_class_bounds) of the same
-    /// core and cycle, so per request only the redundancy check and the
-    /// DRAM-channel bound remain.
+    /// core and cycle, so per request only the DRAM-channel bound remains.
     ///
     /// The bound is conservative (never later than the true clear time):
     /// while every core is stalled, cache contents, outstanding tables and
@@ -879,22 +1040,20 @@ impl MemoryHierarchy {
     /// is never overshot.
     pub(crate) fn prefetch_block_clear_at(
         &self,
-        core: usize,
         req: &PrefetchRequest,
+        verdict: Verdict,
         class: PrefetchClassBounds,
     ) -> u64 {
-        if self.prefetch_redundant(core, req) {
+        let Verdict::From(source) = verdict else {
             return 0;
-        }
+        };
         let class_bound = match req.fill_level {
             FillLevel::L1 => class.l1,
             FillLevel::L2 | FillLevel::Llc => class.l2,
         };
         // The skip target never passes the next fill, so a bound at or
-        // beyond it needs no DRAM refinement (this skips the lower-level
-        // lookups for every L1 request while the fill buffers are full).
-        if class_bound >= self.pending.next_at || self.prefetch_source(core, req) != HitLevel::Dram
-        {
+        // beyond it needs no DRAM refinement.
+        if class_bound >= self.pending.next_at || source != HitLevel::Dram {
             return class_bound;
         }
         // Off-chip requests are additionally refused while the DRAM
@@ -1240,6 +1399,94 @@ mod tests {
             }
             assert_eq!(fills.queue.len(), reference.len(), "step {step}");
         }
+    }
+
+    #[test]
+    fn stamped_verdicts_match_a_fresh_classification_under_churn() {
+        // Deterministic LCG churn on a 2-core hierarchy (so one core's
+        // shared-LLC fills and evictions reach the other's verdicts):
+        // demand accesses, prefetch issues and clock advances over 3 sets'
+        // worth of blocks per level, 3x the LLC's ways, so every level
+        // evicts. A pool of queued requests keeps cached verdicts; after
+        // every operation each verdict the stamps call current must equal
+        // a fresh classification.
+        let mut h = MemoryHierarchy::new(SimConfig::paper_multi_core(2));
+        let ways = h.llc.ways() as u64;
+        let block = |r: u64| BlockAddr::new(((r % (3 * ways)) << 16) + (r / (3 * ways)) % 3);
+        let mut state = 0x57a3_9e11_u64;
+        let mut lcg = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 16
+        };
+        let mut pool: Vec<(usize, QueuedPrefetch)> = Vec::new();
+        let (mut now, mut added, mut classified) = (0u64, 0u64, 0u64);
+        let (mut reused, mut stale) = (0u64, 0u64);
+        for step in 0..40_000 {
+            let r = lcg();
+            let core = (r % 2) as usize;
+            let req = {
+                let b = block(r >> 4);
+                match (r >> 12) % 3 {
+                    0 => PrefetchRequest::to_l1(b),
+                    1 => PrefetchRequest::to_l2(b),
+                    _ => PrefetchRequest::new(b, FillLevel::Llc),
+                }
+            };
+            match (r >> 16) % 8 {
+                0..=2 => {
+                    h.demand_access(core, req.block, r & 0x8000 != 0, now);
+                }
+                3 | 4 => {
+                    h.issue_prefetch(core, req, now);
+                }
+                5 => {
+                    now += (r >> 20) % 400;
+                    h.advance_to(now);
+                }
+                _ if pool.len() < 96 => {
+                    pool.push((core, QueuedPrefetch::new(req)));
+                    added += 1;
+                }
+                _ => {
+                    let slot = (r >> 20) as usize % pool.len();
+                    pool[slot] = (core, QueuedPrefetch::new(req));
+                    added += 1;
+                }
+            }
+            now += (r >> 28) % 4;
+            for (core, entry) in &mut pool {
+                match entry.classified {
+                    Some((seen, verdict)) if h.stamps.unchanged_since(entry.req.block, seen) => {
+                        let fresh = h.classify(*core, &entry.req);
+                        assert_eq!(verdict, fresh, "step {step}: {:?}", entry.req);
+                        reused += 1;
+                    }
+                    Some(_) => stale += 1,
+                    None => {}
+                }
+                h.verdict(*core, entry, &mut classified);
+            }
+        }
+        assert!(
+            h.stamps.counts.iter().all(|&n| n > 0),
+            "every change kind occurs: {:?}",
+            h.stamps.counts
+        );
+        let fills = |level: fn(&HierarchyStats) -> u64| (0..2).all(|c| level(&h.stats(c)) > 0);
+        assert!(
+            fills(|s| s.l1d.prefetch_fills)
+                && fills(|s| s.l2c.prefetch_fills)
+                && fills(|s| s.llc.prefetch_fills),
+            "both cores fill prefetches into every level"
+        );
+        assert!(
+            reused > 10 * stale && stale > 0,
+            "{reused} reused, {stale} stale"
+        );
+        // Only new and stale entries were classified afresh.
+        assert_eq!(classified, added + stale);
     }
 
     #[test]

@@ -49,7 +49,10 @@ pub struct PrefetchStats {
     pub dropped_redundant: u64,
     /// Requests dropped because the prefetch queue was full.
     pub dropped_queue_full: u64,
-    /// Requests dropped because no MSHR was available.
+    /// Always 0: a prefetch refused for want of a fill buffer, an MSHR or
+    /// DRAM backlog room is requeued and retried, never dropped. Kept only
+    /// for the GZR record layout, until the one-record-kind format change
+    /// (ROADMAP item 8) drops it.
     pub dropped_mshr_full: u64,
     /// Demand accesses that hit an in-flight prefetch (late prefetches).
     pub late: u64,

@@ -17,12 +17,12 @@ use std::collections::VecDeque;
 use prefetch_common::access::{AccessKind, DemandAccess};
 use prefetch_common::addr::BlockAddr;
 use prefetch_common::prefetcher::Prefetcher;
-use prefetch_common::request::{FillLevel, PrefetchRequest};
+use prefetch_common::request::FillLevel;
 use prefetch_common::sink::RequestSink;
 
 use crate::config::SimConfig;
 use crate::core::CoreModel;
-use crate::hierarchy::{L1FillEvent, MemoryHierarchy, PrefetchOutcome, Refusal};
+use crate::hierarchy::{L1FillEvent, MemoryHierarchy, PrefetchOutcome, QueuedPrefetch, Refusal};
 use crate::stats::{CoreStats, SimReport};
 use crate::trace::{TraceReader, TraceRecord, TraceSource};
 
@@ -35,7 +35,7 @@ struct PerCore<'t> {
     reader: Box<dyn TraceReader + 't>,
     l1_prefetcher: Box<dyn Prefetcher>,
     l2_prefetcher: Option<Box<dyn Prefetcher>>,
-    prefetch_queue: VecDeque<PrefetchRequest>,
+    prefetch_queue: VecDeque<QueuedPrefetch>,
     /// Reusable request buffer for this core's prefetcher hooks — the hot
     /// path never allocates.
     sink: RequestSink,
@@ -65,6 +65,10 @@ pub struct IssueCounters {
     pub refused: [u64; 3],
     /// Queued requests whose wake bound the skip target computed.
     pub skip_evaluations: u64,
+    /// Fresh redundancy/source classifications of queued requests: a new
+    /// request's first, and one after each change to its block. Other
+    /// attempts and skip evaluations reuse the cached verdict.
+    pub classifications: u64,
 }
 
 impl IssueCounters {
@@ -197,7 +201,7 @@ impl<'t> System<'t> {
     /// Moves the sink's requests into the bounded prefetch queue, optionally
     /// clamping L1-targeted requests to the L2 (for L2-attached prefetchers).
     fn enqueue_sink(
-        queue: &mut VecDeque<PrefetchRequest>,
+        queue: &mut VecDeque<QueuedPrefetch>,
         cap: usize,
         sink: &RequestSink,
         clamp_to_l2: bool,
@@ -210,7 +214,7 @@ impl<'t> System<'t> {
             if queue.len() >= cap {
                 *dropped_queue_full += 1;
             } else {
-                queue.push_back(req);
+                queue.push_back(QueuedPrefetch::new(req));
             }
         }
     }
@@ -345,14 +349,23 @@ impl<'t> System<'t> {
         //    cycle that only rotates refused requests has no observable
         //    effect, so it does not count as progress — [`next_issue_cycle`]
         //    can then fast-forward to the first cycle an attempt could land.
+        //    A requeued request keeps its verdict, so a retry classifies it
+        //    again only after a change to its block.
         for _ in 0..cfg.prefetch_issue_width {
-            let Some(req) = pc.prefetch_queue.pop_front() else {
+            let Some(mut entry) = pc.prefetch_queue.pop_front() else {
                 break;
             };
             self.issue.attempts += 1;
-            if let PrefetchOutcome::Refused(reason) = self.hierarchy.issue_prefetch(idx, req, now) {
+            self.hierarchy.advance_to(now);
+            let verdict = self
+                .hierarchy
+                .verdict(idx, &mut entry, &mut self.issue.classifications);
+            let outcome = self
+                .hierarchy
+                .issue_classified(idx, entry.req, verdict, now);
+            if let PrefetchOutcome::Refused(reason) = outcome {
                 self.issue.refused[reason as usize] += 1;
-                pc.prefetch_queue.push_back(req);
+                pc.prefetch_queue.push_back(entry);
             } else {
                 progress = true;
             }
@@ -391,14 +404,14 @@ impl<'t> System<'t> {
         // and rotates exactly `width` requests), but the attempt can only
         // consume the request once its hierarchy-side refusal clears. The
         // fill-buffer and MSHR bounds are per core, so they are computed
-        // once per core; each request adds its redundancy check and DRAM
-        // bound.
+        // once per core; each request adds its verdict (cached until its
+        // block changes) and DRAM bound.
         let width = self.cfg.prefetch_issue_width;
         if width == 0 {
             // Queued requests can never issue.
             return (next != u64::MAX).then_some(next);
         }
-        for (idx, pc) in self.cores.iter().enumerate() {
+        for (idx, pc) in self.cores.iter_mut().enumerate() {
             if pc.prefetch_queue.is_empty() || now + 1 >= next {
                 continue;
             }
@@ -406,7 +419,7 @@ impl<'t> System<'t> {
             // `attempt` is `now + 1 + pos / width`, advanced batch by batch.
             let mut attempt = now + 1;
             let mut batch_left = width;
-            for req in &pc.prefetch_queue {
+            for entry in &mut pc.prefetch_queue {
                 if batch_left == 0 {
                     attempt += 1;
                     batch_left = width;
@@ -418,7 +431,12 @@ impl<'t> System<'t> {
                     break;
                 }
                 self.issue.skip_evaluations += 1;
-                let clear = self.hierarchy.prefetch_block_clear_at(idx, req, class);
+                let verdict = self
+                    .hierarchy
+                    .verdict(idx, entry, &mut self.issue.classifications);
+                let clear = self
+                    .hierarchy
+                    .prefetch_block_clear_at(&entry.req, verdict, class);
                 next = next.min(attempt.max(clear));
             }
         }
@@ -582,7 +600,7 @@ impl<'t> System<'t> {
     /// Folds the cycle and issue counts accumulated since the previous
     /// publication into the process-global metrics
     /// (`gaze_sim_cycles_*_total`, `gaze_sim_prefetch_*_total`,
-    /// `gaze_sim_skip_evaluations_total`). Seven atomic adds per `run`,
+    /// `gaze_sim_skip_evaluations_total`). Eight atomic adds per `run`,
     /// nothing per cycle — and purely observational, so simulation output
     /// stays bit-exact. Wedge jumps are never published: they would inflate
     /// the skip totals right before the wedge panic.
@@ -595,6 +613,7 @@ impl<'t> System<'t> {
             attempts: Counter,
             refused: [Counter; 3],
             skip_evaluations: Counter,
+            classifications: Counter,
         }
         static METRICS: OnceLock<Published> = OnceLock::new();
         let m = METRICS.get_or_init(|| {
@@ -623,6 +642,10 @@ impl<'t> System<'t> {
                     "gaze_sim_skip_evaluations_total",
                     "Queued prefetch requests whose wake bound the skip target computed",
                 ),
+                classifications: reg.counter(
+                    "gaze_sim_prefetch_classifications_total",
+                    "Fresh redundancy/source classifications of queued prefetch requests",
+                ),
             }
         });
         let (issue, seen) = (self.issue, self.published_issue);
@@ -634,6 +657,8 @@ impl<'t> System<'t> {
         }
         m.skip_evaluations
             .add(issue.skip_evaluations - seen.skip_evaluations);
+        m.classifications
+            .add(issue.classifications - seen.classifications);
         self.published_stepped = self.cycles_stepped;
         self.published_skipped = self.cycles_skipped;
         self.published_issue = issue;
@@ -645,6 +670,7 @@ mod tests {
     use super::*;
     use crate::trace::Trace;
     use prefetch_common::prefetcher::NullPrefetcher;
+    use prefetch_common::request::PrefetchRequest;
 
     /// A deliberately aggressive prefetcher used only in tests: prefetches
     /// the next `degree` sequential blocks on every access, the first
