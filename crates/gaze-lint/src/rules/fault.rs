@@ -3,10 +3,12 @@
 //! The crash-safety contract (`results_store::fault`, proven by
 //! `tests/fault_injection.rs` and the kill-mid-flush schedules) only
 //! holds while every byte that reaches disk flows through an armable
-//! failpoint. New raw I/O added to the flush/compact modules
-//! would silently dodge that harness, so this rule requires each raw
-//! filesystem call in those modules to sit inside a function that
-//! consults `fault::check_io` or writes through a `FaultyWriter`.
+//! failpoint. New raw I/O added anywhere in the store's library sources
+//! — including a module split out later — would silently dodge that
+//! harness, so this rule requires each raw filesystem call there to sit
+//! inside a function that consults `fault::check_io` or writes through a
+//! `FaultyWriter`. Only the failpoint module itself and the CLI binaries
+//! are exempt.
 //!
 //! Exemption: `.write_all(...)` in a function whose signature takes the
 //! writer abstractly (`impl Write` / `dyn Write` / a `Write` bound) is
@@ -16,10 +18,14 @@
 use super::Finding;
 use crate::source::SourceFile;
 
-/// The modules whose raw I/O must be failpoint-covered.
-const SCOPES: &[&str] = &[
-    "crates/results-store/src/store.rs",
-    "crates/results-store/src/format.rs",
+/// The directory whose raw I/O must be failpoint-covered.
+const SCOPE: &str = "crates/results-store/src/";
+
+/// Paths under [`SCOPE`] that are exempt: the failpoint module and the
+/// CLI binaries.
+const EXEMPT: &[&str] = &[
+    "crates/results-store/src/fault.rs",
+    "crates/results-store/src/bin/",
 ];
 
 /// Raw I/O tokens. `(needle, write_exempt)`: `write_exempt` marks calls
@@ -36,7 +42,7 @@ const RAW_IO: &[(&str, bool)] = &[
 
 /// Runs the fault-coverage rule over `file`.
 pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !SCOPES.contains(&file.path.as_str()) {
+    if !file.path.starts_with(SCOPE) || EXEMPT.iter().any(|e| file.path.starts_with(e)) {
         return;
     }
     for (idx, line) in file.lex.code.iter().enumerate() {

@@ -160,6 +160,24 @@ fn persist(path: &std::path::Path) -> std::io::Result<()> {
 }
 
 #[test]
+fn fault_coverage_covers_every_store_module_but_fault_and_bins() {
+    // A module split out of the store later is in scope by its directory.
+    let src = "fn f(p: &std::path::Path) { let _ = std::fs::remove_file(p); }\n";
+    let findings = fired(
+        &[("crates/results-store/src/segment_io.rs", src)],
+        &no_docs(),
+    );
+    assert_eq!(findings, vec![("fault_coverage", 1)]);
+    for exempt in [
+        "crates/results-store/src/fault.rs",
+        "crates/results-store/src/bin/gzr_store.rs",
+        "crates/gaze-sim/src/results.rs",
+    ] {
+        assert!(fired(&[(exempt, src)], &no_docs()).is_empty(), "{exempt}");
+    }
+}
+
+#[test]
 fn fault_coverage_exempts_abstract_writers_and_other_modules() {
     // `impl Write` receivers are wrapped by the caller (FaultyWriter),
     // and files outside the durability modules are out of scope.
@@ -175,7 +193,7 @@ pub fn encode(w: &mut impl Write, v: u64) -> std::io::Result<()> {
     )
     .is_empty());
     assert!(fired(
-        &[("crates/results-store/src/obs.rs", elsewhere)],
+        &[("crates/results-store/src/bin/gzr_store.rs", elsewhere)],
         &no_docs()
     )
     .is_empty());

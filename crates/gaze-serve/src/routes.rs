@@ -442,7 +442,7 @@ fn mix_runs(state: &AppState, req: &Request) -> Response {
     // paper's geometric-mean speedup without a second client query.
     let body = state.store.with_store(|s| {
         let rows = s
-            .query_mixes(&query)
+            .query(&query)
             .into_iter()
             .filter(|rec| {
                 scale_fps
@@ -549,7 +549,12 @@ mod tests {
     }
 
     fn seed_row(state: &AppState, workload: &str, prefetcher: &str) {
-        let run = gaze_sim::runner::SingleRun {
+        let fp = workload.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+        });
+        state.store.record(RunRecord {
+            trace_fingerprint: fp,
+            params_fingerprint: RunParams::quick().fingerprint(),
             workload: workload.to_string(),
             prefetcher: prefetcher.to_string(),
             stats: CoreStats {
@@ -562,11 +567,7 @@ mod tests {
                 cycles: 800,
                 ..CoreStats::default()
             },
-        };
-        let fp = workload.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
         });
-        state.store.record(&run, fp, &RunParams::quick());
     }
 
     #[test]
@@ -630,13 +631,13 @@ mod tests {
         let mix_fp = label.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
         }) ^ cores as u64;
-        state.store.record_mix(
-            &report,
-            mix_fp,
-            &RunParams::quick().with_cores(cores),
-            prefetcher,
-            label,
-        );
+        state.store.record(MixRecord {
+            mix_fingerprint: mix_fp,
+            params_fingerprint: RunParams::quick().with_cores(cores).fingerprint(),
+            prefetcher: prefetcher.to_string(),
+            label: label.to_string(),
+            report,
+        });
     }
 
     #[test]

@@ -672,7 +672,7 @@ fn server_serves_fig13_and_reloads_stale_stores() {
             stats,
             baseline,
         });
-        writer.append_mix(results_store::MixRecord {
+        writer.append(results_store::MixRecord {
             mix_fingerprint: probe_fp ^ 1,
             params_fingerprint: 0x2,
             prefetcher: "gaze".to_string(),

@@ -5,18 +5,22 @@
 //! ([`spec::plan::execute`](crate::spec::plan::execute)) consults the
 //! persistent [`ResultsStore`] before simulating each job:
 //!
-//! * **hit** — the stored [`RunRecord`] is returned as a [`SingleRun`]
-//!   without touching the simulator (the counters are exact `u64`s, so
-//!   every derived metric — and therefore every figure CSV — is
-//!   bit-identical to a fresh simulation);
+//! * **hit** — the stored row is returned without touching the simulator
+//!   (the counters are exact `u64`s, so every derived metric — and
+//!   therefore every figure CSV — is bit-identical to a fresh
+//!   simulation);
 //! * **miss** — the job is simulated and the result is recorded
 //!   write-through, so the *next* process to ask gets the hit.
 //!
-//! Multi-core jobs follow the same pattern with v2 *mix* records, looked
-//! up via [`lookup_mix`](StoreHandle::lookup_mix) and recorded via
-//! [`record_mix`](StoreHandle::record_mix), keyed by the mix fingerprint
-//! ([`sim_core::params::mix_fingerprint`]) and the params fingerprint *at
-//! the mix's core count*. The runners themselves never touch the store.
+//! Both record kinds take the same path
+//! ([`lookup`](StoreHandle::lookup) / [`record`](StoreHandle::record),
+//! generic over [`Record`]): single-core jobs as
+//! [`RunRecord`](results_store::RunRecord)s keyed by the trace
+//! fingerprint, multi-core jobs as
+//! [`MixRecord`](results_store::MixRecord)s keyed by the
+//! mix fingerprint ([`sim_core::params::mix_fingerprint`]) and the params
+//! fingerprint *at the mix's core count*. The runners themselves never
+//! touch the store.
 //!
 //! A warm store thus regenerates the full figure set — multi-core
 //! fig13–fig18 included — with zero simulation; see the `results_store`
@@ -33,11 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-use results_store::{MixRecord, ResultsStore, RunRecord};
-use sim_core::params::RunParams;
-use sim_core::stats::SimReport;
-
-use crate::runner::SingleRun;
+use results_store::{Record, ResultsStore};
 
 /// Pending appends are flushed to a segment automatically once this many
 /// accumulate (long sweeps become durable incrementally, not only at
@@ -83,145 +83,62 @@ impl StoreHandle {
         })
     }
 
-    /// Looks up the stored run for (trace fingerprint, params fingerprint,
-    /// prefetcher) and converts it back to a [`SingleRun`].
+    /// Looks up the stored `R` row for (fingerprint, params fingerprint,
+    /// prefetcher) — a trace fingerprint for a single-core row, a mix
+    /// fingerprint for a mix row — and counts a hit.
     ///
-    /// The stored workload name must match `workload` — fingerprints are
-    /// content hashes, so two differently-named workloads with identical
-    /// record streams share a key; a name mismatch is treated as a miss so
-    /// the caller's report rows always carry the right label.
-    pub fn lookup(
+    /// The stored [`label`](Record::label) (workload name or mix label)
+    /// must equal `label`: fingerprints are content hashes, so two
+    /// differently-named inputs with identical record streams share a
+    /// key, and a label mismatch is treated as a miss so report rows
+    /// always carry the right names.
+    pub fn lookup<R: Record>(
         &self,
-        trace_fingerprint: u64,
+        fingerprint: u64,
         params_fingerprint: u64,
         prefetcher: &str,
-        workload: &str,
-    ) -> Option<SingleRun> {
-        let store = self.store.lock().expect("results store poisoned");
-        let rec = store.get(trace_fingerprint, params_fingerprint, prefetcher)?;
-        if rec.workload != workload {
-            return None;
-        }
-        let run = SingleRun {
-            workload: rec.workload.clone(),
-            prefetcher: rec.prefetcher.clone(),
-            stats: rec.stats,
-            baseline: rec.baseline,
-        };
-        drop(store);
+        label: &str,
+    ) -> Option<R> {
+        let rec = self.find(fingerprint, params_fingerprint, prefetcher, label)?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         store_counters().0.inc();
-        Some(run)
+        Some(rec)
     }
 
-    /// Whether the store holds the run for (trace fingerprint, params
-    /// fingerprint, prefetcher) under the expected workload name — the same
-    /// test [`lookup`](Self::lookup) applies, but without touching the
-    /// hit/miss counters. The spec planner's warm/cold dry-run uses this.
-    pub fn contains(
+    /// Whether the store holds the `R` row [`lookup`](Self::lookup) would
+    /// return, without touching the hit/miss counters. The spec
+    /// planner's warm/cold dry-run uses this.
+    pub fn contains<R: Record>(
         &self,
-        trace_fingerprint: u64,
-        params_fingerprint: u64,
-        prefetcher: &str,
-        workload: &str,
-    ) -> bool {
-        self.with_store(|s| {
-            s.get(trace_fingerprint, params_fingerprint, prefetcher)
-                .is_some_and(|rec| rec.workload == workload)
-        })
-    }
-
-    /// Whether the store holds the multi-core run for (mix fingerprint,
-    /// params fingerprint, prefetcher) under the expected label, without
-    /// touching the hit/miss counters.
-    pub fn contains_mix(
-        &self,
-        mix_fingerprint: u64,
+        fingerprint: u64,
         params_fingerprint: u64,
         prefetcher: &str,
         label: &str,
     ) -> bool {
-        self.with_store(|s| {
-            s.get_mix(mix_fingerprint, params_fingerprint, prefetcher)
-                .is_some_and(|rec| rec.label == label)
-        })
+        self.find::<R>(fingerprint, params_fingerprint, prefetcher, label)
+            .is_some()
     }
 
-    /// Records a freshly simulated run write-through (deduplicated inside
-    /// the store). Auto-flushes when the pending batch reaches
-    /// [`AUTO_FLUSH_RECORDS`].
-    pub fn record(&self, run: &SingleRun, trace_fingerprint: u64, params: &RunParams) {
+    fn find<R: Record>(
+        &self,
+        fingerprint: u64,
+        params_fingerprint: u64,
+        prefetcher: &str,
+        label: &str,
+    ) -> Option<R> {
+        self.with_store(|s| s.lookup::<R>(fingerprint, params_fingerprint, prefetcher))
+            .filter(|rec| rec.label() == label)
+    }
+
+    /// Records a freshly simulated row write-through (deduplicated inside
+    /// the store) and counts a miss. A mix row's params fingerprint must
+    /// be taken at the mix's core count (`params.with_cores(n)`).
+    /// Auto-flushes when the pending batch reaches [`AUTO_FLUSH_RECORDS`].
+    pub fn record<R: Record>(&self, rec: R) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         store_counters().1.inc();
-        let rec = RunRecord {
-            trace_fingerprint,
-            params_fingerprint: params.fingerprint(),
-            workload: run.workload.clone(),
-            prefetcher: run.prefetcher.clone(),
-            stats: run.stats,
-            baseline: run.baseline,
-        };
         let mut store = self.store.lock().expect("results store poisoned");
         store.append(rec);
-        if store.pending_len() >= AUTO_FLUSH_RECORDS {
-            if let Err(e) = store.flush() {
-                gaze_obs::log::error(
-                    "gaze-sim",
-                    "results store auto-flush failed",
-                    &[("error", &e)],
-                );
-            }
-        }
-    }
-
-    /// Looks up the stored multi-core run for (mix fingerprint, params
-    /// fingerprint, prefetcher) and returns its [`SimReport`].
-    ///
-    /// Like [`lookup`](Self::lookup), the stored mix label must match
-    /// `label` — a mismatch is treated as a miss so reports always carry
-    /// the right workloads even under a fingerprint collision.
-    pub fn lookup_mix(
-        &self,
-        mix_fingerprint: u64,
-        params_fingerprint: u64,
-        prefetcher: &str,
-        label: &str,
-    ) -> Option<SimReport> {
-        let store = self.store.lock().expect("results store poisoned");
-        let rec = store.get_mix(mix_fingerprint, params_fingerprint, prefetcher)?;
-        if rec.label != label {
-            return None;
-        }
-        let report = rec.report.clone();
-        drop(store);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        store_counters().0.inc();
-        Some(report)
-    }
-
-    /// Records a freshly simulated multi-core run write-through
-    /// (deduplicated inside the store). `params` must already be at the
-    /// mix's core count (the runners key on `params.with_cores(n)`).
-    /// Auto-flushes when the pending batch reaches [`AUTO_FLUSH_RECORDS`].
-    pub fn record_mix(
-        &self,
-        report: &SimReport,
-        mix_fingerprint: u64,
-        params: &RunParams,
-        prefetcher: &str,
-        label: &str,
-    ) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        store_counters().1.inc();
-        let rec = MixRecord {
-            mix_fingerprint,
-            params_fingerprint: params.fingerprint(),
-            prefetcher: prefetcher.to_string(),
-            label: label.to_string(),
-            report: report.clone(),
-        };
-        let mut store = self.store.lock().expect("results store poisoned");
-        store.append_mix(rec);
         if store.pending_len() >= AUTO_FLUSH_RECORDS {
             if let Err(e) = store.flush() {
                 gaze_obs::log::error(
@@ -348,6 +265,8 @@ pub fn flush() {
 mod tests {
     use super::*;
     use crate::runner::run_single;
+    use results_store::{MixRecord, RunRecord};
+    use sim_core::params::RunParams;
     use sim_core::trace::source_fingerprint;
     use workloads::build_workload;
 
@@ -366,13 +285,20 @@ mod tests {
 
         let handle = StoreHandle::open(&dir).expect("open");
         assert!(handle
-            .lookup(fp, params.fingerprint(), "gaze", "bwaves_s")
+            .lookup::<RunRecord>(fp, params.fingerprint(), "gaze", "bwaves_s")
             .is_none());
-        handle.record(&run, fp, &params);
+        handle.record(RunRecord {
+            trace_fingerprint: fp,
+            params_fingerprint: params.fingerprint(),
+            workload: run.workload.clone(),
+            prefetcher: run.prefetcher.clone(),
+            stats: run.stats,
+            baseline: run.baseline,
+        });
         handle.flush().expect("flush");
 
         let reopened = StoreHandle::open(&dir).expect("reopen");
-        let hit = reopened
+        let hit: RunRecord = reopened
             .lookup(fp, params.fingerprint(), "gaze", "bwaves_s")
             .expect("stored run");
         assert_eq!(hit.workload, run.workload);
@@ -382,7 +308,7 @@ mod tests {
         assert_eq!(reopened.hits(), 1);
         // A mismatched workload name is a miss even with the right key.
         assert!(reopened
-            .lookup(fp, params.fingerprint(), "gaze", "other-name")
+            .lookup::<RunRecord>(fp, params.fingerprint(), "gaze", "other-name")
             .is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -413,20 +339,26 @@ mod tests {
         };
         let handle = StoreHandle::open(&dir).expect("open");
         assert!(handle
-            .lookup_mix(0xabc, params.fingerprint(), "gaze", "a+b")
+            .lookup::<MixRecord>(0xabc, params.fingerprint(), "gaze", "a+b")
             .is_none());
-        handle.record_mix(&report, 0xabc, &params, "gaze", "a+b");
+        handle.record(MixRecord {
+            mix_fingerprint: 0xabc,
+            params_fingerprint: params.fingerprint(),
+            prefetcher: "gaze".to_string(),
+            label: "a+b".to_string(),
+            report: report.clone(),
+        });
         handle.flush().expect("flush");
 
         let reopened = StoreHandle::open(&dir).expect("reopen");
-        let hit = reopened
-            .lookup_mix(0xabc, params.fingerprint(), "gaze", "a+b")
+        let hit: MixRecord = reopened
+            .lookup(0xabc, params.fingerprint(), "gaze", "a+b")
             .expect("stored mix");
-        assert_eq!(hit, report);
+        assert_eq!(hit.report, report);
         assert_eq!(reopened.hits(), 1);
         // A mismatched label is a miss even with the right key.
         assert!(reopened
-            .lookup_mix(0xabc, params.fingerprint(), "gaze", "other+mix")
+            .lookup::<MixRecord>(0xabc, params.fingerprint(), "gaze", "other+mix")
             .is_none());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -10,6 +10,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
+use results_store::{MixRecord, Record, RunRecord};
 use sim_core::stats::{CoreStats, SimReport};
 use sim_core::trace::{source_fingerprint, TraceSource};
 
@@ -416,55 +417,108 @@ fn mix_refs<'a>(
         .collect()
 }
 
-/// The stored row of `job`, if the store holds one (a counted hit).
-fn lookup(store: &StoreHandle, job: &Job, key: &StoreKey) -> Option<Output> {
-    let pfp = key.params.fingerprint();
-    match job {
-        Job::Single { .. } => store
-            .lookup(key.fingerprint, pfp, &key.name, &key.label)
-            .map(|run| Output::Single(Box::new(run))),
-        Job::Mix { .. } => store
-            .lookup_mix(key.fingerprint, pfp, &key.name, &key.label)
-            .map(Output::Mix),
-    }
+/// A job result and the store row that persists it: all that differs
+/// between single-core and mix jobs on the store path.
+trait Persisted: Sized {
+    /// The row kind.
+    type Row: Record;
+    /// The result a stored row carries.
+    fn from_row(row: Self::Row) -> Self;
+    /// The row that stores this result under `key`.
+    fn to_row(&self, key: &StoreKey) -> Self::Row;
 }
 
-/// Whether the store holds `job`'s row, without touching the hit/miss
-/// counters.
-fn stored(store: &StoreHandle, job: &Job, key: &StoreKey) -> bool {
-    let pfp = key.params.fingerprint();
-    match job {
-        Job::Single { .. } => store.contains(key.fingerprint, pfp, &key.name, &key.label),
-        Job::Mix { .. } => store.contains_mix(key.fingerprint, pfp, &key.name, &key.label),
-    }
-}
+impl Persisted for SingleRun {
+    type Row = RunRecord;
 
-/// Records a freshly simulated job write-through (a counted miss).
-fn record(store: &StoreHandle, key: &StoreKey, output: &Output) {
-    match output {
-        Output::Single(run) => store.record(run, key.fingerprint, &key.params),
-        Output::Mix(report) => {
-            store.record_mix(report, key.fingerprint, &key.params, &key.name, &key.label)
+    fn from_row(row: RunRecord) -> SingleRun {
+        SingleRun {
+            workload: row.workload,
+            prefetcher: row.prefetcher,
+            stats: row.stats,
+            baseline: row.baseline,
         }
     }
+
+    fn to_row(&self, key: &StoreKey) -> RunRecord {
+        RunRecord {
+            trace_fingerprint: key.fingerprint,
+            params_fingerprint: key.params.fingerprint(),
+            workload: self.workload.clone(),
+            prefetcher: self.prefetcher.clone(),
+            stats: self.stats,
+            baseline: self.baseline,
+        }
+    }
+}
+
+impl Persisted for SimReport {
+    type Row = MixRecord;
+
+    fn from_row(row: MixRecord) -> SimReport {
+        row.report
+    }
+
+    fn to_row(&self, key: &StoreKey) -> MixRecord {
+        MixRecord {
+            mix_fingerprint: key.fingerprint,
+            params_fingerprint: key.params.fingerprint(),
+            prefetcher: key.name.clone(),
+            label: key.label.clone(),
+            report: self.clone(),
+        }
+    }
+}
+
+/// The stored row under `keyed`'s key when its store holds one (a counted
+/// hit); otherwise `simulate`'s result, recorded write-through (a counted
+/// miss). Without a store, simply `simulate`'s result.
+fn cached<T: Persisted>(
+    keyed: Option<&(&StoreHandle, StoreKey)>,
+    simulate: impl FnOnce() -> T,
+) -> T {
+    let Some((store, key)) = keyed else {
+        return simulate();
+    };
+    let pfp = key.params.fingerprint();
+    if let Some(row) = store.lookup(key.fingerprint, pfp, &key.name, &key.label) {
+        return T::from_row(row);
+    }
+    let result = simulate();
+    store.record(result.to_row(key));
+    result
+}
+
+/// Whether the store holds the `T` row under `key`, without touching the
+/// hit/miss counters.
+fn stored<T: Persisted>(store: &StoreHandle, key: &StoreKey) -> bool {
+    let pfp = key.params.fingerprint();
+    store.contains::<T::Row>(key.fingerprint, pfp, &key.name, &key.label)
 }
 
 /// One slot per (workload, params fingerprint) a plan's single-core jobs
 /// touch, filled with that no-prefetching baseline on first use.
 type Baselines<'a> = HashMap<(&'a str, u64), OnceLock<CoreStats>>;
 
-/// Simulates `job`, taking a single-core job's baseline from its slot.
-fn simulate(job: &Job, traces: &HashMap<String, LazyWorkload>, baselines: &Baselines) -> Output {
+/// Runs `job` through the store, if one is active, simulating it on a
+/// miss; a single-core job takes its baseline from its slot.
+fn run_job(
+    job: &Job,
+    traces: &HashMap<String, LazyWorkload>,
+    baselines: &Baselines,
+    store: Option<&StoreHandle>,
+) -> Output {
+    let keyed = store.map(|store| (store, store_key(job, traces)));
     match job {
         Job::Single {
             workload,
             l1,
             l2,
             params,
-        } => {
+        } => Output::Single(Box::new(cached(keyed.as_ref(), || {
             let trace = &traces[workload.as_str()];
             let slot = &baselines[&(workload.as_str(), params.fingerprint())];
-            Output::Single(Box::new(SingleRun {
+            SingleRun {
                 workload: workload.clone(),
                 prefetcher: multi_level_name(l1, l2.as_deref()),
                 stats: simulate_core(
@@ -475,17 +529,15 @@ fn simulate(job: &Job, traces: &HashMap<String, LazyWorkload>, baselines: &Basel
                 ),
                 baseline: *slot
                     .get_or_init(|| simulate_core(trace, make_prefetcher("none"), None, params)),
-            }))
-        }
+            }
+        }))),
         Job::Mix {
             workloads,
             prefetcher,
             params,
-        } => Output::Mix(run_heterogeneous(
-            &mix_refs(workloads, traces),
-            prefetcher,
-            params,
-        )),
+        } => Output::Mix(cached(keyed.as_ref(), || {
+            run_heterogeneous(&mix_refs(workloads, traces), prefetcher, params)
+        })),
     }
 }
 
@@ -534,19 +586,7 @@ pub fn execute_with_progress(
     let outputs = parallel_map(plan.jobs(), |job| {
         // gaze-lint: allow(wall_clock) -- feeds only the job-duration metrics, never a simulated result
         let job_started = std::time::Instant::now();
-        let keyed = store
-            .as_deref()
-            .map(|store| (store, store_key(job, &traces)));
-        let hit = keyed
-            .as_ref()
-            .and_then(|(store, key)| lookup(store, job, key));
-        let output = hit.unwrap_or_else(|| {
-            let output = simulate(job, &traces, &baselines);
-            if let Some((store, key)) = &keyed {
-                record(store, key, &output);
-            }
-            output
-        });
+        let output = run_job(job, &traces, &baselines, store.as_deref());
         note_job(output.kind(), job_started.elapsed().as_micros() as u64);
         if let Some(report) = progress {
             let finished = done.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
@@ -646,7 +686,13 @@ pub fn dry_run(plan: &JobPlan, scale: &ExperimentScale) -> PlanReport {
     report.warm = plan
         .jobs()
         .iter()
-        .filter(|job| stored(&store, job, &store_key(job, &traces)))
+        .filter(|job| {
+            let key = store_key(job, &traces);
+            match job {
+                Job::Single { .. } => stored::<SingleRun>(&store, &key),
+                Job::Mix { .. } => stored::<SimReport>(&store, &key),
+            }
+        })
         .count();
     report.cold = plan.len() - report.warm;
     report

@@ -63,8 +63,10 @@
 //! `u64`s, so a figure regenerated from the store is bit-identical to one
 //! computed from a fresh simulation.
 
+use std::fmt::Debug;
 use std::io::{self, Read, Write};
 
+use sim_core::params::Fnv1a;
 use sim_core::stats::{CacheStats, CoreStats, PrefetchStats, SimReport};
 
 /// Magic bytes at the start of every GZR segment (both versions; the
@@ -123,9 +125,10 @@ pub struct RunRecord {
     pub baseline: CoreStats,
 }
 
-/// The dedup/lookup key of a record: one row exists in the store per
-/// (trace fingerprint, run-parameter fingerprint, prefetcher).
-pub type RunKey = (u64, u64, String);
+/// The dedup/lookup key of a record: one row of a kind exists in the
+/// store per (trace or mix fingerprint, run-parameter fingerprint,
+/// prefetcher).
+pub type RecordKey = (u64, u64, String);
 
 /// One persisted multi-core run (format version 2): the key it is stored
 /// under plus the raw per-core statistics of the full [`SimReport`].
@@ -153,20 +156,7 @@ pub struct MixRecord {
     pub report: SimReport,
 }
 
-/// The dedup/lookup key of a mix record: one row exists per
-/// (mix fingerprint, run-parameter fingerprint, prefetcher).
-pub type MixKey = (u64, u64, String);
-
 impl MixRecord {
-    /// The key this record is stored under.
-    pub fn key(&self) -> MixKey {
-        (
-            self.mix_fingerprint,
-            self.params_fingerprint,
-            self.prefetcher.clone(),
-        )
-    }
-
     /// Number of cores in the mix.
     pub fn cores(&self) -> usize {
         self.report.cores.len()
@@ -193,16 +183,117 @@ pub enum SegmentRecords {
     Mixes(Vec<MixRecord>),
 }
 
-impl RunRecord {
+/// What differs between the two record kinds. The store and the segment
+/// codec are written once over this trait; [`RunRecord`] and
+/// [`MixRecord`] are its only implementations (it is sealed).
+pub trait Record: crate::store::kind::Sealed + Clone + Debug + PartialEq {
+    /// Format version of this kind's segments, also the kind tag folded
+    /// into its key hashes: 1 for runs, 2 for mixes.
+    const VERSION: u16;
+    /// Size of one encoded record.
+    const BYTES: usize;
+
+    /// The key parts: (trace or mix fingerprint, params fingerprint,
+    /// prefetcher).
+    fn key_parts(&self) -> (u64, u64, &str);
+
     /// The key this record is stored under.
-    pub fn key(&self) -> RunKey {
+    fn key(&self) -> RecordKey {
+        let (fingerprint, params, prefetcher) = self.key_parts();
+        (fingerprint, params, prefetcher.to_string())
+    }
+
+    /// The name a lookup checks on the stored row (workload name or mix
+    /// label): fingerprints are content hashes, so two differently-named
+    /// inputs can share a key.
+    fn label(&self) -> &str;
+
+    /// Whether `other`, stored under the same key, carries the same
+    /// results; a difference counts as a conflict.
+    fn same_results(&self, other: &Self) -> bool;
+
+    /// The [`BYTES`](Self::BYTES)-long on-disk form; fails on a record
+    /// the format cannot hold.
+    fn encode(&self) -> io::Result<impl AsRef<[u8]>>;
+
+    /// Decodes one [`BYTES`](Self::BYTES)-long on-disk record.
+    fn decode(buf: &[u8]) -> io::Result<Self>;
+
+    /// Folds this record's share of its segment's file-name hash.
+    fn fold_name(&self, hasher: &mut Fnv1a);
+}
+
+impl Record for RunRecord {
+    const VERSION: u16 = GZR_VERSION;
+    const BYTES: usize = GZR_RECORD_BYTES;
+
+    fn key_parts(&self) -> (u64, u64, &str) {
         (
             self.trace_fingerprint,
             self.params_fingerprint,
-            self.prefetcher.clone(),
+            &self.prefetcher,
         )
     }
 
+    fn label(&self) -> &str {
+        &self.workload
+    }
+
+    fn same_results(&self, other: &Self) -> bool {
+        self.stats == other.stats && self.baseline == other.baseline
+    }
+
+    fn encode(&self) -> io::Result<impl AsRef<[u8]>> {
+        encode_record(self)
+    }
+
+    fn decode(buf: &[u8]) -> io::Result<Self> {
+        decode_record(buf.try_into().expect("a GZR_RECORD_BYTES buffer"))
+    }
+
+    fn fold_name(&self, hasher: &mut Fnv1a) {
+        hasher.mix(self.trace_fingerprint);
+        hasher.mix(self.params_fingerprint);
+        hasher.mix(self.stats.cycles);
+    }
+}
+
+impl Record for MixRecord {
+    const VERSION: u16 = GZR_VERSION_MIX;
+    const BYTES: usize = GZR_MIX_RECORD_BYTES;
+
+    fn key_parts(&self) -> (u64, u64, &str) {
+        (
+            self.mix_fingerprint,
+            self.params_fingerprint,
+            &self.prefetcher,
+        )
+    }
+
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn same_results(&self, other: &Self) -> bool {
+        self.report == other.report
+    }
+
+    fn encode(&self) -> io::Result<impl AsRef<[u8]>> {
+        encode_mix_record(self)
+    }
+
+    fn decode(buf: &[u8]) -> io::Result<Self> {
+        decode_mix_record(buf.try_into().expect("a GZR_MIX_RECORD_BYTES buffer"))
+    }
+
+    fn fold_name(&self, hasher: &mut Fnv1a) {
+        hasher.mix(self.mix_fingerprint);
+        hasher.mix(self.params_fingerprint);
+        hasher.mix(self.cores() as u64);
+    }
+}
+
+impl RunRecord {
     /// IPC of the prefetcher-enabled run.
     pub fn ipc(&self) -> f64 {
         self.stats.ipc()
@@ -450,22 +541,12 @@ fn write_header(
     out.write_all(&header)
 }
 
-/// Writes a complete version-1 segment (header + single-core records) to
+/// Writes a complete segment of one record kind (header + records) to
 /// `out`.
-pub fn write_segment(out: &mut impl Write, records: &[RunRecord]) -> io::Result<()> {
-    write_header(out, GZR_VERSION, GZR_RECORD_BYTES, records.len())?;
+pub fn write_segment<R: Record>(out: &mut impl Write, records: &[R]) -> io::Result<()> {
+    write_header(out, R::VERSION, R::BYTES, records.len())?;
     for rec in records {
-        out.write_all(&encode_record(rec)?)?;
-    }
-    Ok(())
-}
-
-/// Writes a complete version-2 segment (header + multi-core mix records)
-/// to `out`.
-pub fn write_mix_segment(out: &mut impl Write, records: &[MixRecord]) -> io::Result<()> {
-    write_header(out, GZR_VERSION_MIX, GZR_MIX_RECORD_BYTES, records.len())?;
-    for rec in records {
-        out.write_all(&encode_mix_record(rec)?)?;
+        out.write_all(rec.encode()?.as_ref())?;
     }
     Ok(())
 }
@@ -538,44 +619,47 @@ pub fn read_segment_any(
     context: &str,
 ) -> io::Result<SegmentRecords> {
     let (version, record_count) = read_header(input, total_len, context)?;
-    let wrap = |e: io::Error| io::Error::new(io::ErrorKind::InvalidData, format!("{context}: {e}"));
-    match version {
-        GZR_VERSION => {
-            let mut records = Vec::with_capacity(record_count as usize);
-            let mut buf = [0u8; GZR_RECORD_BYTES];
-            for _ in 0..record_count {
-                input.read_exact(&mut buf)?;
-                records.push(decode_record(&buf).map_err(wrap)?);
-            }
-            Ok(SegmentRecords::Runs(records))
-        }
-        _ => {
-            let mut records = Vec::with_capacity(record_count as usize);
-            let mut buf = [0u8; GZR_MIX_RECORD_BYTES];
-            for _ in 0..record_count {
-                input.read_exact(&mut buf)?;
-                records.push(decode_mix_record(&buf).map_err(wrap)?);
-            }
-            Ok(SegmentRecords::Mixes(records))
-        }
-    }
+    Ok(match version {
+        GZR_VERSION => SegmentRecords::Runs(read_records(input, record_count, context)?),
+        _ => SegmentRecords::Mixes(read_records(input, record_count, context)?),
+    })
 }
 
-/// Reads and validates a complete **version-1** segment. A valid v2
-/// segment is an `InvalidData` error here — use [`read_segment_any`] when
-/// both versions may appear.
-pub fn read_segment(
+/// Reads and validates a complete segment of record kind `R`. A valid
+/// segment of the other kind is an `InvalidData` error here — use
+/// [`read_segment_any`] when both versions may appear.
+pub fn read_segment<R: Record>(
     input: &mut impl Read,
     total_len: u64,
     context: &str,
-) -> io::Result<Vec<RunRecord>> {
-    match read_segment_any(input, total_len, context)? {
-        SegmentRecords::Runs(records) => Ok(records),
-        SegmentRecords::Mixes(_) => Err(io::Error::new(
+) -> io::Result<Vec<R>> {
+    let (version, record_count) = read_header(input, total_len, context)?;
+    if version != R::VERSION {
+        return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("{context}: expected a v1 (single-core) GZR segment, found v2"),
-        )),
+            format!(
+                "{context}: expected a v{} GZR segment, found v{version}",
+                R::VERSION
+            ),
+        ));
     }
+    read_records(input, record_count, context)
+}
+
+/// Decodes the `record_count` records that follow a validated header.
+fn read_records<R: Record>(
+    input: &mut impl Read,
+    record_count: u64,
+    context: &str,
+) -> io::Result<Vec<R>> {
+    let wrap = |e: io::Error| io::Error::new(io::ErrorKind::InvalidData, format!("{context}: {e}"));
+    let mut records = Vec::with_capacity(record_count as usize);
+    let mut buf = vec![0u8; R::BYTES];
+    for _ in 0..record_count {
+        input.read_exact(&mut buf)?;
+        records.push(R::decode(&buf).map_err(wrap)?);
+    }
+    Ok(records)
 }
 
 #[cfg(test)]
@@ -629,7 +713,8 @@ mod tests {
             bytes.len(),
             GZR_HEADER_BYTES + records.len() * GZR_RECORD_BYTES
         );
-        let decoded = read_segment(&mut bytes.as_slice(), bytes.len() as u64, "mem").expect("read");
+        let decoded = read_segment::<RunRecord>(&mut bytes.as_slice(), bytes.len() as u64, "mem")
+            .expect("read");
         assert_eq!(decoded, records);
     }
 
@@ -653,27 +738,27 @@ mod tests {
         // Bad magic.
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        assert!(read_segment(&mut bad.as_slice(), bad.len() as u64, "m").is_err());
+        assert!(read_segment::<RunRecord>(&mut bad.as_slice(), bad.len() as u64, "m").is_err());
 
         // Bad version.
         let mut bad = bytes.clone();
         bad[4] = 9;
-        assert!(read_segment(&mut bad.as_slice(), bad.len() as u64, "m").is_err());
+        assert!(read_segment::<RunRecord>(&mut bad.as_slice(), bad.len() as u64, "m").is_err());
 
         // Truncated data.
         let cut = bytes.len() - 5;
-        assert!(read_segment(&mut bytes[..cut].as_ref(), cut as u64, "m").is_err());
+        assert!(read_segment::<RunRecord>(&mut bytes[..cut].as_ref(), cut as u64, "m").is_err());
 
         // Non-zero reserved bytes.
         let mut bad = bytes.clone();
         bad[20] = 1;
-        assert!(read_segment(&mut bad.as_slice(), bad.len() as u64, "m").is_err());
+        assert!(read_segment::<RunRecord>(&mut bad.as_slice(), bad.len() as u64, "m").is_err());
 
         // A record count that overflows the size computation is an error,
         // not a panic or a wrapped length.
         let mut bad = bytes.clone();
         bad[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(read_segment(&mut bad.as_slice(), bad.len() as u64, "m").is_err());
+        assert!(read_segment::<RunRecord>(&mut bad.as_slice(), bad.len() as u64, "m").is_err());
     }
 
     pub(crate) fn sample_mix_record(seed: u64, cores: usize) -> MixRecord {
@@ -717,7 +802,7 @@ mod tests {
             .map(|s| sample_mix_record(s, s as usize * 2))
             .collect();
         let mut bytes = Vec::new();
-        write_mix_segment(&mut bytes, &records).expect("write");
+        write_segment(&mut bytes, &records).expect("write");
         assert_eq!(
             bytes.len(),
             GZR_HEADER_BYTES + records.len() * GZR_MIX_RECORD_BYTES
@@ -727,7 +812,8 @@ mod tests {
             SegmentRecords::Runs(_) => panic!("v2 segment decoded as v1"),
         }
         // The v1-only entry point refuses a valid v2 segment.
-        let err = read_segment(&mut bytes.as_slice(), bytes.len() as u64, "mem").unwrap_err();
+        let err = read_segment::<RunRecord>(&mut bytes.as_slice(), bytes.len() as u64, "mem")
+            .unwrap_err();
         assert!(err.to_string().contains("found v2"), "{err}");
     }
 

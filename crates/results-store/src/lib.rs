@@ -25,7 +25,10 @@
 //! no-prefetching baseline, and version-2 [`MixRecord`]s hold the
 //! per-core counters of one multi-core run, keyed by a *mix* fingerprint
 //! ([`sim_core::params::mix_fingerprint`]) folding the core count and
-//! every trace in the mix.
+//! every trace in the mix. The store has one code path for both: every
+//! operation is generic over the sealed [`Record`] trait, and the
+//! per-kind differences (version, size, key, lookup label, content
+//! equality, codec, segment-name fields) live only in its two impls.
 //!
 //! The crate is dependency-free (std only) like the rest of the
 //! workspace. The experiment harness integrates it behind the
@@ -70,7 +73,7 @@ mod obs;
 pub mod store;
 
 pub use format::{
-    decode_mix_record, decode_record, encode_mix_record, encode_record, MixKey, MixRecord, RunKey,
-    RunRecord, SegmentRecords,
+    decode_mix_record, decode_record, encode_mix_record, encode_record, MixRecord, Record,
+    RecordKey, RunRecord, SegmentRecords,
 };
-pub use store::{CompactStats, MixQuery, ResultsStore, RunQuery};
+pub use store::{CompactStats, MixQuery, Query, ResultsStore, RunQuery};

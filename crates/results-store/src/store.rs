@@ -1,4 +1,8 @@
 //! The append-only, directory-backed results store.
+//!
+//! Every operation is written once, generic over [`Record`]; what differs
+//! between single-core runs and multi-core mixes lives in the two
+//! `Record` impls, and each kind's unflushed rows live in its own table.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ffi::OsString;
@@ -8,9 +12,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::format::{
-    read_segment_any, write_mix_segment, write_segment, MixKey, MixRecord, RunKey, RunRecord,
-    SegmentRecords, GZR_HEADER_BYTES, GZR_MIX_RECORD_BYTES, GZR_RECORD_BYTES, GZR_VERSION,
-    GZR_VERSION_MIX,
+    read_segment, read_segment_any, write_segment, MixRecord, Record, RecordKey, RunRecord,
+    SegmentRecords, GZR_HEADER_BYTES, GZR_MIX_RECORD_BYTES, GZR_VERSION, GZR_VERSION_MIX,
 };
 use sim_core::params::Fnv1a;
 
@@ -27,6 +30,17 @@ pub const SEGMENT_PREFIX: &str = "seg-";
 /// mid-write can leave at most garbage with this prefix behind, not a
 /// corrupt segment.
 pub const TMP_PREFIX: &str = ".tmp-";
+
+/// A typed filter over the rows of one record kind, answered by
+/// [`ResultsStore::query`].
+pub trait Query {
+    /// The record kind this filter selects from.
+    type Record: Record;
+    /// Whether `rec` passes every set filter.
+    fn matches(&self, rec: &Self::Record) -> bool;
+    /// The most rows to return (`None`: all).
+    fn limit(&self) -> Option<usize>;
+}
 
 /// Typed filter over the store. Every field is optional; `None` matches
 /// everything. Results come back in store order (segment load order, then
@@ -46,9 +60,10 @@ pub struct RunQuery {
     pub limit: Option<usize>,
 }
 
-impl RunQuery {
-    /// Whether `rec` passes every set filter.
-    pub fn matches(&self, rec: &RunRecord) -> bool {
+impl Query for RunQuery {
+    type Record = RunRecord;
+
+    fn matches(&self, rec: &RunRecord) -> bool {
         self.workload.as_deref().is_none_or(|w| rec.workload == w)
             && self
                 .prefetcher
@@ -60,6 +75,10 @@ impl RunQuery {
             && self
                 .trace_fingerprint
                 .is_none_or(|f| rec.trace_fingerprint == f)
+    }
+
+    fn limit(&self) -> Option<usize> {
+        self.limit
     }
 }
 
@@ -81,9 +100,10 @@ pub struct MixQuery {
     pub limit: Option<usize>,
 }
 
-impl MixQuery {
-    /// Whether `rec` passes every set filter.
-    pub fn matches(&self, rec: &MixRecord) -> bool {
+impl Query for MixQuery {
+    type Record = MixRecord;
+
+    fn matches(&self, rec: &MixRecord) -> bool {
         self.label.as_deref().is_none_or(|l| rec.label == l)
             && self
                 .prefetcher
@@ -96,6 +116,10 @@ impl MixQuery {
                 .mix_fingerprint
                 .is_none_or(|f| rec.mix_fingerprint == f)
             && self.cores.is_none_or(|c| rec.cores() == c)
+    }
+
+    fn limit(&self) -> Option<usize> {
+        self.limit
     }
 }
 
@@ -116,64 +140,94 @@ pub struct CompactStats {
     pub duplicates_dropped: u64,
 }
 
+/// The per-kind in-memory state of a store. Both items are public but
+/// unnameable outside the crate, which seals [`Record`].
+pub(crate) mod kind {
+    use super::{HashMap, RecordKey, ResultsStore};
+
+    /// One record kind's unflushed rows and persisted counts.
+    #[derive(Debug)]
+    pub struct Table<R> {
+        /// Appended rows not yet flushed, in append order.
+        pub(super) pending: Vec<R>,
+        /// Key → position in `pending`.
+        pub(super) index: HashMap<RecordKey, usize>,
+        /// Distinct persisted keys (recomputed from segment indexes).
+        pub(super) persisted: usize,
+        /// Pending rows whose key is *also* persisted (possible after a
+        /// reload picked up a foreign segment); they count once in `len`.
+        pub(super) shadowed: usize,
+    }
+
+    impl<R> Default for Table<R> {
+        fn default() -> Self {
+            Table {
+                pending: Vec::new(),
+                index: HashMap::new(),
+                persisted: 0,
+                shadowed: 0,
+            }
+        }
+    }
+
+    impl<R> Table<R> {
+        /// Distinct rows of this kind, persisted + pending.
+        pub(super) fn len(&self) -> usize {
+            self.persisted + self.pending.len() - self.shadowed
+        }
+    }
+
+    /// The store's table of this kind.
+    pub trait Sealed: Sized {
+        /// This kind's table in `store`.
+        fn table(store: &ResultsStore) -> &Table<Self>;
+        /// This kind's table in `store`, mutably.
+        fn table_mut(store: &mut ResultsStore) -> &mut Table<Self>;
+    }
+}
+
+use kind::Table;
+
+impl kind::Sealed for RunRecord {
+    fn table(store: &ResultsStore) -> &Table<Self> {
+        &store.runs
+    }
+    fn table_mut(store: &mut ResultsStore) -> &mut Table<Self> {
+        &mut store.runs
+    }
+}
+
+impl kind::Sealed for MixRecord {
+    fn table(store: &ResultsStore) -> &Table<Self> {
+        &store.mixes
+    }
+    fn table_mut(store: &mut ResultsStore) -> &mut Table<Self> {
+        &mut store.mixes
+    }
+}
+
 /// One segment index entry: the FNV key hash of a record and its
 /// position (record index, not byte offset) inside the segment.
 #[derive(Debug)]
 struct IndexEntry {
-    /// [`run_key_hash`] / [`mix_key_hash`] of the record's key tuple.
+    /// [`key_hash`] of the record's key.
     hash: u64,
     /// 0-based record index inside the segment.
     index: u64,
 }
 
-/// Hashes a v1 run-record key tuple `(trace_fingerprint,
-/// params_fingerprint, prefetcher)` for the segment index.
-fn run_key_hash(trace_fingerprint: u64, params_fingerprint: u64, prefetcher: &str) -> u64 {
-    key_hash(1, trace_fingerprint, params_fingerprint, prefetcher)
-}
-
-/// Hashes a v2 mix-record key tuple `(mix_fingerprint,
-/// params_fingerprint, prefetcher)` for the segment index.
-fn mix_key_hash(mix_fingerprint: u64, params_fingerprint: u64, prefetcher: &str) -> u64 {
-    key_hash(2, mix_fingerprint, params_fingerprint, prefetcher)
-}
-
-fn key_hash(kind: u64, a: u64, b: u64, prefetcher: &str) -> u64 {
+/// Hashes an `R` key `(fingerprint, params_fingerprint, prefetcher)` for
+/// the segment index, tagged with the kind's format version.
+fn key_hash<R: Record>((fingerprint, params, prefetcher): (u64, u64, &str)) -> u64 {
     let mut hasher = Fnv1a::new();
-    hasher.mix(kind);
-    hasher.mix(a);
-    hasher.mix(b);
+    hasher.mix(u64::from(R::VERSION));
+    hasher.mix(fingerprint);
+    hasher.mix(params);
     hasher.mix(prefetcher.len() as u64);
     for byte in prefetcher.bytes() {
         hasher.mix(u64::from(byte));
     }
     hasher.finish()
-}
-
-/// The sorted key table of a batch of records. Entries are ordered by
-/// `(hash, index)`, so equal hashes probe in record order and the first
-/// write wins.
-fn build_index(records: &SegmentRecords) -> Vec<IndexEntry> {
-    let hashes: Vec<u64> = match records {
-        SegmentRecords::Runs(records) => records
-            .iter()
-            .map(|r| run_key_hash(r.trace_fingerprint, r.params_fingerprint, &r.prefetcher))
-            .collect(),
-        SegmentRecords::Mixes(records) => records
-            .iter()
-            .map(|r| mix_key_hash(r.mix_fingerprint, r.params_fingerprint, &r.prefetcher))
-            .collect(),
-    };
-    let mut entries: Vec<IndexEntry> = hashes
-        .into_iter()
-        .enumerate()
-        .map(|(index, hash)| IndexEntry {
-            hash,
-            index: index as u64,
-        })
-        .collect();
-    entries.sort_unstable_by_key(|e| (e.hash, e.index));
-    entries
 }
 
 /// One loaded segment: validated header metadata plus its in-memory key
@@ -184,10 +238,38 @@ struct Segment {
     path: PathBuf,
     /// GZR format version (1 = runs, 2 = mixes).
     version: u16,
-    /// `(key_hash, record_index)` sorted ascending, built by
-    /// [`build_index`].
+    /// `(key_hash, record_index)` sorted ascending by `(hash, index)`, so
+    /// equal hashes probe in record order and the first write wins.
     entries: Vec<IndexEntry>,
     file: File,
+}
+
+impl Segment {
+    /// A loaded segment holding `records`, its key table built from them.
+    fn new<R: Record>(path: PathBuf, file: File, records: &[R]) -> Segment {
+        let mut entries: Vec<IndexEntry> = records
+            .iter()
+            .enumerate()
+            .map(|(index, rec)| IndexEntry {
+                hash: key_hash::<R>(rec.key_parts()),
+                index: index as u64,
+            })
+            .collect();
+        entries.sort_unstable_by_key(|e| (e.hash, e.index));
+        Segment {
+            path,
+            version: R::VERSION,
+            entries,
+            file,
+        }
+    }
+
+    /// The index entries whose key hash equals `hash`, in record order.
+    fn candidates(&self, hash: u64) -> &[IndexEntry] {
+        let start = self.entries.partition_point(|e| e.hash < hash);
+        let end = start + self.entries[start..].partition_point(|e| e.hash == hash);
+        &self.entries[start..end]
+    }
 }
 
 /// Positioned read that never moves a shared cursor (`pread` on unix).
@@ -205,48 +287,38 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
     }
 }
 
-/// An append-only store of [`RunRecord`]s backed by a directory of GZR
-/// segment files.
+/// An append-only store of [`RunRecord`]s and [`MixRecord`]s backed by a
+/// directory of GZR segment files.
 ///
 /// * **Durability** — [`flush`](ResultsStore::flush) writes all unpersisted
-///   records as one new segment: the bytes go to a `.tmp-` file first,
-///   are fsynced, and the file is atomically renamed into place. A crash
-///   at any point leaves either the old segment set or the old set plus
-///   one complete new segment — never a half-written segment.
-/// * **Dedup** — one record exists per (trace fingerprint, params
-///   fingerprint, prefetcher) key. Re-appending an existing key is a
-///   no-op (simulations are deterministic, so the row content is
-///   identical); duplicates across segments are collapsed by every read
-///   path (first segment in load order wins) and physically dropped by
+///   records as one new segment per kind: the bytes go to a `.tmp-` file
+///   first, are fsynced, and the file is atomically renamed into place. A
+///   crash at any point leaves either the old segment set or the old set
+///   plus complete new segments — never a half-written segment.
+/// * **Dedup** — one record of a kind exists per [`Record::key`].
+///   Re-appending an existing key is a no-op (simulations are
+///   deterministic, so the row content is identical); duplicates across
+///   segments are collapsed by every read path (first segment in load
+///   order wins) and physically dropped by
 ///   [`compact`](ResultsStore::compact).
 /// * **Index** — opening validates each segment with one full scan and
 ///   keeps only its sorted `(key hash, record index)` table: resident
 ///   memory is bounded by 16 bytes per key, never by payloads. A point
 ///   lookup goes pending overlay → binary-searched key table → one
 ///   positioned record read. Single-core (v1) and multi-core (v2) records
-///   live in separate segments; a flush writes one segment per record
-///   kind.
+///   live in separate segments.
 #[derive(Debug)]
 pub struct ResultsStore {
     dir: PathBuf,
     segments: Vec<Segment>,
-    pending_runs: Vec<RunRecord>,
-    pending_run_index: HashMap<RunKey, usize>,
-    pending_mixes: Vec<MixRecord>,
-    pending_mix_index: HashMap<MixKey, usize>,
+    runs: Table<RunRecord>,
+    mixes: Table<MixRecord>,
     /// Names of every segment file this store has loaded or written.
     /// Segments are immutable and only ever added by writers (compaction
     /// removes them), so comparing this set against the directory listing
     /// detects stores changed by *other* processes
     /// ([`is_stale`](Self::is_stale)).
     known_segments: BTreeSet<OsString>,
-    /// Distinct persisted keys per kind (recomputed from segment indexes).
-    persisted_runs: usize,
-    persisted_mixes: usize,
-    /// Pending rows whose key is *also* persisted (possible after a
-    /// reload picked up a foreign segment); they count once in `len`.
-    shadowed_runs: usize,
-    shadowed_mixes: usize,
     /// Duplicates/conflicts across segments on disk (recomputed at open,
     /// reload and compact) vs. those observed on the append path.
     duplicates_base: u64,
@@ -278,18 +350,6 @@ fn segment_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
         .collect())
 }
 
-fn same_run_key(a: &RunRecord, b: &RunRecord) -> bool {
-    a.trace_fingerprint == b.trace_fingerprint
-        && a.params_fingerprint == b.params_fingerprint
-        && a.prefetcher == b.prefetcher
-}
-
-fn same_mix_key(a: &MixRecord, b: &MixRecord) -> bool {
-    a.mix_fingerprint == b.mix_fingerprint
-        && a.params_fingerprint == b.params_fingerprint
-        && a.prefetcher == b.prefetcher
-}
-
 impl ResultsStore {
     /// Opens (creating if needed) the store at `dir`, scanning every
     /// segment once to validate it and build its key table. Each record
@@ -307,15 +367,9 @@ impl ResultsStore {
         let mut store = ResultsStore {
             dir,
             segments: Vec::new(),
-            pending_runs: Vec::new(),
-            pending_run_index: HashMap::new(),
-            pending_mixes: Vec::new(),
-            pending_mix_index: HashMap::new(),
+            runs: Table::default(),
+            mixes: Table::default(),
             known_segments: BTreeSet::new(),
-            persisted_runs: 0,
-            persisted_mixes: 0,
-            shadowed_runs: 0,
-            shadowed_mixes: 0,
             duplicates_base: 0,
             duplicates_runtime: 0,
             conflicts_base: 0,
@@ -325,12 +379,8 @@ impl ResultsStore {
             read_errors: AtomicU64::new(0),
         };
         for path in segment_paths {
-            crate::fault::check_io("gzr.segment.read")?;
-            let segment = store.load_segment(&path)?;
-            if let Some(name) = path.file_name() {
-                store.known_segments.insert(name.to_os_string());
-            }
-            store.segments.push(segment);
+            let segment = store.load_segment(path)?;
+            store.adopt(segment);
         }
         store.recount()?;
         Ok(store)
@@ -338,19 +388,29 @@ impl ResultsStore {
 
     /// Validates one segment in full and builds its key table from a
     /// single scan; the decoded payloads are dropped again.
-    fn load_segment(&self, path: &Path) -> io::Result<Segment> {
-        let file = File::open(path)?;
-        let records = self.decode_segment(&file, path)?;
-        let version = match records {
-            SegmentRecords::Runs(_) => GZR_VERSION,
-            SegmentRecords::Mixes(_) => GZR_VERSION_MIX,
+    fn load_segment(&self, path: PathBuf) -> io::Result<Segment> {
+        crate::fault::check_io("gzr.segment.read")?;
+        let file = File::open(&path)?;
+        let total_len = file.metadata()?.len();
+        let records = read_segment_any(
+            &mut BufReader::new(&file),
+            total_len,
+            &path.display().to_string(),
+        )?;
+        let segment = match records {
+            SegmentRecords::Runs(records) => Segment::new(path, file, &records),
+            SegmentRecords::Mixes(records) => Segment::new(path, file, &records),
         };
-        Ok(Segment {
-            path: path.to_path_buf(),
-            version,
-            entries: build_index(&records),
-            file,
-        })
+        self.note_decoded(segment.entries.len() as u64);
+        Ok(segment)
+    }
+
+    /// Adds a loaded or freshly written segment to the store.
+    fn adopt(&mut self, segment: Segment) {
+        if let Some(name) = segment.path.file_name() {
+            self.known_segments.insert(name.to_os_string());
+        }
+        self.segments.push(segment);
     }
 
     /// The directory backing this store.
@@ -360,12 +420,12 @@ impl ResultsStore {
 
     /// Number of distinct single-core records (persisted + pending).
     pub fn len(&self) -> usize {
-        self.persisted_runs + self.pending_runs.len() - self.shadowed_runs
+        self.runs.len()
     }
 
     /// Number of distinct multi-core mix records (persisted + pending).
     pub fn mix_len(&self) -> usize {
-        self.persisted_mixes + self.pending_mixes.len() - self.shadowed_mixes
+        self.mixes.len()
     }
 
     /// Whether the store holds no records of either kind.
@@ -380,7 +440,7 @@ impl ResultsStore {
 
     /// Number of appended-but-not-yet-flushed records (both kinds).
     pub fn pending_len(&self) -> usize {
-        self.pending_runs.len() + self.pending_mixes.len()
+        self.runs.pending.len() + self.mixes.pending.len()
     }
 
     /// Number of duplicate rows the store is collapsing: re-appends of
@@ -390,8 +450,8 @@ impl ResultsStore {
     pub fn duplicates_skipped(&self) -> u64 {
         self.duplicates_base
             + self.duplicates_runtime
-            + self.shadowed_runs as u64
-            + self.shadowed_mixes as u64
+            + self.runs.shadowed as u64
+            + self.mixes.shadowed as u64
     }
 
     /// Number of appends (or cross-segment duplicates) whose key already
@@ -425,63 +485,55 @@ impl ResultsStore {
         self.read_errors.load(Ordering::Relaxed)
     }
 
-    /// Looks up the record stored under (trace fingerprint, params
-    /// fingerprint, prefetcher): pending overlay first, then per segment
-    /// a binary-searched key table → one positioned read.
-    ///
-    /// A failing record read is answered fail-open as a miss (stderr +
-    /// [`read_errors`](Self::read_errors)): the caller re-simulates and
-    /// appends an identical row, which every read path collapses.
+    /// The single-core row stored under (trace fingerprint, params
+    /// fingerprint, prefetcher); see [`lookup`](Self::lookup).
     pub fn get(
         &self,
         trace_fingerprint: u64,
         params_fingerprint: u64,
         prefetcher: &str,
     ) -> Option<RunRecord> {
-        let key = (
-            trace_fingerprint,
-            params_fingerprint,
-            prefetcher.to_string(),
-        );
-        if let Some(&i) = self.pending_run_index.get(&key) {
-            return Some(self.pending_runs[i].clone());
-        }
-        self.lookup_run_persisted(trace_fingerprint, params_fingerprint, prefetcher)
+        self.lookup(trace_fingerprint, params_fingerprint, prefetcher)
     }
 
-    /// Looks up the mix record stored under (mix fingerprint, params
-    /// fingerprint, prefetcher). Same path and failure semantics as
-    /// [`get`](Self::get).
+    /// The mix row stored under (mix fingerprint, params fingerprint,
+    /// prefetcher); see [`lookup`](Self::lookup).
     pub fn get_mix(
         &self,
         mix_fingerprint: u64,
         params_fingerprint: u64,
         prefetcher: &str,
     ) -> Option<MixRecord> {
-        let key = (mix_fingerprint, params_fingerprint, prefetcher.to_string());
-        if let Some(&i) = self.pending_mix_index.get(&key) {
-            return Some(self.pending_mixes[i].clone());
-        }
-        self.lookup_mix_persisted(mix_fingerprint, params_fingerprint, prefetcher)
+        self.lookup(mix_fingerprint, params_fingerprint, prefetcher)
     }
 
-    fn lookup_run_persisted(
+    /// Looks up the `R` row stored under (fingerprint, params
+    /// fingerprint, prefetcher): pending overlay first, then per segment
+    /// a binary-searched key table → one positioned read.
+    ///
+    /// A failing record read is answered fail-open as a miss (a warning +
+    /// [`read_errors`](Self::read_errors)): the caller re-simulates and
+    /// appends an identical row, which every read path collapses.
+    pub fn lookup<R: Record>(
         &self,
-        trace_fingerprint: u64,
+        fingerprint: u64,
         params_fingerprint: u64,
         prefetcher: &str,
-    ) -> Option<RunRecord> {
-        let hash = run_key_hash(trace_fingerprint, params_fingerprint, prefetcher);
-        for segment in self.segments.iter().filter(|s| s.version == GZR_VERSION) {
-            for entry in Self::candidates(segment, hash) {
-                match self.read_run_at(segment, entry.index) {
-                    Ok(rec)
-                        if rec.trace_fingerprint == trace_fingerprint
-                            && rec.params_fingerprint == params_fingerprint
-                            && rec.prefetcher == prefetcher =>
-                    {
-                        return Some(rec);
-                    }
+    ) -> Option<R> {
+        let table = R::table(self);
+        let key = (fingerprint, params_fingerprint, prefetcher.to_string());
+        if let Some(&i) = table.index.get(&key) {
+            return Some(table.pending[i].clone());
+        }
+        self.lookup_persisted((fingerprint, params_fingerprint, prefetcher))
+    }
+
+    fn lookup_persisted<R: Record>(&self, key: (u64, u64, &str)) -> Option<R> {
+        let hash = key_hash::<R>(key);
+        for segment in self.segments_of::<R>() {
+            for entry in segment.candidates(hash) {
+                match self.read_at::<R>(segment, entry.index) {
+                    Ok(rec) if rec.key_parts() == key => return Some(rec),
                     Ok(_) => {} // key-hash collision; keep probing
                     Err(err) => self.note_read_error(segment, err),
                 }
@@ -490,41 +542,9 @@ impl ResultsStore {
         None
     }
 
-    fn lookup_mix_persisted(
-        &self,
-        mix_fingerprint: u64,
-        params_fingerprint: u64,
-        prefetcher: &str,
-    ) -> Option<MixRecord> {
-        let hash = mix_key_hash(mix_fingerprint, params_fingerprint, prefetcher);
-        for segment in self
-            .segments
-            .iter()
-            .filter(|s| s.version == GZR_VERSION_MIX)
-        {
-            for entry in Self::candidates(segment, hash) {
-                match self.read_mix_at(segment, entry.index) {
-                    Ok(rec)
-                        if rec.mix_fingerprint == mix_fingerprint
-                            && rec.params_fingerprint == params_fingerprint
-                            && rec.prefetcher == prefetcher =>
-                    {
-                        return Some(rec);
-                    }
-                    Ok(_) => {}
-                    Err(err) => self.note_read_error(segment, err),
-                }
-            }
-        }
-        None
-    }
-
-    /// The segment's index entries whose key hash equals `hash`, in
-    /// record order.
-    fn candidates(segment: &Segment, hash: u64) -> &[IndexEntry] {
-        let start = segment.entries.partition_point(|e| e.hash < hash);
-        let end = start + segment.entries[start..].partition_point(|e| e.hash == hash);
-        &segment.entries[start..end]
+    /// The loaded segments holding `R` records, in load order.
+    fn segments_of<R: Record>(&self) -> impl Iterator<Item = &Segment> {
+        self.segments.iter().filter(|s| s.version == R::VERSION)
     }
 
     fn note_read_error(&self, segment: &Segment, err: io::Error) {
@@ -544,120 +564,66 @@ impl ResultsStore {
         crate::obs::metrics().records_decoded.add(n);
     }
 
-    /// Positioned read + decode of one v1 record.
-    fn read_run_at(&self, segment: &Segment, index: u64) -> io::Result<RunRecord> {
+    /// Positioned read + decode of one record.
+    fn read_at<R: Record>(&self, segment: &Segment, index: u64) -> io::Result<R> {
         crate::fault::check_io("gzr.segment.pread")?;
         crate::obs::metrics().preads.inc();
-        let mut buf = [0u8; GZR_RECORD_BYTES];
-        let offset = GZR_HEADER_BYTES as u64 + index * GZR_RECORD_BYTES as u64;
-        read_exact_at(&segment.file, &mut buf, offset)?;
-        self.note_decoded(1);
-        crate::format::decode_record(&buf)
-    }
-
-    /// Positioned read + decode of one v2 record.
-    fn read_mix_at(&self, segment: &Segment, index: u64) -> io::Result<MixRecord> {
-        crate::fault::check_io("gzr.segment.pread")?;
-        crate::obs::metrics().preads.inc();
+        // Sized for the larger kind, so a point read never allocates.
         let mut buf = [0u8; GZR_MIX_RECORD_BYTES];
-        let offset = GZR_HEADER_BYTES as u64 + index * GZR_MIX_RECORD_BYTES as u64;
-        read_exact_at(&segment.file, &mut buf, offset)?;
+        let buf = &mut buf[..R::BYTES];
+        let offset = GZR_HEADER_BYTES as u64 + index * R::BYTES as u64;
+        read_exact_at(&segment.file, buf, offset)?;
         self.note_decoded(1);
-        crate::format::decode_mix_record(&buf)
+        R::decode(buf)
     }
 
-    /// Decodes a whole segment for a query scan (fresh handle, so point
-    /// reads and scans never fight over a cursor).
-    fn scan_segment(&self, segment: &Segment) -> io::Result<SegmentRecords> {
+    /// Decodes a whole segment for a query or compaction scan (fresh
+    /// handle, so point reads and scans never fight over a cursor).
+    fn scan<R: Record>(&self, segment: &Segment) -> io::Result<Vec<R>> {
         crate::fault::check_io("gzr.segment.scan")?;
         let file = File::open(&segment.path)?;
-        self.decode_segment(&file, &segment.path)
-    }
-
-    /// Reads and validates every record of the segment open as `file`.
-    fn decode_segment(&self, file: &File, path: &Path) -> io::Result<SegmentRecords> {
-        let total_len = file.metadata()?.len();
-        let records = read_segment_any(
-            &mut BufReader::new(file),
-            total_len,
-            &path.display().to_string(),
+        let records = read_segment(
+            &mut BufReader::new(&file),
+            file.metadata()?.len(),
+            &segment.path.display().to_string(),
         )?;
-        let count = match &records {
-            SegmentRecords::Runs(r) => r.len(),
-            SegmentRecords::Mixes(r) => r.len(),
-        };
-        self.note_decoded(count as u64);
+        self.note_decoded(records.len() as u64);
         Ok(records)
     }
 
     /// Appends a record, deduplicating on its key. Returns `true` when the
     /// record was new; `false` when an identical key already existed (the
     /// stored row wins and the new one is dropped) or when the record is
-    /// not encodable (over-long/empty names, counted in
-    /// [`rejected_appends`](Self::rejected_appends)) — admitting an
+    /// not encodable (over-long/empty names, or a mix with zero or more
+    /// than [`GZR_MAX_CORES`](crate::format::GZR_MAX_CORES) cores; counted
+    /// in [`rejected_appends`](Self::rejected_appends)) — admitting an
     /// unencodable record would make every later [`flush`](Self::flush)
     /// fail, wedging the pending queue forever.
     ///
     /// The record is only durable after the next [`flush`](Self::flush).
-    pub fn append(&mut self, rec: RunRecord) -> bool {
-        if crate::format::encode_record(&rec).is_err() {
+    pub fn append<R: Record>(&mut self, rec: R) -> bool {
+        if rec.encode().is_err() {
             self.rejected_appends += 1;
             return false;
         }
-        if let Some(&i) = self.pending_run_index.get(&rec.key()) {
+        let key = rec.key();
+        let table = R::table(self);
+        let same = match table.index.get(&key) {
+            Some(&i) => Some(table.pending[i].same_results(&rec)),
+            None => self
+                .lookup_persisted::<R>(rec.key_parts())
+                .map(|existing| existing.same_results(&rec)),
+        };
+        if let Some(same) = same {
             self.duplicates_runtime += 1;
-            if self.pending_runs[i].stats != rec.stats
-                || self.pending_runs[i].baseline != rec.baseline
-            {
+            if !same {
                 self.conflicts_runtime += 1;
             }
             return false;
         }
-        if let Some(existing) = self.lookup_run_persisted(
-            rec.trace_fingerprint,
-            rec.params_fingerprint,
-            &rec.prefetcher,
-        ) {
-            self.duplicates_runtime += 1;
-            if existing.stats != rec.stats || existing.baseline != rec.baseline {
-                self.conflicts_runtime += 1;
-            }
-            return false;
-        }
-        self.pending_run_index
-            .insert(rec.key(), self.pending_runs.len());
-        self.pending_runs.push(rec);
-        true
-    }
-
-    /// Appends a multi-core mix record, deduplicating on its key. Same
-    /// semantics as [`append`](Self::append), including the rejection of
-    /// unencodable records (here also zero or more than
-    /// [`GZR_MAX_CORES`](crate::format::GZR_MAX_CORES) cores).
-    pub fn append_mix(&mut self, rec: MixRecord) -> bool {
-        if crate::format::encode_mix_record(&rec).is_err() {
-            self.rejected_appends += 1;
-            return false;
-        }
-        if let Some(&i) = self.pending_mix_index.get(&rec.key()) {
-            self.duplicates_runtime += 1;
-            if self.pending_mixes[i].report != rec.report {
-                self.conflicts_runtime += 1;
-            }
-            return false;
-        }
-        if let Some(existing) =
-            self.lookup_mix_persisted(rec.mix_fingerprint, rec.params_fingerprint, &rec.prefetcher)
-        {
-            self.duplicates_runtime += 1;
-            if existing.report != rec.report {
-                self.conflicts_runtime += 1;
-            }
-            return false;
-        }
-        self.pending_mix_index
-            .insert(rec.key(), self.pending_mixes.len());
-        self.pending_mixes.push(rec);
+        let table = R::table_mut(self);
+        table.index.insert(key, table.pending.len());
+        table.pending.push(rec);
         true
     }
 
@@ -668,25 +634,7 @@ impl ResultsStore {
     /// nothing is pending.
     pub fn flush(&mut self) -> io::Result<usize> {
         let started = std::time::Instant::now();
-        let mut written = 0;
-        if !self.pending_runs.is_empty() {
-            self.persist(&SegmentRecords::Runs(self.pending_runs.clone()))?;
-            written += self.pending_runs.len();
-            self.persisted_runs += self.pending_runs.len() - self.shadowed_runs;
-            self.duplicates_runtime += self.shadowed_runs as u64;
-            self.shadowed_runs = 0;
-            self.pending_runs.clear();
-            self.pending_run_index.clear();
-        }
-        if !self.pending_mixes.is_empty() {
-            self.persist(&SegmentRecords::Mixes(self.pending_mixes.clone()))?;
-            written += self.pending_mixes.len();
-            self.persisted_mixes += self.pending_mixes.len() - self.shadowed_mixes;
-            self.duplicates_runtime += self.shadowed_mixes as u64;
-            self.shadowed_mixes = 0;
-            self.pending_mixes.clear();
-            self.pending_mix_index.clear();
-        }
+        let written = self.flush_kind::<RunRecord>()? + self.flush_kind::<MixRecord>()?;
         if written > 0 {
             let us = started.elapsed().as_micros() as u64;
             crate::obs::metrics().flush_duration_us.record(us);
@@ -699,44 +647,36 @@ impl ResultsStore {
         Ok(written)
     }
 
-    /// Writes one batch of a single record kind as a new segment (see
-    /// [`write_segment_file`](Self::write_segment_file)) and adds it to
-    /// the loaded set, indexed from the batch itself.
-    fn persist(&mut self, batch: &SegmentRecords) -> io::Result<()> {
-        let mut hasher = Fnv1a::new();
-        let version = match batch {
-            SegmentRecords::Runs(records) => {
-                for rec in records {
-                    hasher.mix(rec.trace_fingerprint);
-                    hasher.mix(rec.params_fingerprint);
-                    hasher.mix(rec.stats.cycles);
-                }
-                GZR_VERSION
-            }
-            SegmentRecords::Mixes(records) => {
-                for rec in records {
-                    hasher.mix(rec.mix_fingerprint);
-                    hasher.mix(rec.params_fingerprint);
-                    hasher.mix(rec.cores() as u64);
-                }
-                GZR_VERSION_MIX
-            }
-        };
-        let path = self.write_segment_file(hasher, |mut out| match batch {
-            SegmentRecords::Runs(records) => write_segment(&mut out, records),
-            SegmentRecords::Mixes(records) => write_mix_segment(&mut out, records),
-        })?;
-        let file = File::open(&path)?;
-        if let Some(name) = path.file_name() {
-            self.known_segments.insert(name.to_os_string());
+    /// Persists the pending rows of one kind as one segment; on failure
+    /// they stay pending.
+    fn flush_kind<R: Record>(&mut self) -> io::Result<usize> {
+        let pending = &R::table(self).pending;
+        if pending.is_empty() {
+            return Ok(0);
         }
-        self.segments.push(Segment {
-            path,
-            version,
-            entries: build_index(batch),
-            file,
-        });
-        Ok(())
+        let segment = self.persist(pending)?;
+        self.adopt(segment);
+        let table = R::table_mut(self);
+        let (written, shadowed) = (table.pending.len(), table.shadowed);
+        table.persisted += written - shadowed;
+        table.shadowed = 0;
+        table.pending.clear();
+        table.index.clear();
+        self.duplicates_runtime += shadowed as u64;
+        Ok(written)
+    }
+
+    /// Writes one batch of a single record kind as a new segment (see
+    /// [`write_segment_file`](Self::write_segment_file)) and returns it
+    /// loaded, indexed from the batch itself.
+    fn persist<R: Record>(&self, batch: &[R]) -> io::Result<Segment> {
+        let mut hasher = Fnv1a::new();
+        for rec in batch {
+            rec.fold_name(&mut hasher);
+        }
+        let path = self.write_segment_file(hasher, |mut out| write_segment(&mut out, batch))?;
+        let file = File::open(&path)?;
+        Ok(Segment::new(path, file, batch))
     }
 
     /// Writes one segment crash-safely: `.tmp-` file, fsync, atomic rename
@@ -746,7 +686,7 @@ impl ResultsStore {
     /// stay pending and a retried flush starts clean. Returns the final
     /// segment path.
     fn write_segment_file(
-        &mut self,
+        &self,
         mut hasher: Fnv1a,
         write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
     ) -> io::Result<PathBuf> {
@@ -766,7 +706,7 @@ impl ResultsStore {
     }
 
     fn write_segment_at(
-        &mut self,
+        &self,
         tmp: &Path,
         pid: u32,
         nonce: u64,
@@ -835,56 +775,25 @@ impl ResultsStore {
             return Ok(CompactStats {
                 segments_before,
                 segments_after: segments_before,
-                runs: self.persisted_runs,
-                mixes: self.persisted_mixes,
+                runs: self.runs.persisted,
+                mixes: self.mixes.persisted,
                 duplicates_dropped: 0,
             });
         }
         crate::fault::check_io("gzr.compact.begin")?;
         let started = std::time::Instant::now();
 
-        // Loud full read of both kinds, first segment in load order wins.
-        let mut duplicates_dropped = 0u64;
-        let mut runs: Vec<RunRecord> = Vec::new();
-        let mut mixes: Vec<MixRecord> = Vec::new();
-        {
-            let mut seen_runs: HashSet<RunKey> = HashSet::new();
-            let mut seen_mixes: HashSet<MixKey> = HashSet::new();
-            for segment in &self.segments {
-                match self.scan_segment(segment)? {
-                    SegmentRecords::Runs(records) => {
-                        for rec in records {
-                            if seen_runs.insert(rec.key()) {
-                                runs.push(rec);
-                            } else {
-                                duplicates_dropped += 1;
-                            }
-                        }
-                    }
-                    SegmentRecords::Mixes(records) => {
-                        for rec in records {
-                            if seen_mixes.insert(rec.key()) {
-                                mixes.push(rec);
-                            } else {
-                                duplicates_dropped += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        // Loud full read of both kinds before anything is written.
+        let (runs, run_duplicates) = self.merged::<RunRecord>()?;
+        let (mixes, mix_duplicates) = self.merged::<MixRecord>()?;
+        let duplicates_dropped = run_duplicates + mix_duplicates;
 
         // Write the merged segments through the ordinary crash-safe path;
         // the old segments stay the readable truth until the rename lands.
         crate::fault::check_io("gzr.compact.write")?;
         let old_paths: Vec<PathBuf> = self.segments.iter().map(|s| s.path.clone()).collect();
-        let (run_count, mix_count) = (runs.len(), mixes.len());
-        if !runs.is_empty() {
-            self.persist(&SegmentRecords::Runs(runs))?;
-        }
-        if !mixes.is_empty() {
-            self.persist(&SegmentRecords::Mixes(mixes))?;
-        }
+        self.adopt_rows(&runs)?;
+        self.adopt_rows(&mixes)?;
 
         // Only now unlink the superseded segments. A kill in this loop
         // leaves overlap, never loss.
@@ -919,10 +828,38 @@ impl ResultsStore {
         Ok(CompactStats {
             segments_before,
             segments_after: self.segments.len(),
-            runs: run_count,
-            mixes: mix_count,
+            runs: runs.len(),
+            mixes: mixes.len(),
             duplicates_dropped,
         })
+    }
+
+    /// Every distinct `R` row on disk (first segment in load order wins)
+    /// and the number of duplicate rows left out. A failing read fails.
+    fn merged<R: Record>(&self) -> io::Result<(Vec<R>, u64)> {
+        let mut seen: HashSet<RecordKey> = HashSet::new();
+        let mut rows = Vec::new();
+        let mut duplicates = 0;
+        for segment in self.segments_of::<R>() {
+            for rec in self.scan::<R>(segment)? {
+                if seen.insert(rec.key()) {
+                    rows.push(rec);
+                } else {
+                    duplicates += 1;
+                }
+            }
+        }
+        Ok((rows, duplicates))
+    }
+
+    /// Persists one kind's merged rows as a new segment of this store, if
+    /// there are any.
+    fn adopt_rows<R: Record>(&mut self, rows: &[R]) -> io::Result<()> {
+        if !rows.is_empty() {
+            let segment = self.persist(rows)?;
+            self.adopt(segment);
+        }
+        Ok(())
     }
 
     /// Whether the directory holds segment files this store has not
@@ -962,11 +899,11 @@ impl ResultsStore {
             // A segment this store loaded is gone: the directory was
             // rebuilt, so the in-memory state cannot be patched — reopen.
             let mut fresh = ResultsStore::open(&self.dir)?;
-            for rec in std::mem::take(&mut self.pending_runs) {
+            for rec in std::mem::take(&mut self.runs.pending) {
                 fresh.append(rec);
             }
-            for rec in std::mem::take(&mut self.pending_mixes) {
-                fresh.append_mix(rec);
+            for rec in std::mem::take(&mut self.mixes.pending) {
+                fresh.append(rec);
             }
             *self = fresh;
             return Ok(true);
@@ -977,51 +914,43 @@ impl ResultsStore {
         });
         on_disk.sort();
         for path in on_disk {
-            crate::fault::check_io("gzr.segment.read")?;
-            let segment = self.load_segment(&path)?;
-            if let Some(name) = path.file_name() {
-                self.known_segments.insert(name.to_os_string());
-            }
-            self.segments.push(segment);
+            let segment = self.load_segment(path)?;
+            self.adopt(segment);
         }
         self.recount()?;
-        // Pending rows whose key a foreign segment now also holds count
-        // once; their flush will write a duplicate row that dedup-on-read
-        // collapses (exactly like a crash-retry).
-        self.shadowed_runs = self
-            .pending_runs
-            .iter()
-            .filter(|r| {
-                self.lookup_run_persisted(r.trace_fingerprint, r.params_fingerprint, &r.prefetcher)
-                    .is_some()
-            })
-            .count();
-        self.shadowed_mixes = self
-            .pending_mixes
-            .iter()
-            .filter(|r| {
-                self.lookup_mix_persisted(r.mix_fingerprint, r.params_fingerprint, &r.prefetcher)
-                    .is_some()
-            })
-            .count();
+        self.reshadow::<RunRecord>();
+        self.reshadow::<MixRecord>();
         Ok(true)
     }
 
+    /// Recounts the pending `R` rows whose key a foreign segment now also
+    /// holds: they count once, and their flush writes a duplicate row
+    /// that dedup-on-read collapses (exactly like a crash-retry).
+    fn reshadow<R: Record>(&mut self) {
+        let shadowed = R::table(self)
+            .pending
+            .iter()
+            .filter(|r| self.lookup_persisted::<R>(r.key_parts()).is_some())
+            .count();
+        R::table_mut(self).shadowed = shadowed;
+    }
+
     /// Recomputes the persisted distinct-row and duplicate/conflict
-    /// counts from the segment indexes. Payloads are only read for keys
-    /// whose hash appears more than once across all segments of a kind —
-    /// a duplicate-free store recounts with **zero** record reads.
+    /// counts from the segment indexes.
     fn recount(&mut self) -> io::Result<()> {
-        let (runs, run_dups, run_conflicts) = self.recount_kind(GZR_VERSION)?;
-        let (mixes, mix_dups, mix_conflicts) = self.recount_kind(GZR_VERSION_MIX)?;
-        self.persisted_runs = runs;
-        self.persisted_mixes = mixes;
+        let (runs, run_dups, run_conflicts) = self.recount_kind::<RunRecord>()?;
+        let (mixes, mix_dups, mix_conflicts) = self.recount_kind::<MixRecord>()?;
+        self.runs.persisted = runs;
+        self.mixes.persisted = mixes;
         self.duplicates_base = run_dups + mix_dups;
         self.conflicts_base = run_conflicts + mix_conflicts;
         Ok(())
     }
 
-    fn recount_kind(&self, version: u16) -> io::Result<(usize, u64, u64)> {
+    /// `(distinct, duplicates, conflicts)` over the `R` segments. Payloads
+    /// are only read for keys whose hash appears more than once across
+    /// them — a duplicate-free store recounts with **zero** record reads.
+    fn recount_kind<R: Record>(&self) -> io::Result<(usize, u64, u64)> {
         // (hash, segment position, record index): sorting groups equal
         // hashes and orders each group first-write-first.
         let mut keys: Vec<(u64, usize, u64)> = Vec::new();
@@ -1029,7 +958,7 @@ impl ResultsStore {
             .segments
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.version == version)
+            .filter(|(_, s)| s.version == R::VERSION)
         {
             keys.extend(segment.entries.iter().map(|e| (e.hash, pos, e.index)));
         }
@@ -1038,72 +967,49 @@ impl ResultsStore {
         let mut distinct = 0usize;
         let mut duplicates = 0u64;
         let mut conflicts = 0u64;
-        let mut i = 0;
-        while i < keys.len() {
-            let mut j = i + 1;
-            while j < keys.len() && keys[j].0 == keys[i].0 {
-                j += 1;
-            }
-            if j - i == 1 {
+        for group in keys.chunk_by(|a, b| a.0 == b.0) {
+            if group.len() == 1 {
                 distinct += 1;
-            } else if version == GZR_VERSION {
-                // Same hash more than once: fetch payloads to tell true
-                // duplicates from hash collisions.
-                let mut firsts: Vec<RunRecord> = Vec::new();
-                for &(_, pos, index) in &keys[i..j] {
-                    let rec = self.read_run_at(&self.segments[pos], index)?;
-                    match firsts.iter().find(|f| same_run_key(f, &rec)) {
-                        None => {
-                            distinct += 1;
-                            firsts.push(rec);
-                        }
-                        Some(first) => {
-                            duplicates += 1;
-                            if first.stats != rec.stats || first.baseline != rec.baseline {
-                                conflicts += 1;
-                            }
-                        }
+                continue;
+            }
+            // Same hash more than once: fetch payloads to tell true
+            // duplicates from hash collisions.
+            let mut firsts: Vec<R> = Vec::new();
+            for &(_, pos, index) in group {
+                let rec = self.read_at::<R>(&self.segments[pos], index)?;
+                match firsts.iter().find(|f| f.key_parts() == rec.key_parts()) {
+                    None => {
+                        distinct += 1;
+                        firsts.push(rec);
                     }
-                }
-            } else {
-                let mut firsts: Vec<MixRecord> = Vec::new();
-                for &(_, pos, index) in &keys[i..j] {
-                    let rec = self.read_mix_at(&self.segments[pos], index)?;
-                    match firsts.iter().find(|f| same_mix_key(f, &rec)) {
-                        None => {
-                            distinct += 1;
-                            firsts.push(rec);
-                        }
-                        Some(first) => {
-                            duplicates += 1;
-                            if first.report != rec.report {
-                                conflicts += 1;
-                            }
+                    Some(first) => {
+                        duplicates += 1;
+                        if !first.same_results(&rec) {
+                            conflicts += 1;
                         }
                     }
                 }
             }
-            i = j;
         }
         Ok((distinct, duplicates, conflicts))
     }
 
-    /// All single-core records matching `query`, in deterministic store
-    /// order (segment load order, then pending append order; the first
-    /// copy of a duplicated key wins). This scans segments — prefer
-    /// [`get`](Self::get) for point lookups. Segments that fail to read
-    /// are skipped fail-open (stderr + [`read_errors`](Self::read_errors)).
-    pub fn query(&self, query: &RunQuery) -> Vec<RunRecord> {
-        let limit = query.limit.unwrap_or(usize::MAX);
+    /// All rows of `query`'s record kind that match it, in deterministic
+    /// store order (segment load order, then pending append order; the
+    /// first copy of a duplicated key wins). This scans segments — prefer
+    /// [`lookup`](Self::lookup) for point lookups. Segments that fail to
+    /// read are skipped fail-open (a warning +
+    /// [`read_errors`](Self::read_errors)).
+    pub fn query<Q: Query>(&self, query: &Q) -> Vec<Q::Record> {
+        let limit = query.limit().unwrap_or(usize::MAX);
         if limit == 0 {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let mut seen: HashSet<RunKey> = HashSet::new();
-        'segments: for segment in self.segments.iter().filter(|s| s.version == GZR_VERSION) {
-            let records = match self.scan_segment(segment) {
-                Ok(SegmentRecords::Runs(records)) => records,
-                Ok(SegmentRecords::Mixes(_)) => continue,
+        let mut seen: HashSet<RecordKey> = HashSet::new();
+        'segments: for segment in self.segments_of::<Q::Record>() {
+            let records = match self.scan::<Q::Record>(segment) {
+                Ok(records) => records,
                 Err(err) => {
                     self.note_read_error(segment, err);
                     continue;
@@ -1121,55 +1027,7 @@ impl ResultsStore {
                 }
             }
         }
-        for rec in &self.pending_runs {
-            if out.len() >= limit {
-                break;
-            }
-            if seen.contains(&rec.key()) {
-                continue;
-            }
-            if query.matches(rec) {
-                out.push(rec.clone());
-            }
-        }
-        out
-    }
-
-    /// All multi-core mix records matching `query`, in deterministic
-    /// store order. Same semantics as [`query`](Self::query).
-    pub fn query_mixes(&self, query: &MixQuery) -> Vec<MixRecord> {
-        let limit = query.limit.unwrap_or(usize::MAX);
-        if limit == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let mut seen: HashSet<MixKey> = HashSet::new();
-        'segments: for segment in self
-            .segments
-            .iter()
-            .filter(|s| s.version == GZR_VERSION_MIX)
-        {
-            let records = match self.scan_segment(segment) {
-                Ok(SegmentRecords::Mixes(records)) => records,
-                Ok(SegmentRecords::Runs(_)) => continue,
-                Err(err) => {
-                    self.note_read_error(segment, err);
-                    continue;
-                }
-            };
-            for rec in records {
-                if !seen.insert(rec.key()) {
-                    continue;
-                }
-                if query.matches(&rec) {
-                    out.push(rec);
-                    if out.len() >= limit {
-                        break 'segments;
-                    }
-                }
-            }
-        }
-        for rec in &self.pending_mixes {
+        for rec in &<Q::Record as kind::Sealed>::table(self).pending {
             if out.len() >= limit {
                 break;
             }
@@ -1192,9 +1050,9 @@ impl ResultsStore {
 
     /// Every multi-core mix record in the store, in store order. This
     /// scans every v2 segment — prefer [`get_mix`](Self::get_mix) /
-    /// [`query_mixes`](Self::query_mixes) on large stores.
+    /// [`query`](Self::query) on large stores.
     pub fn mix_records(&self) -> Vec<MixRecord> {
-        self.query_mixes(&MixQuery::default())
+        self.query(&MixQuery::default())
     }
 }
 
@@ -1233,6 +1091,15 @@ mod tests {
         s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
         })
+    }
+
+    /// The in-memory key hashes keep the values they had when each kind
+    /// had its own hasher (kind tag 1 for runs, 2 for mixes).
+    #[test]
+    fn key_hashes_are_pinned_per_kind() {
+        let key = (0x1234, 0x5678, "gaze");
+        assert_eq!(key_hash::<RunRecord>(key), 0xcb95_6d1b_83fb_f711);
+        assert_eq!(key_hash::<MixRecord>(key), 0xb5c4_02b6_2f39_3a72);
     }
 
     #[test]
@@ -1308,7 +1175,7 @@ mod tests {
         let dir = temp_dir("compact");
         let mut store = ResultsStore::open(&dir).expect("open");
         store.append(record("a", "gaze", 1_000));
-        store.append_mix(mix_record("a+a", "gaze", 2, 2_000));
+        store.append(mix_record("a+a", "gaze", 2, 2_000));
         store.flush().expect("flush");
         store.append(record("b", "pmp", 2_000));
         store.flush().expect("flush");
@@ -1316,7 +1183,7 @@ mod tests {
         // the append-path dedup is bypassed to model the crash-retry /
         // concurrent-writer overlap compaction exists to clean up.
         let mut other = ResultsStore::open(&dir).expect("second handle");
-        other.pending_runs.push(record("a", "gaze", 1_000));
+        other.runs.pending.push(record("a", "gaze", 1_000));
         other.flush().expect("flush duplicate");
 
         store.reload_if_stale().expect("reload");
@@ -1413,17 +1280,14 @@ mod tests {
     fn mix_records_round_trip_dedup_and_query() {
         let dir = temp_dir("mix-roundtrip");
         let mut store = ResultsStore::open(&dir).expect("open");
-        assert!(store.append_mix(mix_record("a+b", "gaze", 2, 9_000)));
-        assert!(store.append_mix(mix_record("a+b", "none", 2, 14_000)));
-        assert!(store.append_mix(mix_record("a+b+c+d", "gaze", 4, 9_500)));
-        assert!(
-            !store.append_mix(mix_record("a+b", "gaze", 2, 9_000)),
-            "dup"
-        );
+        assert!(store.append(mix_record("a+b", "gaze", 2, 9_000)));
+        assert!(store.append(mix_record("a+b", "none", 2, 14_000)));
+        assert!(store.append(mix_record("a+b+c+d", "gaze", 4, 9_500)));
+        assert!(!store.append(mix_record("a+b", "gaze", 2, 9_000)), "dup");
         assert_eq!(store.mix_len(), 3);
         assert_eq!(store.pending_len(), 3);
         // A same-key row with different counters is dropped but counted.
-        assert!(!store.append_mix(mix_record("a+b", "gaze", 2, 1)));
+        assert!(!store.append(mix_record("a+b", "gaze", 2, 1)));
         assert_eq!(store.conflicting_appends(), 1);
         store.flush().expect("flush");
 
@@ -1436,13 +1300,13 @@ mod tests {
         assert_eq!(hit.cores(), 2);
         assert_eq!(hit.report.cores[0].cycles, 14_000);
 
-        let four_core = reopened.query_mixes(&MixQuery {
+        let four_core = reopened.query(&MixQuery {
             cores: Some(4),
             ..MixQuery::default()
         });
         assert_eq!(four_core.len(), 1);
         assert_eq!(four_core[0].label, "a+b+c+d");
-        let gaze = reopened.query_mixes(&MixQuery {
+        let gaze = reopened.query(&MixQuery {
             prefetcher: Some("gaze".into()),
             limit: Some(1),
             ..MixQuery::default()
@@ -1456,7 +1320,7 @@ mod tests {
         let dir = temp_dir("reject");
         let mut store = ResultsStore::open(&dir).expect("open");
         // A mix with more cores than the on-disk format holds.
-        assert!(!store.append_mix(mix_record("too+many", "gaze", 9, 1_000)));
+        assert!(!store.append(mix_record("too+many", "gaze", 9, 1_000)));
         // A run with an over-long workload name.
         let mut bad = record("x", "gaze", 1_000);
         bad.workload = "w".repeat(100);
@@ -1466,7 +1330,7 @@ mod tests {
 
         // Valid rows appended afterwards still flush fine.
         assert!(store.append(record("good", "gaze", 2_000)));
-        assert!(store.append_mix(mix_record("a+b", "gaze", 2, 3_000)));
+        assert!(store.append(mix_record("a+b", "gaze", 2, 3_000)));
         assert_eq!(store.flush().expect("flush"), 2);
         let reopened = ResultsStore::open(&dir).expect("reopen");
         assert_eq!((reopened.len(), reopened.mix_len()), (1, 1));
@@ -1478,7 +1342,7 @@ mod tests {
         let dir = temp_dir("two-kinds");
         let mut store = ResultsStore::open(&dir).expect("open");
         store.append(record("a", "gaze", 1_000));
-        store.append_mix(mix_record("a+a", "gaze", 2, 2_000));
+        store.append(mix_record("a+a", "gaze", 2, 2_000));
         assert_eq!(store.pending_len(), 2);
         assert_eq!(store.flush().expect("flush"), 2);
         assert_eq!(store.segment_count(), 2, "one v1 + one v2 segment");
@@ -1498,7 +1362,7 @@ mod tests {
         // A second handle (another process, in production) flushes rows.
         let mut writer = ResultsStore::open(&dir).expect("open writer");
         writer.append(record("foreign", "pmp", 2_000));
-        writer.append_mix(mix_record("f+f", "gaze", 2, 3_000));
+        writer.append(mix_record("f+f", "gaze", 2, 3_000));
         writer.flush().expect("flush");
 
         assert!(server.is_stale().expect("new segments make it stale"));

@@ -9,7 +9,7 @@ use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use results_store::{fault, MixRecord, ResultsStore, RunRecord};
+use results_store::{fault, MixRecord, Record, ResultsStore, RunRecord};
 use sim_core::stats::{CoreStats, SimReport};
 
 /// Every failpoint a compaction can cross, in execution order: the
@@ -121,11 +121,11 @@ fn build_fixture(dir: &PathBuf) {
     assert!(writer_b.append(run("mcf", "pmp")));
     writer_b.flush().expect("flush b runs");
 
-    assert!(writer_a.append_mix(mix("astar+mcf")));
-    assert!(writer_a.append_mix(mix("bwaves+lbm")));
+    assert!(writer_a.append(mix("astar+mcf")));
+    assert!(writer_a.append(mix("bwaves+lbm")));
     writer_a.flush().expect("flush a mixes");
-    assert!(writer_b.append_mix(mix("bwaves+lbm"))); // duplicate of a's row
-    assert!(writer_b.append_mix(mix("mcf+omnetpp")));
+    assert!(writer_b.append(mix("bwaves+lbm"))); // duplicate of a's row
+    assert!(writer_b.append(mix("mcf+omnetpp")));
     writer_b.flush().expect("flush b mixes");
 }
 

@@ -62,8 +62,8 @@ fn mixed_version_store_serves_both_record_kinds() {
         // Segments 2+3: one flush holding both kinds writes one segment
         // per version.
         store.append(run_record("mcf_s", "gaze"));
-        store.append_mix(mix_record("bwaves_s+mcf_s", "gaze", 2));
-        store.append_mix(mix_record("bwaves_s+mcf_s", "none", 2));
+        store.append(mix_record("bwaves_s+mcf_s", "gaze", 2));
+        store.append(mix_record("bwaves_s+mcf_s", "none", 2));
         store.flush().expect("flush");
         assert_eq!(store.segment_count(), 3);
     }
@@ -79,7 +79,7 @@ fn mixed_version_store_serves_both_record_kinds() {
     assert_eq!(singles.len(), 2, "both v1 rows, none of the v2 rows");
     assert!(singles.iter().all(|r| r.params_fingerprint == 42));
 
-    let mixes = store.query_mixes(&MixQuery::default());
+    let mixes = store.query(&MixQuery::default());
     assert_eq!(mixes.len(), 2, "both v2 rows, none of the v1 rows");
     let mix_fp = mix_record("bwaves_s+mcf_s", "gaze", 2).mix_fingerprint;
     let with = store.get_mix(mix_fp, 43, "gaze").expect("mix row");
@@ -100,7 +100,7 @@ fn single_version_stores_return_empty_for_the_other_kind() {
     let dir = temp_dir("v2only");
     {
         let mut store = ResultsStore::open(&dir).expect("open");
-        store.append_mix(mix_record("a+b+c+d", "gaze", 4));
+        store.append(mix_record("a+b+c+d", "gaze", 4));
         store.flush().expect("flush");
     }
     let store = ResultsStore::open(&dir).expect("a v2-only store opens fine");
@@ -122,7 +122,7 @@ fn single_version_stores_return_empty_for_the_other_kind() {
     let store = ResultsStore::open(&dir).expect("a v1-only store still loads");
     assert_eq!(store.len(), 1);
     assert_eq!(store.mix_len(), 0);
-    assert!(store.query_mixes(&MixQuery::default()).is_empty());
+    assert!(store.query(&MixQuery::default()).is_empty());
     let trace_fp = run_record("bwaves_s", "gaze").trace_fingerprint;
     assert!(store.get_mix(trace_fp, 42, "gaze").is_none());
     fs::remove_dir_all(&dir).ok();

@@ -76,8 +76,8 @@ fn seed_pending(store: &mut ResultsStore) {
     for (w, p) in [("bwaves_s", "gaze"), ("bwaves_s", "pmp"), ("mcf_s", "gaze")] {
         assert!(store.append(record(w, p, 5_000)));
     }
-    assert!(store.append_mix(mix_record("a+b", "gaze", 2, 9_000)));
-    assert!(store.append_mix(mix_record("a+b", "none", 2, 14_000)));
+    assert!(store.append(mix_record("a+b", "gaze", 2, 9_000)));
+    assert!(store.append(mix_record("a+b", "none", 2, 14_000)));
 }
 
 /// Asserts the directory holds a loadable store and returns it.
@@ -228,8 +228,8 @@ fn seed_pending_dedup(store: &mut ResultsStore) {
     for (w, p) in [("bwaves_s", "gaze"), ("bwaves_s", "pmp"), ("mcf_s", "gaze")] {
         store.append(record(w, p, 5_000));
     }
-    store.append_mix(mix_record("a+b", "gaze", 2, 9_000));
-    store.append_mix(mix_record("a+b", "none", 2, 14_000));
+    store.append(mix_record("a+b", "gaze", 2, 9_000));
+    store.append(mix_record("a+b", "none", 2, 14_000));
 }
 
 /// A short write leaves real bytes in the tmp file; the tmp file must
@@ -366,7 +366,7 @@ fn lcg_kill_mid_flush_schedules_always_recover() {
             let label = format!("mix-{round}-{i}");
             let cores = 1 + rng.pick(4);
             let cycles = 2_000 + rng.pick(9_000) as u64;
-            store.append_mix(mix_record(&label, "gaze", cores, cycles));
+            store.append(mix_record(&label, "gaze", cores, cycles));
             expected_mixes.push((label, cores, cycles));
         }
 
@@ -389,7 +389,7 @@ fn lcg_kill_mid_flush_schedules_always_recover() {
             revived.append(record(w, "gaze", *cycles));
         }
         for (label, cores, cycles) in &expected_mixes {
-            revived.append_mix(mix_record(label, "gaze", *cores, *cycles));
+            revived.append(mix_record(label, "gaze", *cores, *cycles));
         }
         assert_eq!(revived.conflicting_appends(), 0, "{tag}: torn record");
         revived

@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use results_store::{MixQuery, MixRecord, ResultsStore, RunQuery, RunRecord};
+use results_store::{MixQuery, MixRecord, Query, ResultsStore, RunQuery, RunRecord};
 use sim_core::stats::{CacheStats, CoreStats, PrefetchStats, SimReport};
 
 /// Deterministic u64 stream (same LCG idiom as the v2 property tests).
@@ -153,7 +153,7 @@ fn build_store(dir: &Path, seed: u64, rounds: usize) -> Reference {
         }
         for _ in 0..8 {
             let rec = random_mix(&mut rng);
-            if store.append_mix(rec.clone()) {
+            if store.append(rec.clone()) {
                 reference.mixes.push(rec);
             }
         }
@@ -262,7 +262,7 @@ fn assert_store_matches(store: &ResultsStore, reference: &Reference, seed: u64, 
         );
         let q = random_mix_query(&mut rng);
         assert_eq!(
-            store.query_mixes(&q),
+            store.query(&q),
             reference.query_mixes(&q),
             "{context}: mix query #{i} {q:?}"
         );

@@ -96,7 +96,7 @@ fn random_mix_records_survive_write_reopen_query_bit_exactly() {
                 let rec = random_mix_record(batch * 1_000 + i + 1);
                 // Random keys can collide across seeds; only track rows
                 // the store actually kept.
-                if store.append_mix(rec.clone()) {
+                if store.append(rec.clone()) {
                     expected.push(rec);
                 }
             }
@@ -113,7 +113,7 @@ fn random_mix_records_survive_write_reopen_query_bit_exactly() {
             .expect("stored row");
         assert_eq!(&hit, rec);
         // The typed query finds the same row by its filters.
-        let rows = reopened.query_mixes(&MixQuery {
+        let rows = reopened.query(&MixQuery {
             label: Some(rec.label.clone()),
             prefetcher: Some(rec.prefetcher.clone()),
             mix_fingerprint: Some(rec.mix_fingerprint),
@@ -134,7 +134,7 @@ fn truncation_at_every_byte_offset_is_rejected() {
     let dir = temp_dir("truncate");
     {
         let mut store = ResultsStore::open(&dir).expect("open");
-        store.append_mix(random_mix_record(42));
+        store.append(random_mix_record(42));
         store.flush().expect("flush");
     }
     let seg = fs::read_dir(&dir)
@@ -172,7 +172,7 @@ fn version_record_size_mismatches_are_rejected() {
     let dir = temp_dir("vmismatch");
     {
         let mut store = ResultsStore::open(&dir).expect("open");
-        store.append_mix(random_mix_record(7));
+        store.append(random_mix_record(7));
         store.flush().expect("flush");
     }
     let seg = fs::read_dir(&dir)

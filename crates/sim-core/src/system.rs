@@ -101,6 +101,7 @@ pub struct System<'t> {
     published_stepped: u64,
     published_skipped: u64,
     published_issue: IssueCounters,
+    published_wraps: u64,
 }
 
 impl<'t> System<'t> {
@@ -166,6 +167,7 @@ impl<'t> System<'t> {
             published_stepped: 0,
             published_skipped: 0,
             published_issue: IssueCounters::default(),
+            published_wraps: 0,
         }
     }
 
@@ -597,10 +599,19 @@ impl<'t> System<'t> {
         self.issue
     }
 
-    /// Folds the cycle and issue counts accumulated since the previous
-    /// publication into the process-global metrics
+    /// Times the cores' trace readers wrapped to the start of their pass
+    /// since construction, summed over cores. A synthetic trace sized for
+    /// its budget never wraps; in a multi-core run, cores that finish
+    /// early keep replaying by design so contention persists.
+    pub fn trace_wraps(&self) -> u64 {
+        self.cores.iter().map(|pc| pc.reader.wraps()).sum()
+    }
+
+    /// Folds the cycle, issue and trace-wrap counts accumulated since the
+    /// previous publication into the process-global metrics
     /// (`gaze_sim_cycles_*_total`, `gaze_sim_prefetch_*_total`,
-    /// `gaze_sim_skip_evaluations_total`). Eight atomic adds per `run`,
+    /// `gaze_sim_skip_evaluations_total`, `gaze_sim_trace_wraps_total`).
+    /// Nine atomic adds per `run`,
     /// nothing per cycle — and purely observational, so simulation output
     /// stays bit-exact. Wedge jumps are never published: they would inflate
     /// the skip totals right before the wedge panic.
@@ -614,6 +625,7 @@ impl<'t> System<'t> {
             refused: [Counter; 3],
             skip_evaluations: Counter,
             classifications: Counter,
+            wraps: Counter,
         }
         static METRICS: OnceLock<Published> = OnceLock::new();
         let m = METRICS.get_or_init(|| {
@@ -646,6 +658,10 @@ impl<'t> System<'t> {
                     "gaze_sim_prefetch_classifications_total",
                     "Fresh redundancy/source classifications of queued prefetch requests",
                 ),
+                wraps: reg.counter(
+                    "gaze_sim_trace_wraps_total",
+                    "Times a core's trace reader wrapped to the start of its pass",
+                ),
             }
         });
         let (issue, seen) = (self.issue, self.published_issue);
@@ -662,6 +678,9 @@ impl<'t> System<'t> {
         self.published_stepped = self.cycles_stepped;
         self.published_skipped = self.cycles_skipped;
         self.published_issue = issue;
+        let wraps = self.trace_wraps();
+        m.wraps.add(wraps - self.published_wraps);
+        self.published_wraps = wraps;
     }
 }
 
@@ -1012,6 +1031,85 @@ mod tests {
             "l2-attached",
         );
         assert!(counters.refused(Refusal::L2Mshrs) > 0, "{counters:?}");
+    }
+
+    /// With caches shrunk to 4 KB / 16 KB / 64 KB per core, two cores
+    /// interleaving a stream with re-touches of a 256 KB working set, and
+    /// prefetchers at both L1 and L2, a short run evicts at every level
+    /// and fills blocks that queued requests name (one core's fill lands
+    /// in the shared LLC under the other's queued L2 request). The debug
+    /// verdict guard in `MemoryHierarchy::verdict` then fails if a
+    /// `Fill`, `LlcEviction` or `L2Eviction` stamp is missing; the skipped
+    /// run must stay exact.
+    #[test]
+    fn skip_is_exact_with_small_caches_and_two_prefetch_levels() {
+        let mut state = 0x9876_5432u64;
+        let recs = (0..3000u64)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let addr = if i % 2 == 0 {
+                    0x10_0000 + i * 64
+                } else {
+                    0x80_0000 + (((state >> 16) % (256 * 1024)) & !63)
+                };
+                TraceRecord::load(0x400000 + (i % 3) * 4, addr, 2)
+            })
+            .collect();
+        let mixed = Trace::new("mixed", recs);
+        let mut cfg = SimConfig::paper_multi_core(2);
+        cfg.l1d = cfg.l1d.resized(4 * 1024);
+        cfg.l2c = cfg.l2c.resized(16 * 1024);
+        cfg.llc_per_core = cfg.llc_per_core.resized(64 * 1024);
+        assert_skip_exact(
+            &|| {
+                let mut sys = System::new(
+                    cfg,
+                    vec![&mixed as &dyn TraceSource, &mixed],
+                    (0..2)
+                        .map(|_| {
+                            Box::new(NextLine {
+                                degree: 4,
+                                l1_degree: 4,
+                            }) as Box<dyn Prefetcher>
+                        })
+                        .collect(),
+                );
+                for core in 0..2 {
+                    sys.set_l2_prefetcher(
+                        core,
+                        Box::new(NextLine {
+                            degree: 16,
+                            l1_degree: 0,
+                        }),
+                    );
+                }
+                sys
+            },
+            "small caches",
+        );
+    }
+
+    /// A trace shorter than its instruction budget is replayed and its
+    /// wraps are counted; a trace longer than the budget never wraps.
+    #[test]
+    fn trace_wraps_count_replays_of_a_short_trace() {
+        // 5 instructions per record: 2,500 per pass of the short trace,
+        // 20,000 of the long one, against a 9,000-instruction budget.
+        let short = streaming_trace(500);
+        let long = streaming_trace(4000);
+        let wraps = |trace: &Trace| {
+            let mut sys = System::single_core(
+                SimConfig::paper_single_core(),
+                trace,
+                Box::new(NullPrefetcher::new()),
+            );
+            sys.run(1_000, 8_000);
+            sys.trace_wraps()
+        };
+        assert!(wraps(&short) > 0, "a short trace replays");
+        assert_eq!(wraps(&long), 0, "a long trace never wraps");
     }
 
     /// Four cores of aggressive prefetching saturate every refusal class:
