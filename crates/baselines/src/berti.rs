@@ -183,7 +183,9 @@ impl Prefetcher for Berti {
         let best = entry.best.clone();
         let mut issued = 0u64;
         for (delta, confidence) in best {
-            let target = block.offset_by(delta);
+            let Some(target) = block.checked_add_signed(delta) else {
+                continue;
+            };
             if !self.within_page_range(block, target) {
                 continue;
             }

@@ -104,9 +104,11 @@ impl Prefetcher for IpStride {
                 if entry.confidence >= self.cfg.threshold && entry.stride != 0 {
                     let s = entry.stride;
                     for i in 1..=self.cfg.degree as i64 {
-                        sink.push(PrefetchRequest::to_l1(block.offset_by(s * i)));
+                        if let Some(target) = block.checked_add_signed(s * i) {
+                            sink.push(PrefetchRequest::to_l1(target));
+                            self.stats.issued += 1;
+                        }
                     }
-                    self.stats.issued += self.cfg.degree as u64;
                 }
             }
             None => {

@@ -212,13 +212,17 @@ impl Prefetcher for Ipcp {
         if gs_confident {
             // Global stream: aggressive next-line run.
             for i in 1..=self.cfg.gs_degree as i64 {
-                sink.push(PrefetchRequest::to_l1(block.offset_by(i)));
-                issued += 1;
+                if let Some(target) = block.checked_add_signed(i) {
+                    sink.push(PrefetchRequest::to_l1(target));
+                    issued += 1;
+                }
             }
         } else if cs_confident {
             for i in 1..=self.cfg.cs_degree as i64 {
-                sink.push(PrefetchRequest::to_l1(block.offset_by(last_stride * i)));
-                issued += 1;
+                if let Some(target) = block.checked_add_signed(last_stride * i) {
+                    sink.push(PrefetchRequest::to_l1(target));
+                    issued += 1;
+                }
             }
         } else {
             // Complex stride: follow the signature chain for a couple of steps.
@@ -231,7 +235,10 @@ impl Prefetcher for Ipcp {
                 if c.confidence < 2 || c.stride == 0 {
                     break;
                 }
-                current = current.offset_by(c.stride);
+                let Some(next) = current.checked_add_signed(c.stride) else {
+                    break;
+                };
+                current = next;
                 sink.push(PrefetchRequest::to_l1(current));
                 issued += 1;
                 sig = Self::signature_update(sig, c.stride);

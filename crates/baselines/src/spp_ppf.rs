@@ -295,7 +295,10 @@ impl Prefetcher for SppPpf {
             if confidence < self.cfg.confidence_threshold || best_delta == 0 {
                 break;
             }
-            current = current.offset_by(best_delta);
+            let Some(next) = current.checked_add_signed(best_delta) else {
+                break;
+            };
+            current = next;
             let target_offset = (offset as i64 + current.delta_from(block)).rem_euclid(64) as usize;
             let accepted =
                 !self.cfg.use_ppf || self.perceptron.accepts(sig, best_delta, target_offset);

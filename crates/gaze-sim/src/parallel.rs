@@ -40,8 +40,12 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = worker_count().min(items.len().max(1));
-    if threads <= 1 || items.len() <= 1 {
+    // Fewer than two items never need a worker, nor the worker count.
+    let threads = match items.len() {
+        0 | 1 => 1,
+        n => worker_count().min(n),
+    };
+    if threads <= 1 {
         return items.iter().map(&f).collect();
     }
 

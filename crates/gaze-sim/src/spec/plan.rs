@@ -8,7 +8,9 @@
 //! params). The runners it calls only simulate.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::time::Instant;
 
 use results_store::{MixRecord, Record, RunRecord};
 use sim_core::stats::{CoreStats, SimReport};
@@ -346,12 +348,15 @@ impl JobResults {
     }
 }
 
+/// The lazy workload handles of one plan, by name.
+type Workloads = HashMap<String, LazyWorkload>;
+
 /// One lazy handle per workload the plan touches. Creating the handles
 /// touches no trace: a job materializes its workloads only when it
 /// simulates, i.e. on a store miss.
-fn workload_handles(plan: &JobPlan, scale: &ExperimentScale) -> HashMap<String, LazyWorkload> {
+fn workload_handles(plan: &JobPlan, scale: &ExperimentScale) -> Workloads {
     let records = records_for(&scale.params);
-    let mut traces = HashMap::new();
+    let mut traces = Workloads::new();
     for job in plan.jobs() {
         for name in job.workload_names() {
             if !traces.contains_key(name) {
@@ -377,7 +382,7 @@ struct StoreKey {
 
 /// The store key of `job`. Fingerprints a workload without building it
 /// when its fingerprint is already memoized in this process.
-fn store_key(job: &Job, traces: &HashMap<String, LazyWorkload>) -> StoreKey {
+fn store_key(job: &Job, traces: &Workloads) -> StoreKey {
     match job {
         Job::Single {
             workload,
@@ -407,10 +412,23 @@ fn store_key(job: &Job, traces: &HashMap<String, LazyWorkload>) -> StoreKey {
     }
 }
 
-fn mix_refs<'a>(
-    workloads: &[String],
-    traces: &'a HashMap<String, LazyWorkload>,
-) -> Vec<&'a dyn TraceSource> {
+/// Every job's store key, in plan order. The workloads this process has
+/// not fingerprinted yet are fingerprinted first, in one parallel pass
+/// (a cold sweep's trace builds); the keys themselves are computed on the
+/// calling thread, so a warm plan spawns no worker.
+fn store_keys<'p>(
+    plan: &'p JobPlan,
+    traces: &'p Workloads,
+) -> impl Iterator<Item = (&'p Job, StoreKey)> + 'p {
+    // gaze-lint: allow(map_iteration) -- order-independent: it only decides which worker fingerprints which workload
+    let unknown: Vec<&LazyWorkload> = traces.values().filter(|t| !t.fingerprint_known()).collect();
+    parallel_map(&unknown, |t| t.fingerprint());
+    plan.jobs()
+        .iter()
+        .map(move |job| (job, store_key(job, traces)))
+}
+
+fn mix_refs<'a>(workloads: &[String], traces: &'a Workloads) -> Vec<&'a dyn TraceSource> {
     workloads
         .iter()
         .map(|w| &traces[w.as_str()] as &dyn TraceSource)
@@ -470,23 +488,12 @@ impl Persisted for SimReport {
     }
 }
 
-/// The stored row under `keyed`'s key when its store holds one (a counted
-/// hit); otherwise `simulate`'s result, recorded write-through (a counted
-/// miss). Without a store, simply `simulate`'s result.
-fn cached<T: Persisted>(
-    keyed: Option<&(&StoreHandle, StoreKey)>,
-    simulate: impl FnOnce() -> T,
-) -> T {
-    let Some((store, key)) = keyed else {
-        return simulate();
-    };
+/// The stored `T` under `key`, counted as a hit.
+fn lookup<T: Persisted>(store: &StoreHandle, key: &StoreKey) -> Option<T> {
     let pfp = key.params.fingerprint();
-    if let Some(row) = store.lookup(key.fingerprint, pfp, &key.name, &key.label) {
-        return T::from_row(row);
-    }
-    let result = simulate();
-    store.record(result.to_row(key));
-    result
+    store
+        .lookup(key.fingerprint, pfp, &key.name, &key.label)
+        .map(T::from_row)
 }
 
 /// Whether the store holds the `T` row under `key`, without touching the
@@ -500,25 +507,18 @@ fn stored<T: Persisted>(store: &StoreHandle, key: &StoreKey) -> bool {
 /// touch, filled with that no-prefetching baseline on first use.
 type Baselines<'a> = HashMap<(&'a str, u64), OnceLock<CoreStats>>;
 
-/// Runs `job` through the store, if one is active, simulating it on a
-/// miss; a single-core job takes its baseline from its slot.
-fn run_job(
-    job: &Job,
-    traces: &HashMap<String, LazyWorkload>,
-    baselines: &Baselines,
-    store: Option<&StoreHandle>,
-) -> Output {
-    let keyed = store.map(|store| (store, store_key(job, traces)));
+/// Simulates `job`; a single-core job takes its baseline from its slot.
+fn simulate(job: &Job, traces: &Workloads, baselines: &Baselines) -> Output {
     match job {
         Job::Single {
             workload,
             l1,
             l2,
             params,
-        } => Output::Single(Box::new(cached(keyed.as_ref(), || {
+        } => {
             let trace = &traces[workload.as_str()];
             let slot = &baselines[&(workload.as_str(), params.fingerprint())];
-            SingleRun {
+            Output::Single(Box::new(SingleRun {
                 workload: workload.clone(),
                 prefetcher: multi_level_name(l1, l2.as_deref()),
                 stats: simulate_core(
@@ -529,32 +529,36 @@ fn run_job(
                 ),
                 baseline: *slot
                     .get_or_init(|| simulate_core(trace, make_prefetcher("none"), None, params)),
-            }
-        }))),
+            }))
+        }
         Job::Mix {
             workloads,
             prefetcher,
             params,
-        } => Output::Mix(cached(keyed.as_ref(), || {
-            run_heterogeneous(&mix_refs(workloads, traces), prefetcher, params)
-        })),
+        } => Output::Mix(run_heterogeneous(
+            &mix_refs(workloads, traces),
+            prefetcher,
+            params,
+        )),
     }
 }
 
 /// A jobs-completed observer for [`execute_with_progress`]: called as
-/// `(done, total)` after each job finishes, from whichever worker thread
-/// finished it.
+/// `(done, total)` after each job finishes — on the calling thread for a
+/// store hit, on whichever worker simulated it for a miss.
 pub type Progress<'a> = &'a (dyn Fn(usize, usize) + Sync);
 
-/// Executes a plan: one flat parallel fan-out over every job. Each job is
-/// looked up in the active results store first; a miss simulates and is
-/// recorded write-through. Results become durable before this returns.
+/// Executes a plan. Every job is keyed and looked up in the active results
+/// store on the calling thread; only the misses fan out to the engine's
+/// workers, which simulate them and record each write-through. Results
+/// become durable before this returns.
 ///
 /// A single-core miss takes its no-prefetching baseline from a table with
-/// one slot per (workload, params) the plan touches, so each distinct
+/// one slot per (workload, params) the misses touch, so each distinct
 /// baseline is simulated at most once per call, and only when some job
 /// needing it misses. Stored rows carry their baseline, so a warm plan
-/// simulates nothing. The `"none"` mix jobs are ordinary plan jobs.
+/// simulates nothing and starts no thread. The `"none"` mix jobs are
+/// ordinary plan jobs.
 pub fn execute(plan: &JobPlan, scale: &ExperimentScale) -> JobResults {
     execute_with_progress(plan, scale, None)
 }
@@ -569,34 +573,69 @@ pub fn execute_with_progress(
 ) -> JobResults {
     let traces = workload_handles(plan, scale);
     let store = crate::results::active_store();
+    let total = plan.len();
+    let done = AtomicUsize::new(0);
+    let finished = |output: Output, started: Instant| {
+        note_job(&output, started.elapsed().as_micros() as u64);
+        if let Some(report) = progress {
+            report(done.fetch_add(1, Ordering::SeqCst) + 1, total);
+        }
+        output
+    };
+
+    // Stored jobs are answered here, on the calling thread; only the
+    // misses reach the fan-out below.
+    let mut outputs: Vec<Option<Output>> = (0..total).map(|_| None).collect();
+    let mut misses: Vec<(&Job, Option<StoreKey>)> = Vec::new();
+    match store.as_deref() {
+        None => misses.extend(plan.jobs().iter().map(|job| (job, None))),
+        Some(store) => {
+            for ((job, key), slot) in store_keys(plan, &traces).zip(&mut outputs) {
+                // gaze-lint: allow(wall_clock) -- feeds only the job-duration metrics, never a simulated result
+                let started = Instant::now();
+                let hit = match job {
+                    Job::Single { .. } => {
+                        lookup(store, &key).map(|run| Output::Single(Box::new(run)))
+                    }
+                    Job::Mix { .. } => lookup(store, &key).map(Output::Mix),
+                };
+                match hit {
+                    Some(output) => *slot = Some(finished(output, started)),
+                    None => misses.push((job, Some(key))),
+                }
+            }
+        }
+    }
+
     // Every slot exists before the fan-out, so workers share the table
     // without a lock; the first worker to need a baseline fills its slot.
-    let baselines: Baselines = plan
-        .jobs()
+    let baselines: Baselines = misses
         .iter()
-        .filter_map(|job| match job {
+        .filter_map(|(job, _)| match job {
             Job::Single {
                 workload, params, ..
             } => Some(((workload.as_str(), params.fingerprint()), OnceLock::new())),
             Job::Mix { .. } => None,
         })
         .collect();
-    let total = plan.len();
-    let done = std::sync::atomic::AtomicUsize::new(0);
-    let outputs = parallel_map(plan.jobs(), |job| {
+    let simulated = parallel_map(&misses, |(job, key)| {
         // gaze-lint: allow(wall_clock) -- feeds only the job-duration metrics, never a simulated result
-        let job_started = std::time::Instant::now();
-        let output = run_job(job, &traces, &baselines, store.as_deref());
-        note_job(output.kind(), job_started.elapsed().as_micros() as u64);
-        if let Some(report) = progress {
-            let finished = done.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
-            report(finished, total);
+        let started = Instant::now();
+        let output = simulate(job, &traces, &baselines);
+        if let (Some(store), Some(key)) = (store.as_deref(), key) {
+            match &output {
+                Output::Single(run) => store.record(run.to_row(key)),
+                Output::Mix(report) => store.record(report.to_row(key)),
+            }
         }
-        output
+        finished(output, started)
     });
     crate::results::flush();
+
+    let mut simulated = simulated.into_iter();
     let mut results = JobResults::default();
     for (job, output) in plan.jobs().iter().zip(outputs) {
+        let output = output.unwrap_or_else(|| simulated.next().expect("one output per miss"));
         match output {
             Output::Single(run) => {
                 results.singles.insert(job.key(), *run);
@@ -614,33 +653,35 @@ enum Output {
     Mix(SimReport),
 }
 
-impl Output {
-    fn kind(&self) -> &'static str {
-        match self {
-            Output::Single(_) => "single",
-            Output::Mix(_) => "mix",
-        }
-    }
-}
-
 /// Publishes one finished engine job to the process-global metrics:
 /// `gaze_sim_jobs_total{kind=…}` and the `gaze_sim_job_duration_us`
 /// wall-time histogram. Store hits and misses land here alike — a warm
 /// sweep shows up as the same job count with a collapsed duration tail.
-fn note_job(kind: &'static str, us: u64) {
-    use gaze_obs::metrics::registry;
-    let r = registry();
-    r.counter_with(
-        "gaze_sim_jobs_total",
-        "Engine jobs executed, by job kind",
-        &[("kind", kind)],
-    )
-    .inc();
-    r.histogram(
-        "gaze_sim_job_duration_us",
-        "Wall time of one engine job (store hit or fresh simulation), in microseconds",
-    )
-    .record(us);
+fn note_job(output: &Output, us: u64) {
+    use gaze_obs::metrics::{registry, Counter, Histogram};
+    static SERIES: OnceLock<([Counter; 2], Histogram)> = OnceLock::new();
+    let (jobs, duration) = SERIES.get_or_init(|| {
+        let r = registry();
+        (
+            ["single", "mix"].map(|kind| {
+                r.counter_with(
+                    "gaze_sim_jobs_total",
+                    "Engine jobs executed, by job kind",
+                    &[("kind", kind)],
+                )
+            }),
+            r.histogram(
+                "gaze_sim_job_duration_us",
+                "Wall time of one engine job (store hit or fresh simulation), in microseconds",
+            ),
+        )
+    });
+    let kind = match output {
+        Output::Single(_) => 0,
+        Output::Mix(_) => 1,
+    };
+    jobs[kind].inc();
+    duration.record(us);
 }
 
 /// The `plan --spec` dry-run summary: job counts plus the warm/cold
@@ -683,15 +724,10 @@ pub fn dry_run(plan: &JobPlan, scale: &ExperimentScale) -> PlanReport {
     };
     let traces = workload_handles(plan, scale);
     report.store_active = true;
-    report.warm = plan
-        .jobs()
-        .iter()
-        .filter(|job| {
-            let key = store_key(job, &traces);
-            match job {
-                Job::Single { .. } => stored::<SingleRun>(&store, &key),
-                Job::Mix { .. } => stored::<SimReport>(&store, &key),
-            }
+    report.warm = store_keys(plan, &traces)
+        .filter(|(job, key)| match job {
+            Job::Single { .. } => stored::<SingleRun>(&store, key),
+            Job::Mix { .. } => stored::<SimReport>(&store, key),
         })
         .count();
     report.cold = plan.len() - report.warm;

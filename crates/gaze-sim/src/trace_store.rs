@@ -183,6 +183,17 @@ impl LazyWorkload {
         self.packed.is_some()
     }
 
+    /// Whether [`fingerprint`](TraceSource::fingerprint) answers from this
+    /// process's memo, without building or opening the trace: true only
+    /// for a generated workload fingerprinted before. Builds nothing.
+    pub(crate) fn fingerprint_known(&self) -> bool {
+        !self.is_streamed()
+            && generated_fingerprints()
+                .lock()
+                .expect("fingerprint memo poisoned")
+                .contains_key(&(self.name.clone(), self.records))
+    }
+
     /// The trace, built or opened on first call.
     ///
     /// # Panics

@@ -12,7 +12,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use gaze_sim::experiments::ExperimentScale;
 use gaze_sim::results;
 use gaze_sim::runner::{records_for, simulated_instructions, RunParams};
-use gaze_sim::spec::plan::{execute, Job, JobPlan};
+use gaze_sim::spec::plan::{dry_run, execute, execute_with_progress, Job, JobPlan};
 use gaze_sim::spec::{self, text};
 use gaze_sim::trace_store::{traces_materialized, LazyWorkload};
 use sim_core::trace::{source_fingerprint, TraceSource};
@@ -26,6 +26,21 @@ fn lock() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     std::env::remove_var("GAZE_TRACE_DIR");
     guard
+}
+
+/// The active store's (hits, misses) counters.
+fn store_counts() -> (u64, u64) {
+    let store = results::active_store().expect("a store is active");
+    (store.hits(), store.misses())
+}
+
+/// The plan holding every `step`-th job of `plan`, starting with the first.
+fn every_nth(plan: &JobPlan, step: usize) -> JobPlan {
+    let mut part = JobPlan::default();
+    for job in plan.jobs().iter().step_by(step) {
+        part.push(job.clone());
+    }
+    part
 }
 
 /// A fresh store directory, active until drop.
@@ -283,4 +298,90 @@ fn packed_workloads_stream_and_key_identically() {
         "streamed rerun simulated"
     );
     assert_eq!(generated, streamed);
+}
+
+/// An all-hit plan is served on the calling thread: every progress report
+/// comes from it, so no job fanned out to a worker, even with two engine
+/// threads configured, and no trace is built.
+#[test]
+fn an_all_hit_plan_runs_on_the_calling_thread() {
+    let _guard = lock();
+    let spec = text::parse(SPEC).expect("spec parses");
+    let scale = scale();
+    let plan = spec::plan_specs(&[&spec], &scale);
+    let store = ActiveStore::fresh("calling-thread");
+    execute(&plan, &scale);
+    store.reopen();
+
+    std::env::set_var("GAZE_THREADS", "2");
+    let reports = Mutex::new(Vec::new());
+    let record = |done: usize, total: usize| {
+        let reporter = std::thread::current().id();
+        reports
+            .lock()
+            .expect("reports")
+            .push((reporter, done, total));
+    };
+    let before = traces_materialized();
+    execute_with_progress(&plan, &scale, Some(&record));
+    std::env::remove_var("GAZE_THREADS");
+
+    assert_eq!(
+        traces_materialized(),
+        before,
+        "an all-hit plan built a trace"
+    );
+    let caller = std::thread::current().id();
+    let reports = reports.into_inner().expect("reports");
+    let expected: Vec<_> = (1..=plan.len())
+        .map(|done| (caller, done, plan.len()))
+        .collect();
+    assert_eq!(reports, expected);
+}
+
+/// A plan whose store holds every other job simulates exactly the missing
+/// ones and renders the same bytes as a cold run on a fresh store.
+#[test]
+fn a_half_warm_plan_simulates_only_its_misses() {
+    let _guard = lock();
+    let spec = text::parse(SPEC).expect("spec parses");
+    let scale = scale();
+    let plan = spec::plan_specs(&[&spec], &scale);
+    let cold = {
+        let _store = ActiveStore::fresh("half-cold");
+        csv(&spec::run_spec(&spec, &scale))
+    };
+
+    let _store = ActiveStore::fresh("half-warm");
+    let stored = every_nth(&plan, 2);
+    execute(&stored, &scale);
+    let (_, misses) = store_counts();
+    let half_warm = csv(&spec::run_spec(&spec, &scale));
+    assert_eq!(
+        store_counts().1 - misses,
+        (plan.len() - stored.len()) as u64
+    );
+    assert_eq!(half_warm, cold);
+}
+
+/// `dry_run`'s warm/cold split is the hit/miss split `execute` then counts.
+#[test]
+fn dry_run_predicts_the_hits_and_misses_of_execute() {
+    let _guard = lock();
+    let spec = text::parse(SPEC).expect("spec parses");
+    let scale = scale();
+    let plan = spec::plan_specs(&[&spec], &scale);
+    let _store = ActiveStore::fresh("dry-run");
+    execute(&every_nth(&plan, 3), &scale);
+
+    let report = dry_run(&plan, &scale);
+    assert!(report.store_active);
+    assert!(report.warm > 0 && report.cold > 0, "{report:?}");
+    let (hits, misses) = store_counts();
+    execute(&plan, &scale);
+    let (hits_after, misses_after) = store_counts();
+    assert_eq!(
+        (hits_after - hits, misses_after - misses),
+        (report.warm as u64, report.cold as u64)
+    );
 }

@@ -85,9 +85,11 @@ impl BlockAddr {
         Addr(self.0 << BLOCK_SHIFT)
     }
 
-    /// Returns the block `delta` lines away (may be negative).
-    pub fn offset_by(self, delta: i64) -> BlockAddr {
-        BlockAddr(self.0.wrapping_add(delta as u64))
+    /// The block `delta` lines away (may be negative), or `None` when that
+    /// falls outside the block address space: there is no block behind
+    /// block 0.
+    pub fn checked_add_signed(self, delta: i64) -> Option<BlockAddr> {
+        self.0.checked_add_signed(delta).map(BlockAddr)
     }
 
     /// Signed distance in cache lines from `other` to `self`.
@@ -242,10 +244,20 @@ mod tests {
     #[test]
     fn block_delta_arithmetic() {
         let b = BlockAddr::new(100);
-        assert_eq!(b.offset_by(5).raw(), 105);
-        assert_eq!(b.offset_by(-5).raw(), 95);
-        assert_eq!(b.offset_by(5).delta_from(b), 5);
-        assert_eq!(b.delta_from(b.offset_by(5)), -5);
+        let ahead = b.checked_add_signed(5).expect("in range");
+        assert_eq!(ahead.raw(), 105);
+        assert_eq!(b.checked_add_signed(-5).map(BlockAddr::raw), Some(95));
+        assert_eq!(ahead.delta_from(b), 5);
+        assert_eq!(b.delta_from(ahead), -5);
+    }
+
+    #[test]
+    fn no_block_lies_behind_block_zero() {
+        let zero = BlockAddr::new(0);
+        assert_eq!(zero.checked_add_signed(0), Some(zero));
+        assert_eq!(zero.checked_add_signed(-1), None);
+        assert_eq!(BlockAddr::new(2).checked_add_signed(-3), None);
+        assert_eq!(BlockAddr::new(u64::MAX).checked_add_signed(1), None);
     }
 
     #[test]

@@ -707,7 +707,9 @@ mod tests {
 
         fn on_access(&mut self, access: &DemandAccess, _hit: bool, sink: &mut RequestSink) {
             for d in 1..=self.degree as i64 {
-                let block = access.block().offset_by(d);
+                let Some(block) = access.block().checked_add_signed(d) else {
+                    continue;
+                };
                 if d <= self.l1_degree as i64 {
                     sink.push(PrefetchRequest::to_l1(block));
                 } else {
@@ -741,6 +743,41 @@ mod tests {
             })
             .collect();
         Trace::new("random", recs)
+    }
+
+    /// A prefetcher asking for the blocks behind an access to address 0 has
+    /// none to ask for: the run trips no empty-way tag check in a debug
+    /// build and drops no phantom request as redundant.
+    #[test]
+    fn no_request_reaches_behind_block_zero() {
+        struct Behind;
+        impl Prefetcher for Behind {
+            fn name(&self) -> &str {
+                "test-behind"
+            }
+
+            fn on_access(&mut self, access: &DemandAccess, _hit: bool, sink: &mut RequestSink) {
+                for d in 1..=2 {
+                    if let Some(block) = access.block().checked_add_signed(-d) {
+                        sink.push(PrefetchRequest::to_l1(block));
+                    }
+                }
+            }
+
+            fn storage_bits(&self) -> u64 {
+                0
+            }
+        }
+        let recs = (0..500)
+            .map(|_| TraceRecord::load(0x400000, 0, 4))
+            .collect();
+        let trace = Trace::new("address-zero", recs);
+        let report = System::single_core(SimConfig::paper_single_core(), &trace, Box::new(Behind))
+            .run(1_000, 5_000);
+        let core = &report.cores[0];
+        assert!(core.l1d.demand_accesses > 0);
+        assert_eq!(core.prefetch.requested, 0);
+        assert_eq!(core.prefetch.dropped_redundant, 0);
     }
 
     #[test]

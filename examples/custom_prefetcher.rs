@@ -40,9 +40,11 @@ impl Prefetcher for NextNLine {
         if cache_hit || !access.kind.is_load() {
             return;
         }
-        self.issued += self.degree as u64;
         for d in 1..=self.degree as i64 {
-            sink.push(PrefetchRequest::to_l1(access.block().offset_by(d)));
+            if let Some(block) = access.block().checked_add_signed(d) {
+                sink.push(PrefetchRequest::to_l1(block));
+                self.issued += 1;
+            }
         }
     }
 
