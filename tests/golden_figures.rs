@@ -1,9 +1,9 @@
 //! Golden-figure regression harness.
 //!
 //! `tests/fixtures/` holds a small committed GZR store (v1 single-core
-//! segments from fig06/fig13 and a v2 multi-core segment from fig15, all
-//! at the `test` scale) plus the exact CSVs those figures printed when
-//! the store was generated. This test regenerates each figure from the
+//! segments from fig06/fig13 and from fig01/fig04/fig09/fig17, and a v2
+//! multi-core segment from fig15, all at the `test` scale) plus the exact
+//! CSVs those figures printed when the store was generated. This test regenerates each figure from the
 //! fixture store and asserts:
 //!
 //! 1. **zero simulation** — every row is served from the store, proving
@@ -20,11 +20,11 @@
 //! with a re-keyed store), regenerate the fixtures:
 //!
 //! ```text
-//! rm -rf tests/fixtures/gzr-store tests/fixtures/fig{06,13,15}.csv
+//! rm -rf tests/fixtures/gzr-store tests/fixtures/fig*.csv
 //! export GAZE_SCALE=test GAZE_RESULTS_DIR=$PWD/tests/fixtures/gzr-store
-//! cargo run --release -p gaze-sim --bin gaze-experiments -- fig06 --csv > tests/fixtures/fig06.csv
-//! cargo run --release -p gaze-sim --bin gaze-experiments -- fig13 --csv > tests/fixtures/fig13.csv
-//! cargo run --release -p gaze-sim --bin gaze-experiments -- fig15 --csv > tests/fixtures/fig15.csv
+//! for fig in fig06 fig13 fig15 fig01 fig04 fig09 fig17; do
+//!     cargo run --release -p gaze-sim --bin gaze-experiments -- $fig --csv > tests/fixtures/$fig.csv
+//! done
 //! ```
 //!
 //! The store is copied into a temporary directory before use so a
@@ -38,10 +38,14 @@ use gaze_repro::gaze_sim::results;
 use gaze_repro::gaze_sim::runner::simulated_instructions;
 use gaze_repro::gaze_sim::spec;
 
-const GOLDEN: [(&str, &str); 3] = [
+const GOLDEN: [(&str, &str); 7] = [
+    ("fig01", include_str!("fixtures/fig01.csv")),
+    ("fig04", include_str!("fixtures/fig04.csv")),
     ("fig06", include_str!("fixtures/fig06.csv")),
+    ("fig09", include_str!("fixtures/fig09.csv")),
     ("fig13", include_str!("fixtures/fig13.csv")),
     ("fig15", include_str!("fixtures/fig15.csv")),
+    ("fig17", include_str!("fixtures/fig17.csv")),
 ];
 
 fn copy_fixture_store(into: &Path) {
