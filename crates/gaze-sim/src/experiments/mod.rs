@@ -7,13 +7,6 @@
 //! `gaze-experiments` binary, `gaze-serve`, perfbench and the
 //! integration tests all run figures through that one pipeline, so CLI,
 //! HTTP and test output are byte-identical by construction.
-//!
-//! This module also keeps the per-suite table shaping helpers the
-//! renderer uses.
-
-use std::collections::BTreeMap;
-
-use workloads::Suite;
 
 use crate::report::Table;
 use crate::runner::RunParams;
@@ -95,36 +88,6 @@ impl ExperimentScale {
     }
 }
 
-/// Formats a per-suite metric row (5 suites + AVG) for a prefetcher.
-pub fn suite_row(label: &str, per_suite: &BTreeMap<Suite, f64>, avg: f64) -> Vec<String> {
-    let mut row = vec![label.to_string()];
-    for suite in Suite::main_suites() {
-        row.push(format!(
-            "{:.3}",
-            per_suite.get(&suite).copied().unwrap_or(0.0)
-        ));
-    }
-    row.push(format!("{avg:.3}"));
-    row
-}
-
-/// Standard headers for a per-suite table.
-pub fn suite_headers(metric: &str) -> Vec<String> {
-    let mut h = vec![metric.to_string()];
-    for suite in Suite::main_suites() {
-        h.push(suite.label().to_string());
-    }
-    h.push("AVG".to_string());
-    h
-}
-
-/// Creates a table with suite headers.
-pub fn suite_table(title: &str, metric: &str) -> Table {
-    let headers = suite_headers(metric);
-    let refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    Table::new(title, &refs)
-}
-
 /// All experiment names runnable from the binary (the built-in spec
 /// registry).
 pub fn experiment_names() -> Vec<&'static str> {
@@ -198,18 +161,6 @@ mod tests {
         for fig in ["fig01", "fig06", "fig14", "fig18", "table1", "table4"] {
             assert!(names.contains(&fig));
         }
-    }
-
-    #[test]
-    fn suite_helpers_shape_rows_correctly() {
-        let headers = suite_headers("speedup");
-        assert_eq!(headers.len(), 7);
-        let mut map = BTreeMap::new();
-        map.insert(Suite::Spec06, 1.2);
-        let row = suite_row("gaze", &map, 1.1);
-        assert_eq!(row.len(), 7);
-        assert_eq!(row[0], "gaze");
-        assert_eq!(row[6], "1.100");
     }
 
     #[test]

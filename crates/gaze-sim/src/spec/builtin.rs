@@ -9,8 +9,8 @@
 use crate::factory::{HEAD_TO_HEAD, MAIN_PREFETCHERS, MULTICORE_PREFETCHERS};
 
 use super::{
-    ConfigAxis, Entry, ExperimentSpec, Metric, MixDef, MultiLevelRow, SummaryCol, SummaryMetric,
-    SweepPoint, TableKind, TableSpec, TraceSel,
+    ConfigAxis, Entry, ExperimentSpec, Metric, MixDef, MultiLevelRow, SummaryCol, SweepPoint,
+    TableKind, TableSpec, TraceSel,
 };
 use workloads::Suite;
 
@@ -64,6 +64,31 @@ fn table(title: &str, kind: TableKind) -> TableSpec {
     }
 }
 
+fn column(header: &str, metric: Metric, base: Option<&str>) -> SummaryCol {
+    SummaryCol {
+        header: header.to_string(),
+        metric,
+        base: base.map(str::to_string),
+    }
+}
+
+/// Per-suite means of `metric` over the five main suites, plus their
+/// overall `AVG` (the Fig. 6–9 bars).
+fn suite_summary(row_header: &str, metric: Metric, rows: Vec<Entry>) -> TableKind {
+    let mut groups: Vec<(String, TraceSel)> = Suite::main_suites()
+        .into_iter()
+        .map(|suite| (suite.label().to_string(), TraceSel::Suites(vec![suite])))
+        .collect();
+    groups.push(("AVG".to_string(), TraceSel::MainSuites));
+    TableKind::TraceGroupMeans {
+        row_header: row_header.to_string(),
+        metric,
+        rows,
+        groups,
+        with_storage: false,
+    }
+}
+
 fn fig01() -> ExperimentSpec {
     spec(
         "fig01",
@@ -112,18 +137,9 @@ fn fig04() -> ExperimentSpec {
                     Entry::labeled("4", "gaze-k4"),
                 ],
                 columns: vec![
-                    SummaryCol {
-                        header: "norm_ipc".to_string(),
-                        metric: SummaryMetric::SpeedupNormFirst,
-                    },
-                    SummaryCol {
-                        header: "accuracy".to_string(),
-                        metric: SummaryMetric::Accuracy,
-                    },
-                    SummaryCol {
-                        header: "coverage".to_string(),
-                        metric: SummaryMetric::Coverage,
-                    },
+                    column("norm_ipc", Metric::Speedup, Some("gaze-k1")),
+                    column("accuracy", Metric::Accuracy, None),
+                    column("coverage", Metric::Coverage, None),
                 ],
             },
         )],
@@ -137,35 +153,24 @@ fn fig06_08() -> ExperimentSpec {
         vec![
             table(
                 "Fig. 6 — single-core speedup over no prefetching",
-                TableKind::SuiteSummary {
-                    row_header: "prefetcher".to_string(),
-                    metric: Metric::Speedup,
-                    rows: rows.clone(),
-                },
+                suite_summary("prefetcher", Metric::Speedup, rows.clone()),
             ),
             table(
                 "Fig. 7 — overall prefetch accuracy",
-                TableKind::SuiteSummary {
-                    row_header: "prefetcher".to_string(),
-                    metric: Metric::Accuracy,
-                    rows: rows.clone(),
-                },
+                suite_summary("prefetcher", Metric::Accuracy, rows.clone()),
             ),
             table(
                 "Fig. 8 — LLC miss coverage",
-                TableKind::SuiteSummary {
-                    row_header: "prefetcher".to_string(),
-                    metric: Metric::Coverage,
-                    rows: rows.clone(),
-                },
+                suite_summary("prefetcher", Metric::Coverage, rows.clone()),
             ),
             table(
                 "Fig. 8 (lower bars) — late fraction of useful prefetches",
-                TableKind::AvgColumn {
+                TableKind::TraceGroupMeans {
                     row_header: "prefetcher".to_string(),
-                    value_header: "late_fraction".to_string(),
                     metric: Metric::Late,
                     rows,
+                    groups: vec![("late_fraction".to_string(), TraceSel::MainSuites)],
+                    with_storage: false,
                 },
             ),
         ],
@@ -177,11 +182,11 @@ fn fig09() -> ExperimentSpec {
         "fig09",
         vec![table(
             "Fig. 9 — pattern characterization ablation (speedup)",
-            TableKind::SuiteSummary {
-                row_header: "variant".to_string(),
-                metric: Metric::Speedup,
-                rows: plain(&["offset", "gaze-pht", "gaze"]),
-            },
+            suite_summary(
+                "variant",
+                Metric::Speedup,
+                plain(&["offset", "gaze-pht", "gaze"]),
+            ),
         )],
     )
 }
@@ -379,40 +384,38 @@ fn fig16() -> ExperimentSpec {
 }
 
 fn fig17() -> ExperimentSpec {
+    let normalized = |row_header: &str, rows: Vec<Entry>| TableKind::VariantSummary {
+        row_header: row_header.to_string(),
+        traces: TraceSel::Mix,
+        rows,
+        columns: vec![column("normalized_speedup", Metric::Speedup, Some("gaze"))],
+    };
     spec(
         "fig17",
         vec![
             table(
                 "Fig. 17a — Gaze region-size sensitivity (speedup normalized to 4KB)",
-                TableKind::NormalizedVariants {
-                    row_header: "region".to_string(),
-                    value_header: "normalized_speedup".to_string(),
-                    traces: TraceSel::Mix,
-                    metric: Metric::Speedup,
-                    base: "gaze".to_string(),
-                    rows: vec![
+                normalized(
+                    "region",
+                    vec![
                         Entry::labeled("0.5KB", "gaze-region-512"),
                         Entry::labeled("1KB", "gaze-region-1024"),
                         Entry::labeled("2KB", "gaze-region-2048"),
                         Entry::labeled("4KB", "gaze"),
                     ],
-                },
+                ),
             ),
             table(
                 "Fig. 17b — Gaze PHT-size sensitivity (speedup normalized to 256 entries)",
-                TableKind::NormalizedVariants {
-                    row_header: "pht_entries".to_string(),
-                    value_header: "normalized_speedup".to_string(),
-                    traces: TraceSel::Mix,
-                    metric: Metric::Speedup,
-                    base: "gaze".to_string(),
-                    rows: vec![
+                normalized(
+                    "pht_entries",
+                    vec![
                         Entry::labeled("128", "gaze-pht-128"),
                         Entry::labeled("256", "gaze-pht-256"),
                         Entry::labeled("512", "gaze-pht-512"),
                         Entry::labeled("1024", "gaze-pht-1024"),
                     ],
-                },
+                ),
             ),
         ],
     )

@@ -155,54 +155,19 @@ impl Metric {
     }
 }
 
-/// Aggregate metric of a variant-summary column (averaged over every
-/// selected workload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SummaryMetric {
-    /// Average speedup.
-    Speedup,
-    /// Average speedup normalized to the table's first row.
-    SpeedupNormFirst,
-    /// Average accuracy.
-    Accuracy,
-    /// Average coverage.
-    Coverage,
-    /// Average late fraction.
-    Late,
-}
-
-impl SummaryMetric {
-    /// The metric's name in the text format.
-    pub fn name(self) -> &'static str {
-        match self {
-            SummaryMetric::Speedup => "speedup",
-            SummaryMetric::SpeedupNormFirst => "speedup-norm-first",
-            SummaryMetric::Accuracy => "accuracy",
-            SummaryMetric::Coverage => "coverage",
-            SummaryMetric::Late => "late",
-        }
-    }
-
-    /// Parses a text-format summary-metric name.
-    pub fn parse(s: &str) -> Option<SummaryMetric> {
-        match s {
-            "speedup" => Some(SummaryMetric::Speedup),
-            "speedup-norm-first" => Some(SummaryMetric::SpeedupNormFirst),
-            "accuracy" => Some(SummaryMetric::Accuracy),
-            "coverage" => Some(SummaryMetric::Coverage),
-            "late" => Some(SummaryMetric::Late),
-            _ => None,
-        }
-    }
-}
-
-/// One column of a [`TableKind::VariantSummary`] table.
+/// One column of a [`TableKind::VariantSummary`] table: the average of
+/// `metric` over the selected workloads, optionally divided by the same
+/// average for the `base` variant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummaryCol {
     /// Column header.
     pub header: String,
-    /// Aggregate the column reports.
-    pub metric: SummaryMetric,
+    /// Metric averaged in the column.
+    pub metric: Metric,
+    /// Variant every row is normalized to, written
+    /// `column <header> = <metric> / <base>`; `None` reports the plain
+    /// average.
+    pub base: Option<String>,
 }
 
 /// A sweepable system-configuration axis.
@@ -283,31 +248,11 @@ pub struct MixDef {
 /// Axes and projection of one table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TableKind {
-    /// Rows = prefetchers; columns = per-suite mean of `metric` over the
-    /// five main suites, plus the overall average (Fig. 6–9 shape).
-    SuiteSummary {
-        /// Header of the label column (e.g. `"prefetcher"`).
-        row_header: String,
-        /// Metric of every cell.
-        metric: Metric,
-        /// Row prefetchers.
-        rows: Vec<Entry>,
-    },
-    /// Rows = prefetchers; one column holding the all-workload average of
-    /// `metric` over the main suites (Fig. 8's late-fraction bars).
-    AvgColumn {
-        /// Header of the label column.
-        row_header: String,
-        /// Header of the value column.
-        value_header: String,
-        /// Metric of the value column.
-        metric: Metric,
-        /// Row prefetchers.
-        rows: Vec<Entry>,
-    },
     /// Rows = prefetchers; one column per workload *group*, holding the
     /// group mean of `metric`; optionally a trailing storage-KB column
-    /// (Fig. 1 shape).
+    /// (Fig. 1 shape). One group per main suite plus `AVG = main` gives
+    /// the per-suite bars of Fig. 6–9; a lone `main` group, Fig. 8's
+    /// late-fraction bars.
     TraceGroupMeans {
         /// Header of the label column.
         row_header: String,
@@ -320,8 +265,8 @@ pub enum TableKind {
         /// Append a `storage_KB` column from the factory's storage model.
         with_storage: bool,
     },
-    /// Rows = variants; columns = aggregate metrics over the selected
-    /// workloads (Fig. 4 shape).
+    /// Rows = variants; columns = averages over the selected workloads,
+    /// each optionally normalized to a base variant (Fig. 4 and 17 shape).
     VariantSummary {
         /// Header of the label column.
         row_header: String,
@@ -397,23 +342,6 @@ pub enum TableKind {
         /// Row prefetchers.
         rows: Vec<Entry>,
     },
-    /// Rows = variants; one column with the mean of `metric` over the
-    /// selected workloads, normalized to the `base` variant (Fig. 17
-    /// shape).
-    NormalizedVariants {
-        /// Header of the label column.
-        row_header: String,
-        /// Header of the value column.
-        value_header: String,
-        /// Workloads averaged over.
-        traces: TraceSel,
-        /// Metric of every cell.
-        metric: Metric,
-        /// Variant every row is normalized to.
-        base: String,
-        /// Row variants.
-        rows: Vec<Entry>,
-    },
     /// Gaze's per-structure storage breakdown (Table I; no simulation).
     StorageBreakdown,
     /// Per-prefetcher storage budgets (Table IV; no simulation).
@@ -427,8 +355,6 @@ impl TableKind {
     /// The kind's name in the text format.
     pub fn name(&self) -> &'static str {
         match self {
-            TableKind::SuiteSummary { .. } => "suite-summary",
-            TableKind::AvgColumn { .. } => "avg-column",
             TableKind::TraceGroupMeans { .. } => "trace-group-means",
             TableKind::VariantSummary { .. } => "variant-summary",
             TableKind::WorkloadRows { .. } => "workload-rows",
@@ -437,7 +363,6 @@ impl TableKind {
             TableKind::MulticoreScaling { .. } => "multicore-scaling",
             TableKind::MixPerCore { .. } => "mix-per-core",
             TableKind::ConfigSweep { .. } => "config-sweep",
-            TableKind::NormalizedVariants { .. } => "normalized-variants",
             TableKind::StorageBreakdown => "storage-breakdown",
             TableKind::StorageList { .. } => "storage-list",
         }
@@ -514,22 +439,6 @@ pub fn validate(spec: &ExperimentSpec) -> Result<(), String> {
 
 fn validate_kind(kind: &TableKind) -> Result<(), String> {
     match kind {
-        TableKind::SuiteSummary {
-            row_header, rows, ..
-        } => {
-            validate_label(row_header)?;
-            validate_entries(rows)
-        }
-        TableKind::AvgColumn {
-            row_header,
-            value_header,
-            rows,
-            ..
-        } => {
-            validate_label(row_header)?;
-            validate_label(value_header)?;
-            validate_entries(rows)
-        }
         TableKind::TraceGroupMeans {
             row_header,
             rows,
@@ -572,6 +481,9 @@ fn validate_kind(kind: &TableKind) -> Result<(), String> {
             }
             for col in columns {
                 validate_label(&col.header)?;
+                if let Some(base) = &col.base {
+                    validate_level_name(base)?;
+                }
             }
             Ok(())
         }
@@ -679,20 +591,6 @@ fn validate_kind(kind: &TableKind) -> Result<(), String> {
                 }
             }
             Ok(())
-        }
-        TableKind::NormalizedVariants {
-            row_header,
-            value_header,
-            traces,
-            base,
-            rows,
-            ..
-        } => {
-            validate_label(row_header)?;
-            validate_label(value_header)?;
-            validate_entries(rows)?;
-            validate_traces(traces)?;
-            validate_level_name(base)
         }
         TableKind::StorageBreakdown => Ok(()),
         TableKind::StorageList { rows } => {
@@ -896,10 +794,12 @@ mod tests {
             name: "bad".into(),
             tables: vec![TableSpec {
                 title: "t".into(),
-                kind: TableKind::SuiteSummary {
+                kind: TableKind::TraceGroupMeans {
                     row_header: "p".into(),
                     metric: Metric::Speedup,
                     rows: vec![Entry::plain("not-a-prefetcher")],
+                    groups: vec![("AVG".into(), TraceSel::MainSuites)],
+                    with_storage: false,
                 },
             }],
         };

@@ -26,7 +26,7 @@ use crate::runner::{
 };
 use crate::trace_store::LazyWorkload;
 
-use super::{resolve_workloads, split_levels, ConfigAxis, Entry, TableKind, TraceSel};
+use super::{resolve_workloads, split_levels, ConfigAxis, Entry, TableKind};
 
 /// One atomic simulation job.
 #[derive(Debug, Clone)]
@@ -196,19 +196,27 @@ pub fn table_jobs(kind: &TableKind, scale: &ExperimentScale, plan: &mut JobPlan)
         }
     };
     match kind {
-        TableKind::SuiteSummary { rows, .. } | TableKind::AvgColumn { rows, .. } => {
-            singles_over(plan, &resolve_workloads(&TraceSel::MainSuites, scale), rows);
-        }
         TableKind::TraceGroupMeans { rows, groups, .. } => {
             for (_, sel) in groups {
                 singles_over(plan, &resolve_workloads(sel, scale), rows);
             }
         }
-        TableKind::VariantSummary { traces, rows, .. }
-        | TableKind::WorkloadRows { traces, rows, .. } => {
-            singles_over(plan, &resolve_workloads(traces, scale), rows);
+        TableKind::VariantSummary {
+            traces,
+            rows,
+            columns,
+            ..
+        } => {
+            let names = resolve_workloads(traces, scale);
+            singles_over(plan, &names, rows);
+            for base in columns.iter().filter_map(|c| c.base.as_deref()) {
+                for workload in &names {
+                    single(plan, workload, base, scale.params);
+                }
+            }
         }
-        TableKind::SuiteSections { traces, rows, .. } => {
+        TableKind::WorkloadRows { traces, rows, .. }
+        | TableKind::SuiteSections { traces, rows, .. } => {
             singles_over(plan, &resolve_workloads(traces, scale), rows);
         }
         TableKind::MultiLevel { traces, rows } => {
@@ -279,17 +287,6 @@ pub fn table_jobs(kind: &TableKind, scale: &ExperimentScale, plan: &mut JobPlan)
                     }
                 }
             }
-        }
-        TableKind::NormalizedVariants {
-            traces, base, rows, ..
-        } => {
-            let names = resolve_workloads(traces, scale);
-            // The base variant first, matching the reference arithmetic
-            // that normalizes everything to it.
-            for workload in &names {
-                single(plan, workload, base, scale.params);
-            }
-            singles_over(plan, &names, rows);
         }
         TableKind::StorageBreakdown | TableKind::StorageList { .. } => {}
     }
@@ -738,7 +735,7 @@ pub fn dry_run(plan: &JobPlan, scale: &ExperimentScale) -> PlanReport {
 mod tests {
     use super::*;
     use crate::spec::{builtin, Metric};
-    use crate::spec::{Entry, TableKind};
+    use crate::spec::{Entry, TableKind, TraceSel};
 
     fn scale() -> ExperimentScale {
         ExperimentScale {

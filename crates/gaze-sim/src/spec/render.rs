@@ -6,19 +6,15 @@
 //! is byte-identical to the pre-spec hardcoded code (pinned by the
 //! golden-figure fixtures).
 
-use std::collections::BTreeMap;
-
-use workloads::Suite;
-
-use crate::experiments::{suite_row, suite_table, ExperimentScale};
+use crate::experiments::ExperimentScale;
 use crate::factory::make_prefetcher;
 use crate::report::{mean, Table};
 use crate::runner::{RunParams, SingleRun};
 
 use super::plan::{cycled_mix, sweep_params, JobResults};
 use super::{
-    resolve_workloads, selected_suites, suite_workloads, ExperimentSpec, Metric, SummaryMetric,
-    TableKind, TableSpec, TraceSel,
+    resolve_workloads, selected_suites, suite_workloads, ExperimentSpec, Metric, TableKind,
+    TableSpec,
 };
 
 /// Renders every table of a spec from executed job results.
@@ -48,6 +44,15 @@ fn storage_kb(name: &str) -> f64 {
     make_prefetcher(name).storage_bits() as f64 / 8.0 / 1024.0
 }
 
+/// `value / base`, or 1.0 when the base is not positive.
+fn ratio(value: f64, base: f64) -> f64 {
+    if base > 0.0 {
+        value / base
+    } else {
+        1.0
+    }
+}
+
 /// Per-row values of `name` over `workloads` under `params`.
 fn values_over(
     results: &JobResults,
@@ -65,31 +70,6 @@ fn values_over(
 /// Renders one table from executed job results.
 pub fn render_table(table: &TableSpec, scale: &ExperimentScale, results: &JobResults) -> Table {
     match &table.kind {
-        TableKind::SuiteSummary {
-            row_header,
-            metric,
-            rows,
-        } => {
-            let mut out = suite_table(&table.title, row_header);
-            for entry in rows {
-                let (per_suite, avg) = suite_means(results, scale, &entry.name, *metric);
-                out.push_row(suite_row(&entry.label, &per_suite, avg));
-            }
-            out
-        }
-        TableKind::AvgColumn {
-            row_header,
-            value_header,
-            metric,
-            rows,
-        } => {
-            let mut out = Table::new(&table.title, &[row_header.as_str(), value_header.as_str()]);
-            for entry in rows {
-                let (_, avg) = suite_means(results, scale, &entry.name, *metric);
-                out.push_row(vec![entry.label.clone(), format!("{avg:.3}")]);
-            }
-            out
-        }
         TableKind::TraceGroupMeans {
             row_header,
             metric,
@@ -131,7 +111,7 @@ pub fn render_table(table: &TableSpec, scale: &ExperimentScale, results: &JobRes
             headers.extend(columns.iter().map(|c| c.header.clone()));
             let refs: Vec<&str> = headers.iter().map(String::as_str).collect();
             let mut out = Table::new(&table.title, &refs);
-            let workloads = ordered_workloads(traces, scale);
+            let workloads = resolve_workloads(traces, scale);
             let avg = |name: &str, metric: Metric| {
                 mean(&values_over(
                     results,
@@ -141,16 +121,13 @@ pub fn render_table(table: &TableSpec, scale: &ExperimentScale, results: &JobRes
                     &scale.params,
                 ))
             };
-            let base = avg(&rows[0].name, Metric::Speedup);
             for entry in rows {
                 let mut row = vec![entry.label.clone()];
                 for col in columns {
-                    let value = match col.metric {
-                        SummaryMetric::Speedup => avg(&entry.name, Metric::Speedup),
-                        SummaryMetric::SpeedupNormFirst => avg(&entry.name, Metric::Speedup) / base,
-                        SummaryMetric::Accuracy => avg(&entry.name, Metric::Accuracy),
-                        SummaryMetric::Coverage => avg(&entry.name, Metric::Coverage),
-                        SummaryMetric::Late => avg(&entry.name, Metric::Late),
+                    let value = avg(&entry.name, col.metric);
+                    let value = match &col.base {
+                        Some(base) => ratio(value, avg(base, col.metric)),
+                        None => value,
                     };
                     row.push(format!("{value:.3}"));
                 }
@@ -169,7 +146,7 @@ pub fn render_table(table: &TableSpec, scale: &ExperimentScale, results: &JobRes
             headers.extend(rows.iter().map(|e| e.label.clone()));
             let refs: Vec<&str> = headers.iter().map(String::as_str).collect();
             let mut out = Table::new(&table.title, &refs);
-            let workloads = ordered_workloads(traces, scale);
+            let workloads = resolve_workloads(traces, scale);
             let columns: Vec<Vec<f64>> = rows
                 .iter()
                 .map(|e| values_over(results, &workloads, &e.name, *metric, &scale.params))
@@ -180,11 +157,7 @@ pub fn render_table(table: &TableSpec, scale: &ExperimentScale, results: &JobRes
                 let base = columns[0][wi];
                 for (ci, column) in columns.iter().enumerate() {
                     let v = if *normalize_to_first {
-                        if base > 0.0 {
-                            column[wi] / base
-                        } else {
-                            1.0
-                        }
+                        ratio(column[wi], base)
                     } else {
                         column[wi]
                     };
@@ -241,7 +214,7 @@ pub fn render_table(table: &TableSpec, scale: &ExperimentScale, results: &JobRes
         }
         TableKind::MultiLevel { traces, rows } => {
             let mut out = Table::new(&table.title, &["group", "l1", "l2", "speedup"]);
-            let workloads = ordered_workloads(traces, scale);
+            let workloads = resolve_workloads(traces, scale);
             for row in rows {
                 let name = crate::runner::multi_level_name(&row.l1, row.l2.as_deref());
                 let mut speedups = Vec::new();
@@ -267,7 +240,7 @@ pub fn render_table(table: &TableSpec, scale: &ExperimentScale, results: &JobRes
             cores,
         } => {
             let mut out = Table::new(&table.title, &["prefetcher", "mix", "cores", "speedup"]);
-            let workloads = ordered_workloads(traces, scale);
+            let workloads = resolve_workloads(traces, scale);
             for entry in rows {
                 for &c in cores {
                     let mut homo = Vec::new();
@@ -310,11 +283,7 @@ pub fn render_table(table: &TableSpec, scale: &ExperimentScale, results: &JobRes
                     let base = results.mix(&mix.workloads, "none", &scale.params);
                     let mut row = vec![mix.name.clone(), entry.label.clone()];
                     for core in 0..cores {
-                        let s = if base.cores[core].ipc() > 0.0 {
-                            with.cores[core].ipc() / base.cores[core].ipc()
-                        } else {
-                            1.0
-                        };
+                        let s = with.cores[core].speedup_over(&base.cores[core]);
                         row.push(format!("{s:.3}"));
                     }
                     row.push(format!("{:.3}", with.speedup_over(base)));
@@ -334,7 +303,7 @@ pub fn render_table(table: &TableSpec, scale: &ExperimentScale, results: &JobRes
             headers.extend(points.iter().map(|p| p.label.clone()));
             let refs: Vec<&str> = headers.iter().map(String::as_str).collect();
             let mut out = Table::new(&table.title, &refs);
-            let workloads = ordered_workloads(traces, scale);
+            let workloads = resolve_workloads(traces, scale);
             for entry in rows {
                 let vals: Vec<f64> = points
                     .iter()
@@ -350,42 +319,6 @@ pub fn render_table(table: &TableSpec, scale: &ExperimentScale, results: &JobRes
                     })
                     .collect();
                 out.push_values(&entry.label, &vals);
-            }
-            out
-        }
-        TableKind::NormalizedVariants {
-            row_header,
-            value_header,
-            traces,
-            metric,
-            base,
-            rows,
-        } => {
-            let mut out = Table::new(&table.title, &[row_header.as_str(), value_header.as_str()]);
-            let workloads = ordered_workloads(traces, scale);
-            let avg = |name: &str| {
-                mean(&values_over(
-                    results,
-                    &workloads,
-                    name,
-                    *metric,
-                    &scale.params,
-                ))
-            };
-            let base_value = avg(base);
-            for entry in rows {
-                let s = avg(&entry.name);
-                out.push_row(vec![
-                    entry.label.clone(),
-                    format!(
-                        "{:.3}",
-                        if base_value > 0.0 {
-                            s / base_value
-                        } else {
-                            1.0
-                        }
-                    ),
-                ]);
             }
             out
         }
@@ -422,37 +355,10 @@ pub fn render_table(table: &TableSpec, scale: &ExperimentScale, results: &JobRes
     }
 }
 
-/// Workloads of a selection, in the selection's canonical order.
-fn ordered_workloads(sel: &TraceSel, scale: &ExperimentScale) -> Vec<String> {
-    resolve_workloads(sel, scale)
-}
-
-/// Per-suite means of `metric` over the five main suites, plus the mean
-/// over every workload — the exact accumulation order of the pre-spec
-/// `summarize_many` (per suite in `main_suites` order, traces in suite
-/// order, overall mean over the flattened values).
-fn suite_means(
-    results: &JobResults,
-    scale: &ExperimentScale,
-    name: &str,
-    metric: Metric,
-) -> (BTreeMap<Suite, f64>, f64) {
-    let mut per_suite = BTreeMap::new();
-    let mut all = Vec::new();
-    for suite in Suite::main_suites() {
-        let workloads = suite_workloads(suite, scale);
-        let vals = values_over(results, &workloads, name, metric, &scale.params);
-        per_suite.insert(suite, mean(&vals));
-        all.extend(vals);
-    }
-    let avg = mean(&all);
-    (per_suite, avg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{plan_specs, Entry};
+    use crate::spec::{plan_specs, Entry, TraceSel};
 
     fn tiny_scale() -> ExperimentScale {
         ExperimentScale {

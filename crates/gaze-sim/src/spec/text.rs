@@ -27,7 +27,7 @@ use workloads::Suite;
 
 use super::{
     validate, ConfigAxis, Entry, ExperimentSpec, Metric, MixDef, MultiLevelRow, SummaryCol,
-    SummaryMetric, SweepPoint, TableKind, TableSpec, TraceSel,
+    SweepPoint, TableKind, TableSpec, TraceSel,
 };
 
 /// Serializes a spec into its canonical text form.
@@ -78,26 +78,6 @@ fn traces_to_string(sel: &TraceSel) -> String {
 
 fn write_kind(out: &mut String, kind: &TableKind) {
     match kind {
-        TableKind::SuiteSummary {
-            row_header,
-            metric,
-            rows,
-        } => {
-            out.push_str(&format!("row-header {row_header}\n"));
-            out.push_str(&format!("metric {}\n", metric.name()));
-            write_entries(out, rows);
-        }
-        TableKind::AvgColumn {
-            row_header,
-            value_header,
-            metric,
-            rows,
-        } => {
-            out.push_str(&format!("row-header {row_header}\n"));
-            out.push_str(&format!("value-header {value_header}\n"));
-            out.push_str(&format!("metric {}\n", metric.name()));
-            write_entries(out, rows);
-        }
         TableKind::TraceGroupMeans {
             row_header,
             metric,
@@ -124,7 +104,11 @@ fn write_kind(out: &mut String, kind: &TableKind) {
             out.push_str(&format!("row-header {row_header}\n"));
             write_traces(out, traces);
             for col in columns {
-                out.push_str(&format!("column {} = {}\n", col.header, col.metric.name()));
+                out.push_str(&format!("column {} = {}", col.header, col.metric.name()));
+                if let Some(base) = &col.base {
+                    out.push_str(&format!(" / {base}"));
+                }
+                out.push('\n');
             }
             write_entries(out, rows);
         }
@@ -196,21 +180,6 @@ fn write_kind(out: &mut String, kind: &TableKind) {
             for point in points {
                 out.push_str(&format!("point {} = {:?}\n", point.label, point.value));
             }
-            write_entries(out, rows);
-        }
-        TableKind::NormalizedVariants {
-            row_header,
-            value_header,
-            traces,
-            metric,
-            base,
-            rows,
-        } => {
-            out.push_str(&format!("row-header {row_header}\n"));
-            out.push_str(&format!("value-header {value_header}\n"));
-            write_traces(out, traces);
-            out.push_str(&format!("metric {}\n", metric.name()));
-            out.push_str(&format!("base {base}\n"));
             write_entries(out, rows);
         }
         TableKind::StorageBreakdown => {}
@@ -312,6 +281,10 @@ fn parse_traces(s: &str) -> Result<TraceSel, String> {
     }
 }
 
+fn parse_metric(s: &str) -> Result<Metric, String> {
+    Metric::parse(s).ok_or_else(|| format!("unknown metric '{s}' (speedup|accuracy|coverage|late)"))
+}
+
 /// Stores a scalar directive's value, rejecting a second occurrence —
 /// last-wins would let a leftover line silently change what a sweep
 /// runs.
@@ -330,6 +303,33 @@ fn split_assignment(rest: &str, what: &str) -> Result<(String, String), String> 
     Ok((lhs.trim().to_string(), rhs.trim().to_string()))
 }
 
+/// Every table kind with the directives it accepts: the one list `build`
+/// resolves a `kind` line against.
+const KINDS: [(&str, &[&str]); 10] = [
+    (
+        "trace-group-means",
+        &["row-header", "metric", "with-storage", "group", "row"],
+    ),
+    (
+        "variant-summary",
+        &["row-header", "traces", "column", "row"],
+    ),
+    (
+        "workload-rows",
+        &["traces", "metric", "normalize-first", "avg-row", "row"],
+    ),
+    ("suite-sections", &["traces", "metric", "row"]),
+    ("multi-level", &["traces", "level"]),
+    ("multicore-scaling", &["traces", "cores", "row"]),
+    ("mix-per-core", &["mixdef", "row"]),
+    (
+        "config-sweep",
+        &["traces", "metric", "axis", "point", "row"],
+    ),
+    ("storage-breakdown", &[]),
+    ("storage-list", &["row"]),
+];
+
 /// Accumulates one table's directives; `build` assembles and checks them
 /// against the declared kind.
 #[derive(Default)]
@@ -337,7 +337,6 @@ struct TableBuilder {
     title: Option<String>,
     kind: Option<String>,
     row_header: Option<String>,
-    value_header: Option<String>,
     metric: Option<Metric>,
     traces: Option<TraceSel>,
     rows: Vec<Entry>,
@@ -348,7 +347,6 @@ struct TableBuilder {
     mixes: Vec<MixDef>,
     axis: Option<ConfigAxis>,
     points: Vec<SweepPoint>,
-    base: Option<String>,
     normalize_first: bool,
     avg_label: Option<String>,
     with_storage: bool,
@@ -378,17 +376,9 @@ impl TableBuilder {
                 self.set("row-header");
                 set_once(&mut self.row_header, rest.to_string(), "row-header")?;
             }
-            "value-header" => {
-                needs_arg(rest, "value-header")?;
-                self.set("value-header");
-                set_once(&mut self.value_header, rest.to_string(), "value-header")?;
-            }
             "metric" => {
                 self.set("metric");
-                let metric = Metric::parse(rest).ok_or_else(|| {
-                    format!("unknown metric '{rest}' (speedup|accuracy|coverage|late)")
-                })?;
-                set_once(&mut self.metric, metric, "metric")?;
+                set_once(&mut self.metric, parse_metric(rest)?, "metric")?;
             }
             "traces" => {
                 self.set("traces");
@@ -410,15 +400,17 @@ impl TableBuilder {
                 self.groups.push((header, parse_traces(&sel)?));
             }
             "column" => {
-                let (header, metric) = split_assignment(rest, "column")?;
+                let (header, value) = split_assignment(rest, "column")?;
                 self.set("column");
-                let metric = SummaryMetric::parse(&metric).ok_or_else(|| {
-                    format!(
-                        "unknown summary metric '{metric}' \
-                         (speedup|speedup-norm-first|accuracy|coverage|late)"
-                    )
-                })?;
-                self.columns.push(SummaryCol { header, metric });
+                let (metric, base) = match value.split_once('/') {
+                    Some((metric, base)) => (metric.trim(), Some(base.trim().to_string())),
+                    None => (value.as_str(), None),
+                };
+                self.columns.push(SummaryCol {
+                    header,
+                    metric: parse_metric(metric)?,
+                    base,
+                });
             }
             "level" => {
                 let (group, combo) = split_assignment(rest, "level")?;
@@ -468,11 +460,6 @@ impl TableBuilder {
                     .map_err(|_| format!("sweep point value '{value}' is not a number"))?;
                 self.points.push(SweepPoint { label, value });
             }
-            "base" => {
-                needs_arg(rest, "base")?;
-                self.set("base");
-                set_once(&mut self.base, rest.to_string(), "base")?;
-            }
             "normalize-first" => {
                 if !rest.is_empty() {
                     return Err("'normalize-first' takes no argument".to_string());
@@ -512,29 +499,13 @@ impl TableBuilder {
     fn build(self) -> Result<TableSpec, String> {
         let title = self.title.clone().ok_or("table is missing 'title'")?;
         let kind_name = self.kind.clone().ok_or("table is missing 'kind'")?;
-        let allowed: &[&str] = match kind_name.as_str() {
-            "suite-summary" => &["row-header", "metric", "row"],
-            "avg-column" => &["row-header", "value-header", "metric", "row"],
-            "trace-group-means" => &["row-header", "metric", "with-storage", "group", "row"],
-            "variant-summary" => &["row-header", "traces", "column", "row"],
-            "workload-rows" => &["traces", "metric", "normalize-first", "avg-row", "row"],
-            "suite-sections" => &["traces", "metric", "row"],
-            "multi-level" => &["traces", "level"],
-            "multicore-scaling" => &["traces", "cores", "row"],
-            "mix-per-core" => &["mixdef", "row"],
-            "config-sweep" => &["traces", "metric", "axis", "point", "row"],
-            "normalized-variants" => &[
-                "row-header",
-                "value-header",
-                "traces",
-                "metric",
-                "base",
-                "row",
-            ],
-            "storage-breakdown" => &[],
-            "storage-list" => &["row"],
-            other => return Err(format!("unknown table kind '{other}'")),
-        };
+        let (_, allowed) = KINDS
+            .iter()
+            .find(|(kind, _)| *kind == kind_name)
+            .ok_or_else(|| {
+                let names: Vec<&str> = KINDS.iter().map(|(kind, _)| *kind).collect();
+                format!("unknown table kind '{kind_name}' ({})", names.join("|"))
+            })?;
         for directive in &self.provided {
             if !allowed.contains(directive) {
                 return Err(format!(
@@ -549,17 +520,6 @@ impl TableBuilder {
     fn assemble(self, kind: &str) -> Result<TableKind, String> {
         let missing = |what: &str| format!("kind '{kind}' requires '{what}'");
         match kind {
-            "suite-summary" => Ok(TableKind::SuiteSummary {
-                row_header: self.row_header.ok_or_else(|| missing("row-header"))?,
-                metric: self.metric.ok_or_else(|| missing("metric"))?,
-                rows: self.rows,
-            }),
-            "avg-column" => Ok(TableKind::AvgColumn {
-                row_header: self.row_header.ok_or_else(|| missing("row-header"))?,
-                value_header: self.value_header.ok_or_else(|| missing("value-header"))?,
-                metric: self.metric.ok_or_else(|| missing("metric"))?,
-                rows: self.rows,
-            }),
             "trace-group-means" => Ok(TableKind::TraceGroupMeans {
                 row_header: self.row_header.ok_or_else(|| missing("row-header"))?,
                 metric: self.metric.ok_or_else(|| missing("metric"))?,
@@ -603,14 +563,6 @@ impl TableBuilder {
                 metric: self.metric.ok_or_else(|| missing("metric"))?,
                 axis: self.axis.ok_or_else(|| missing("axis"))?,
                 points: self.points,
-                rows: self.rows,
-            }),
-            "normalized-variants" => Ok(TableKind::NormalizedVariants {
-                row_header: self.row_header.ok_or_else(|| missing("row-header"))?,
-                value_header: self.value_header.ok_or_else(|| missing("value-header"))?,
-                traces: self.traces.ok_or_else(|| missing("traces"))?,
-                metric: self.metric.ok_or_else(|| missing("metric"))?,
-                base: self.base.ok_or_else(|| missing("base"))?,
                 rows: self.rows,
             }),
             "storage-breakdown" => Ok(TableKind::StorageBreakdown),
@@ -670,7 +622,7 @@ end
             );
         }
         // A directive foreign to the kind is rejected even when well-formed.
-        let text = SWEEP.replace("axis l2-kb", "axis l2-kb\nbase gaze");
+        let text = SWEEP.replace("axis l2-kb", "axis l2-kb\nrow-header p");
         let err = parse(&text).expect_err("foreign directive");
         assert!(err.contains("does not apply"), "{err}");
         // Unknown workloads in explicit lists are rejected.

@@ -11,7 +11,7 @@
 use gaze_sim::spec::text::{parse, to_text};
 use gaze_sim::spec::{
     validate, ConfigAxis, Entry, ExperimentSpec, Metric, MixDef, MultiLevelRow, SummaryCol,
-    SummaryMetric, SweepPoint, TableKind, TableSpec, TraceSel,
+    SweepPoint, TableKind, TableSpec, TraceSel,
 };
 use workloads::Suite;
 
@@ -134,18 +134,7 @@ fn metric(rng: &mut Lcg) -> Metric {
 
 fn table_kind(rng: &mut Lcg, which: usize) -> TableKind {
     match which {
-        0 => TableKind::SuiteSummary {
-            row_header: label(rng),
-            metric: metric(rng),
-            rows: entries(rng, true),
-        },
-        1 => TableKind::AvgColumn {
-            row_header: label(rng),
-            value_header: label(rng),
-            metric: metric(rng),
-            rows: entries(rng, true),
-        },
-        2 => TableKind::TraceGroupMeans {
+        0 => TableKind::TraceGroupMeans {
             row_header: label(rng),
             metric: metric(rng),
             rows: entries(rng, false),
@@ -154,31 +143,26 @@ fn table_kind(rng: &mut Lcg, which: usize) -> TableKind {
                 .collect(),
             with_storage: rng.flag(),
         },
-        3 => TableKind::VariantSummary {
+        1 => TableKind::VariantSummary {
             row_header: label(rng),
             traces: traces(rng),
             rows: entries(rng, true),
             columns: (0..1 + rng.below(4))
                 .map(|_| SummaryCol {
                     header: label(rng),
-                    metric: *rng.pick(&[
-                        SummaryMetric::Speedup,
-                        SummaryMetric::SpeedupNormFirst,
-                        SummaryMetric::Accuracy,
-                        SummaryMetric::Coverage,
-                        SummaryMetric::Late,
-                    ]),
+                    metric: metric(rng),
+                    base: rng.flag().then(|| entry(rng, true).name),
                 })
                 .collect(),
         },
-        4 => TableKind::WorkloadRows {
+        2 => TableKind::WorkloadRows {
             traces: traces(rng),
             metric: metric(rng),
             rows: entries(rng, true),
             normalize_to_first: rng.flag(),
             avg_label: rng.flag().then(|| label(rng)),
         },
-        5 => TableKind::SuiteSections {
+        3 => TableKind::SuiteSections {
             traces: if rng.flag() {
                 TraceSel::MainSuites
             } else {
@@ -187,7 +171,7 @@ fn table_kind(rng: &mut Lcg, which: usize) -> TableKind {
             metric: metric(rng),
             rows: entries(rng, true),
         },
-        6 => TableKind::MultiLevel {
+        4 => TableKind::MultiLevel {
             traces: traces(rng),
             rows: (0..1 + rng.below(5))
                 .map(|_| MultiLevelRow {
@@ -197,12 +181,12 @@ fn table_kind(rng: &mut Lcg, which: usize) -> TableKind {
                 })
                 .collect(),
         },
-        7 => TableKind::MulticoreScaling {
+        5 => TableKind::MulticoreScaling {
             traces: traces(rng),
             rows: entries(rng, false),
             cores: (0..1 + rng.below(3)).map(|_| 1 + rng.below(8)).collect(),
         },
-        8 => TableKind::MixPerCore {
+        6 => TableKind::MixPerCore {
             mixes: {
                 let cores = 1 + rng.below(4);
                 (0..1 + rng.below(3))
@@ -216,7 +200,7 @@ fn table_kind(rng: &mut Lcg, which: usize) -> TableKind {
             },
             rows: entries(rng, false),
         },
-        9 => TableKind::ConfigSweep {
+        7 => TableKind::ConfigSweep {
             traces: traces(rng),
             metric: metric(rng),
             axis: *rng.pick(&[ConfigAxis::DramMtps, ConfigAxis::LlcMb, ConfigAxis::L2Kb]),
@@ -228,15 +212,7 @@ fn table_kind(rng: &mut Lcg, which: usize) -> TableKind {
                 .collect(),
             rows: entries(rng, true),
         },
-        10 => TableKind::NormalizedVariants {
-            row_header: label(rng),
-            value_header: label(rng),
-            traces: traces(rng),
-            metric: metric(rng),
-            base: rng.pick(&PREFETCHERS).to_string(),
-            rows: entries(rng, true),
-        },
-        11 => TableKind::StorageBreakdown,
+        8 => TableKind::StorageBreakdown,
         _ => TableKind::StorageList {
             rows: entries(rng, false),
         },
@@ -250,7 +226,7 @@ fn random_specs_round_trip_bit_identically() {
         let tables = (0..1 + rng.below(3))
             .map(|_| TableSpec {
                 title: label(&mut rng),
-                kind: table_kind(&mut rng, case % 13),
+                kind: table_kind(&mut rng, case % 10),
             })
             .collect();
         let spec = ExperimentSpec {
@@ -272,8 +248,31 @@ fn random_specs_round_trip_bit_identically() {
 fn rejections_are_loud_for_every_axis_of_the_format() {
     let template = |body: &str| format!("spec t\n\ntable\ntitle t\n{body}\nend\n");
     let cases: &[(&str, &str)] = &[
-        // Unknown kind.
+        // Unknown kind; the error lists the valid ones.
         ("kind frobnicate", "unknown table kind"),
+        ("kind frobnicate", "trace-group-means|variant-summary|workload-rows"),
+        // Kinds folded into trace-group-means and variant-summary.
+        (
+            "kind suite-summary\nrow-header p\nmetric speedup\nrow gaze",
+            "unknown table kind",
+        ),
+        (
+            "kind avg-column\nrow-header p\nmetric late\nrow gaze",
+            "unknown table kind",
+        ),
+        (
+            "kind normalized-variants\nrow-header p\ntraces mix\nmetric speedup\nrow gaze",
+            "unknown table kind",
+        ),
+        // Variant-summary columns take a metric and an optional base.
+        (
+            "kind variant-summary\nrow-header p\ntraces mix\ncolumn x = speedup-norm-first\nrow gaze",
+            "unknown metric",
+        ),
+        (
+            "kind variant-summary\nrow-header p\ntraces mix\ncolumn x = speedup / not-a-prefetcher\nrow gaze",
+            "unknown prefetcher",
+        ),
         // Unknown metric.
         (
             "kind workload-rows\ntraces mix\nmetric latency\nrow gaze",

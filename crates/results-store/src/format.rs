@@ -307,11 +307,7 @@ impl RunRecord {
     /// IPC speedup over the no-prefetching baseline (1.0 when the baseline
     /// retired nothing).
     pub fn speedup(&self) -> f64 {
-        if self.baseline.ipc() == 0.0 {
-            1.0
-        } else {
-            self.stats.ipc() / self.baseline.ipc()
-        }
+        self.stats.speedup_over(&self.baseline)
     }
 
     /// Overall prefetch accuracy (paper §IV-A3).
@@ -321,12 +317,7 @@ impl RunRecord {
 
     /// LLC miss coverage relative to the baseline's LLC misses.
     pub fn coverage(&self) -> f64 {
-        let base = self.baseline.llc.demand_misses;
-        if base == 0 {
-            return 0.0;
-        }
-        let remaining = self.stats.llc.demand_misses.min(base);
-        (base - remaining) as f64 / base as f64
+        self.stats.coverage_over(&self.baseline)
     }
 
     /// Fraction of useful prefetches that were late.

@@ -102,21 +102,26 @@ impl CoreStats {
         }
     }
 
-    /// LLC miss coverage: the fraction of would-be off-chip demand misses
-    /// served by prefetching, estimated as
-    /// `useful_offchip_prefetches / (useful_offchip_prefetches + llc_demand_misses)`.
-    pub fn llc_coverage(&self) -> f64 {
-        let covered =
-            self.llc.useful_prefetches + self.l2c.useful_prefetches + self.l1d.useful_prefetches;
-        // Only count prefetches that actually removed an off-chip miss: those
-        // are the ones the hierarchy recorded as useful at any level, since
-        // every prefetch fill in this simulator is satisfied from DRAM or LLC.
-        let remaining = self.llc.demand_misses;
-        if covered + remaining == 0 {
-            0.0
+    /// IPC speedup over `baseline` (1.0 when the baseline retired
+    /// nothing).
+    pub fn speedup_over(&self, baseline: &CoreStats) -> f64 {
+        if baseline.ipc() == 0.0 {
+            1.0
         } else {
-            covered as f64 / (covered + remaining) as f64
+            self.ipc() / baseline.ipc()
         }
+    }
+
+    /// LLC miss coverage over `baseline`: the fraction of the baseline's
+    /// LLC demand misses this run no longer takes (0.0 when the baseline
+    /// took none).
+    pub fn coverage_over(&self, baseline: &CoreStats) -> f64 {
+        let base = baseline.llc.demand_misses;
+        if base == 0 {
+            return 0.0;
+        }
+        let remaining = self.llc.demand_misses.min(base);
+        (base - remaining) as f64 / base as f64
     }
 
     /// Fraction of useful prefetches that arrived late (demand hit the
@@ -225,16 +230,21 @@ mod tests {
     fn accuracy_zero_when_no_prefetches() {
         let cs = CoreStats::default();
         assert_eq!(cs.overall_accuracy(), 0.0);
-        assert_eq!(cs.llc_coverage(), 0.0);
         assert_eq!(cs.late_fraction(), 0.0);
     }
 
     #[test]
     fn coverage_uses_remaining_llc_misses() {
+        let mut baseline = CoreStats::default();
+        baseline.llc.demand_misses = 100;
         let mut cs = CoreStats::default();
-        cs.l1d.useful_prefetches = 60;
         cs.llc.demand_misses = 40;
-        assert!((cs.llc_coverage() - 0.6).abs() < 1e-12);
+        assert!((cs.coverage_over(&baseline) - 0.6).abs() < 1e-12);
+        // More misses than the baseline cover nothing; no baseline misses
+        // leave nothing to cover.
+        cs.llc.demand_misses = 140;
+        assert_eq!(cs.coverage_over(&baseline), 0.0);
+        assert_eq!(cs.coverage_over(&CoreStats::default()), 0.0);
     }
 
     #[test]
