@@ -104,10 +104,14 @@ impl Response {
         }
     }
 
-    /// Serialises status line, headers and body onto `out`.
+    /// Serialises status line, headers and body into one buffer and
+    /// hands it to `out` with a single `write_all`: on an unbuffered
+    /// `TcpStream` that is one `write` syscall per response, not one per
+    /// formatted fragment.
     pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
+        let mut buf = Vec::with_capacity(128 + self.body.len());
         write!(
-            out,
+            buf,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             self.reason(),
@@ -115,10 +119,11 @@ impl Response {
             self.body.len()
         )?;
         for (name, value) in &self.headers {
-            write!(out, "{name}: {value}\r\n")?;
+            write!(buf, "{name}: {value}\r\n")?;
         }
-        out.write_all(b"\r\n")?;
-        out.write_all(&self.body)?;
+        buf.extend_from_slice(b"\r\n");
+        buf.extend_from_slice(&self.body);
+        out.write_all(&buf)?;
         out.flush()
     }
 }
@@ -291,5 +296,39 @@ mod tests {
         let accepted = Response::json("{}".into()).with_status(202);
         assert_eq!(accepted.status, 202);
         assert_eq!(accepted.reason(), "Accepted");
+    }
+
+    /// A writer that takes every buffer whole and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_goes_out_in_one_write() {
+        let response = Response::error(429, "queue full").with_header("Retry-After", "10");
+        let mut out = CountingWriter::default();
+        response.write_to(&mut out).expect("write");
+        assert_eq!(out.writes, 1, "status line, headers and body in one write");
+        let body = String::from_utf8(response.body.clone()).expect("utf8");
+        let expected = format!(
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nConnection: close\r\nRetry-After: 10\r\n\r\n{body}",
+            body.len()
+        );
+        assert_eq!(String::from_utf8(out.bytes).expect("utf8"), expected);
     }
 }

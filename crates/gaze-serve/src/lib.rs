@@ -7,9 +7,10 @@
 //! The service is the ROADMAP's "serve results" step toward the
 //! heavy-traffic north star: sweeps accumulated by the experiment engine
 //! (`GAZE_RESULTS_DIR`, see `gaze_sim::results`) become a queryable
-//! corpus. Everything is std-only — `std::net::TcpListener`, a small
-//! worker thread pool ([`server`]), a minimal HTTP/1.1 reader/writer
-//! ([`http`]) and the hand-rolled JSON writer [`gaze_obs::json`].
+//! corpus. Everything is std-only — `std::net::TcpListener`, a few
+//! worker threads that each accept on it ([`server`]), a minimal
+//! HTTP/1.1 reader/writer ([`http`]) and the hand-rolled JSON writer
+//! [`gaze_obs::json`].
 //!
 //! Endpoints ([`routes`]; full contract in `docs/RESULTS.md`), one per
 //! operation:

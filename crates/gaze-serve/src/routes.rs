@@ -188,8 +188,8 @@ fn experiments(state: &AppState, req: &Request) -> Response {
     }
     // A panic inside spec execution (misconfigured future spec, bug in a
     // prefetcher model) must cost this request a 500, not the worker
-    // thread — and the store mutex is not held across this call, so a
-    // panic cannot poison it.
+    // thread — and no store lock is held across this call, so a panic
+    // cannot poison it.
     match catch_unwind(AssertUnwindSafe(|| {
         run_spec(&spec, &scale).iter().map(|t| t.to_csv()).collect()
     })) {
@@ -491,8 +491,8 @@ fn run_json(rec: &RunRecord) -> String {
 /// A baseline row whose core count disagrees with the run's (possible
 /// only in a store written by external tooling — the harness derives
 /// both from the same mix) is treated as missing rather than asserted
-/// on: `speedup_over` panicking here would poison the store mutex held
-/// by the enclosing `with_store`.
+/// on: `speedup_over` panicking here would turn the whole listing into
+/// a `500`.
 fn mix_json(rec: &MixRecord, baseline: Option<&MixRecord>) -> String {
     let speedup = match baseline {
         Some(base) if base.cores() == rec.cores() => json_f64(rec.speedup_over(base)),

@@ -1,12 +1,11 @@
-//! The TCP listener and its worker thread pool.
+//! The TCP listener and the worker threads that accept on it.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -109,52 +108,46 @@ impl Server {
         StopHandle {
             stop: Arc::clone(&self.stop),
             addr: self.listener.local_addr().ok(),
+            workers: self.threads,
         }
     }
 
-    /// Accepts connections until stopped, dispatching them to the worker
-    /// pool. Blocks the calling thread.
+    /// Serves connections until stopped. Blocks the calling thread.
     ///
-    /// On stop, shutdown is graceful and ordered: the accept loop exits,
-    /// the HTTP workers drain their queued connections, the job executor
-    /// drains (queued jobs are failed, *running* jobs finish), and the
-    /// store flushes — so a SIGTERM mid-sweep never loses landed rows and
+    /// Each of the `threads` workers loops on `accept` over its own
+    /// clone of the listen socket and handles the connection it got, so
+    /// no request waits for a hand-off from another thread.
+    ///
+    /// On stop, shutdown is graceful and ordered: every worker finishes
+    /// the request it is handling and exits, the job executor drains
+    /// (queued jobs are failed, *running* jobs finish), and the store
+    /// flushes — so a SIGTERM mid-sweep never loses landed rows and
     /// always leaves a loadable store.
     pub fn serve(self) -> io::Result<()> {
-        let (tx, rx): (Sender<TcpStream>, Receiver<TcpStream>) = channel();
-        let rx = Arc::new(Mutex::new(rx));
+        // Clone every socket first, so a failed clone leaves no worker
+        // running.
+        let listeners = (0..self.threads)
+            .map(|_| self.listener.try_clone())
+            .collect::<io::Result<Vec<TcpListener>>>()?;
         let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(self.threads);
-        for _ in 0..self.threads {
-            let rx = Arc::clone(&rx);
+        for listener in listeners {
             let state = Arc::clone(&self.state);
+            let stop = Arc::clone(&self.stop);
             let socket_timeout = self.socket_timeout;
-            workers.push(std::thread::spawn(move || loop {
-                // Senders dropped => recv fails => worker exits. A
-                // poisoned lock (a worker panicked at exactly the wrong
-                // instant) is recovered, not propagated: the queue itself
-                // is still consistent, and one panicking handler must
-                // never take down the whole pool.
-                let received = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                let Ok(stream) = received else {
-                    break;
-                };
-                serve_connection(&state, stream, socket_timeout);
+            workers.push(std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    match listener.accept() {
+                        // A connection accepted after `stop()`, one of
+                        // its wake-ups or a late client, closes unanswered.
+                        Ok(_) if stop.load(Ordering::SeqCst) => break,
+                        Ok((stream, _)) => serve_connection(&state, stream, socket_timeout),
+                        Err(e) => {
+                            gaze_obs::log::warn("gaze-serve", "accept failed", &[("error", &e)])
+                        }
+                    }
+                }
             }));
         }
-        for stream in self.listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            match stream {
-                Ok(stream) => {
-                    // A send can only fail if every worker died; that is a
-                    // bug worth crashing on.
-                    tx.send(stream).expect("worker pool gone");
-                }
-                Err(e) => gaze_obs::log::warn("gaze-serve", "accept failed", &[("error", &e)]),
-            }
-        }
-        drop(tx);
         for w in workers {
             let _ = w.join();
         }
@@ -189,15 +182,20 @@ impl Server {
 pub struct StopHandle {
     stop: Arc<AtomicBool>,
     addr: Option<SocketAddr>,
+    workers: usize,
 }
 
 impl StopHandle {
-    /// Requests the accept loop to exit. The loop notices on its next
-    /// wake-up, so this nudges it with one throwaway connection.
+    /// Requests every worker to exit. A worker blocked in `accept`
+    /// notices only when a connection arrives, so this sets the flag and
+    /// then makes one throwaway connection per worker; a worker busy
+    /// with a request sees the flag when it finishes.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(addr) = self.addr {
-            let _ = TcpStream::connect(addr);
+            for _ in 0..self.workers {
+                let _ = TcpStream::connect(addr);
+            }
         }
     }
 }

@@ -570,6 +570,38 @@ fn slow_client_releases_the_worker_via_socket_timeout() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every worker blocks in its own `accept`, so `stop` has to wake each
+/// of them: an idle four-worker server must shut down promptly rather
+/// than hang with three workers still waiting for a connection.
+#[test]
+fn an_idle_server_stops_every_accepting_worker() {
+    let _guard = server_lock();
+    let dir: PathBuf = std::env::temp_dir().join(format!("gzr-e2e-{}-idle", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 4,
+        ..ServerConfig::new(&dir)
+    };
+    let (addr, stop, join) = Server::spawn(&config).expect("spawn server");
+    let (head, _) = request(addr, "GET", "/healthz");
+    assert_eq!(status(&head), "HTTP/1.1 200 OK");
+
+    stop.stop();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !join.is_finished() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert!(
+        join.is_finished(),
+        "the serve thread joins its workers and returns after stop()"
+    );
+    join.join().expect("server thread");
+    gaze_sim::results::configure(None).expect("deactivate store");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A panicking route handler costs exactly one `500` — the worker thread
 /// and the shared state survive, and the next request succeeds.
 #[test]

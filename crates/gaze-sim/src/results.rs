@@ -30,12 +30,18 @@
 //! [`flush`] (the parallel engine flushes after each fan-out, the CLI
 //! flushes at exit, and the buffer auto-flushes every
 //! [`AUTO_FLUSH_RECORDS`] appends). The store handle is process-global
-//! and mutexed, so the parallel engine's workers can record concurrently.
+//! and behind an `RwLock`. Lookups, `contains`,
+//! [`with_store`](StoreHandle::with_store) queries and the staleness
+//! check share the read lock (every [`ResultsStore`] read path takes
+//! `&self`), so concurrent requests and engine workers never wait for
+//! each other's reads. Only [`record`](StoreHandle::record),
+//! [`flush`](StoreHandle::flush) and an actual reload take the write
+//! lock.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use results_store::{Record, ResultsStore};
 
@@ -65,10 +71,11 @@ fn store_counters() -> &'static (gaze_obs::metrics::Counter, gaze_obs::metrics::
     })
 }
 
-/// A thread-safe handle to one open [`ResultsStore`].
+/// A thread-safe handle to one open [`ResultsStore`]: readers share it,
+/// writers (append, flush, reload) hold it alone.
 #[derive(Debug)]
 pub struct StoreHandle {
-    store: Mutex<ResultsStore>,
+    store: RwLock<ResultsStore>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -77,7 +84,7 @@ impl StoreHandle {
     /// Opens (creating if needed) the store at `dir`.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<StoreHandle> {
         Ok(StoreHandle {
-            store: Mutex::new(ResultsStore::open(dir)?),
+            store: RwLock::new(ResultsStore::open(dir)?),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         })
@@ -137,7 +144,7 @@ impl StoreHandle {
     pub fn record<R: Record>(&self, rec: R) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         store_counters().1.inc();
-        let mut store = self.store.lock().expect("results store poisoned");
+        let mut store = self.write();
         store.append(rec);
         if store.pending_len() >= AUTO_FLUSH_RECORDS {
             if let Err(e) = store.flush() {
@@ -152,7 +159,7 @@ impl StoreHandle {
 
     /// Flushes pending appends as one crash-safe segment per record kind.
     pub fn flush(&self) -> io::Result<usize> {
-        self.store.lock().expect("results store poisoned").flush()
+        self.write().flush()
     }
 
     /// Reloads the store from disk when another process has flushed new
@@ -160,11 +167,15 @@ impl StoreHandle {
     /// of this handle are carried over. Returns whether a reload
     /// happened. `gaze-serve` calls this per request so a server sees
     /// stores written by concurrent experiment runs without a restart.
+    ///
+    /// The staleness check shares the read lock; only a stale store takes
+    /// the write lock, under which the reload checks staleness again (a
+    /// concurrent caller may have reloaded in between).
     pub fn reload_if_stale(&self) -> io::Result<bool> {
-        self.store
-            .lock()
-            .expect("results store poisoned")
-            .reload_if_stale()
+        if !self.read().is_stale()? {
+            return Ok(false);
+        }
+        self.write().reload_if_stale()
     }
 
     /// Store lookups served without simulation since this handle opened.
@@ -177,10 +188,19 @@ impl StoreHandle {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Runs `f` with the underlying store locked (for queries; the HTTP
-    /// front-end's `/runs` endpoint goes through this).
+    /// Runs `f` with the underlying store read-locked (for queries; the
+    /// HTTP front-end's `/runs` endpoint goes through this). Other
+    /// readers proceed meanwhile; appends, flushes and reloads wait.
     pub fn with_store<R>(&self, f: impl FnOnce(&ResultsStore) -> R) -> R {
-        f(&self.store.lock().expect("results store poisoned"))
+        f(&self.read())
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, ResultsStore> {
+        self.store.read().expect("results store poisoned")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, ResultsStore> {
+        self.store.write().expect("results store poisoned")
     }
 }
 
@@ -310,6 +330,43 @@ mod tests {
         assert!(reopened
             .lookup::<RunRecord>(fp, params.fingerprint(), "gaze", "other-name")
             .is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `/runs` scan or any other `with_store` query holds the store
+    /// only for reading, so a point lookup on another thread (a figure
+    /// request) completes meanwhile instead of queueing behind it.
+    #[test]
+    fn a_lookup_completes_while_a_query_holds_the_store() {
+        let dir = std::env::temp_dir().join(format!("gzr-handle-{}-shared", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handle = StoreHandle::open(&dir).expect("open");
+        handle.record(RunRecord {
+            trace_fingerprint: 0xfeed,
+            params_fingerprint: 0xbeef,
+            workload: "bwaves_s".to_string(),
+            prefetcher: "gaze".to_string(),
+            stats: Default::default(),
+            baseline: Default::default(),
+        });
+        handle.flush().expect("flush");
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let found = std::thread::scope(|s| {
+            handle.with_store(|store| {
+                assert_eq!(store.len(), 1);
+                s.spawn(|| {
+                    let hit = handle.lookup::<RunRecord>(0xfeed, 0xbeef, "gaze", "bwaves_s");
+                    let _ = tx.send(hit.is_some());
+                });
+                rx.recv_timeout(std::time::Duration::from_secs(5))
+            })
+        });
+        assert_eq!(
+            found,
+            Ok(true),
+            "a lookup must not wait for a query that holds the store"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

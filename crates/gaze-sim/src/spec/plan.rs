@@ -343,6 +343,18 @@ impl JobResults {
     pub fn is_empty(&self) -> bool {
         self.singles.is_empty() && self.mixes.is_empty()
     }
+
+    /// Stores `run` as the single-core result of (workload, name) under
+    /// `params`, so render tests can hand-build results.
+    #[cfg(test)]
+    pub(crate) fn insert_single(&mut self, name: &str, params: &RunParams, run: SingleRun) {
+        let key = JobKey::Single {
+            workload: run.workload.clone(),
+            name: name.to_string(),
+            params_fp: params.fingerprint(),
+        };
+        self.singles.insert(key, run);
+    }
 }
 
 /// The lazy workload handles of one plan, by name.

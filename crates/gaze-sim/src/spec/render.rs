@@ -217,14 +217,10 @@ pub fn render_table(table: &TableSpec, scale: &ExperimentScale, results: &JobRes
             let workloads = resolve_workloads(traces, scale);
             for row in rows {
                 let name = crate::runner::multi_level_name(&row.l1, row.l2.as_deref());
-                let mut speedups = Vec::new();
-                for workload in &workloads {
-                    let run = results.single(workload, &name, &scale.params);
-                    let base = run.baseline.ipc();
-                    if base > 0.0 {
-                        speedups.push(run.stats.ipc() / base);
-                    }
-                }
+                let speedups: Vec<f64> = workloads
+                    .iter()
+                    .map(|w| results.single(w, &name, &scale.params).speedup())
+                    .collect();
                 out.push_row(vec![
                     row.group.clone(),
                     row.l1.clone(),
@@ -358,7 +354,8 @@ pub fn render_table(table: &TableSpec, scale: &ExperimentScale, results: &JobRes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{plan_specs, Entry, TraceSel};
+    use crate::spec::{plan_specs, Entry, MultiLevelRow, TraceSel};
+    use sim_core::stats::CoreStats;
 
     fn tiny_scale() -> ExperimentScale {
         ExperimentScale {
@@ -421,5 +418,44 @@ mod tests {
         assert_eq!(lines.len(), 4); // header + 2 workloads + AVG
         assert!(lines[1].starts_with("bwaves_s,1.000,"), "{csv}");
         assert!(lines[3].starts_with("AVG,1.000,"), "{csv}");
+    }
+
+    /// A zero-IPC baseline counts as speedup 1.0 in a multi-level row,
+    /// as in every other single-core table (`CoreStats::speedup_over`),
+    /// rather than dropping the workload from the mean.
+    #[test]
+    fn multi_level_counts_a_zero_ipc_baseline_as_no_speedup() {
+        let scale = tiny_scale();
+        let core = |instructions, cycles| CoreStats {
+            instructions,
+            cycles,
+            ..CoreStats::default()
+        };
+        let mut results = JobResults::default();
+        for (workload, stats, baseline) in [
+            ("bwaves_s", core(3_000, 1_000), core(1_000, 1_000)),
+            ("mcf_s", core(1_000, 1_000), core(0, 0)),
+        ] {
+            let run = SingleRun {
+                workload: workload.to_string(),
+                prefetcher: "gaze".to_string(),
+                stats,
+                baseline,
+            };
+            results.insert_single("gaze", &scale.params, run);
+        }
+        let table = TableSpec {
+            title: "t".into(),
+            kind: TableKind::MultiLevel {
+                traces: TraceSel::List(vec!["bwaves_s".into(), "mcf_s".into()]),
+                rows: vec![MultiLevelRow {
+                    group: "L1".into(),
+                    l1: "gaze".into(),
+                    l2: None,
+                }],
+            },
+        };
+        let csv = render_table(&table, &scale, &results).to_csv();
+        assert_eq!(csv, "group,l1,l2,speedup\nL1,gaze,-,2.000\n", "{csv}");
     }
 }

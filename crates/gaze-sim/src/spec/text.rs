@@ -593,6 +593,50 @@ row pmp
 end
 ";
 
+    /// The directives of a smallest valid table of `kind`.
+    fn minimal_table(kind: &str) -> &'static str {
+        match kind {
+            "trace-group-means" => {
+                "row-header prefetcher\nmetric speedup\ngroup AVG = main\nrow gaze"
+            }
+            "variant-summary" => {
+                "row-header variant\ntraces main\ncolumn speedup = speedup\nrow gaze"
+            }
+            "workload-rows" => "traces main\nmetric speedup\nrow gaze",
+            "suite-sections" => "traces main\nmetric speedup\nrow gaze",
+            "multi-level" => "traces main\nlevel L1 = gaze",
+            "multicore-scaling" => "traces mix\ncores 2\nrow gaze",
+            "mix-per-core" => "mixdef m = bwaves_s,mcf_s\nrow gaze",
+            "config-sweep" => {
+                "traces main\nmetric speedup\naxis l2-kb\npoint 256KB = 256\nrow gaze"
+            }
+            "storage-breakdown" => "",
+            "storage-list" => "row gaze",
+            other => panic!("no minimal table for kind '{other}': add one here"),
+        }
+    }
+
+    /// `KINDS` (what `build` accepts), `assemble` and `TableKind::name`
+    /// (what `to_text` writes) are three lists of the same names: a
+    /// minimal table of every listed kind parses to a kind that names
+    /// itself the same way, and re-parses from its canonical text.
+    #[test]
+    fn every_listed_kind_parses_to_the_kind_of_that_name() {
+        for (kind, _) in KINDS {
+            let text = format!(
+                "spec kinds\n\ntable\ntitle t\nkind {kind}\n{}\nend\n",
+                minimal_table(kind)
+            );
+            let spec = parse(&text).unwrap_or_else(|e| panic!("kind '{kind}': {e}"));
+            assert_eq!(spec.tables[0].kind.name(), kind);
+            assert_eq!(
+                parse(&to_text(&spec)),
+                Ok(spec),
+                "kind '{kind}' round-trips"
+            );
+        }
+    }
+
     #[test]
     fn a_custom_sweep_parses_and_round_trips() {
         let spec = parse(SWEEP).expect("valid spec");

@@ -521,9 +521,13 @@ impl ResultsStore {
         prefetcher: &str,
     ) -> Option<R> {
         let table = R::table(self);
-        let key = (fingerprint, params_fingerprint, prefetcher.to_string());
-        if let Some(&i) = table.index.get(&key) {
-            return Some(table.pending[i].clone());
+        // The owned probe key is only built when there are pending rows
+        // to probe: a warm store's pending overlay is usually empty.
+        if !table.index.is_empty() {
+            let key = (fingerprint, params_fingerprint, prefetcher.to_string());
+            if let Some(&i) = table.index.get(&key) {
+                return Some(table.pending[i].clone());
+            }
         }
         self.lookup_persisted((fingerprint, params_fingerprint, prefetcher))
     }
