@@ -9,7 +9,8 @@ use gaze_obs::json::{json_array, json_f64, json_string, JsonObject};
 use gaze_sim::experiments::ExperimentScale;
 use gaze_sim::results::StoreHandle;
 use gaze_sim::spec::{builtin, run_spec, text, ExperimentSpec};
-use results_store::{MixQuery, MixRecord, RunQuery, RunRecord};
+use results_store::format::GZR_MAX_CORES;
+use results_store::{MixRecord, Query, ResultsStore};
 
 use crate::http::{Request, Response};
 use crate::jobs::{panic_message, JobInfo, JobManager, JobResult, JobStatus, SubmitOutcome};
@@ -293,6 +294,7 @@ fn healthz(state: &AppState) -> Response {
     });
     let body = JsonObject::new()
         .string("status", "ok")
+        .u64("model_epoch", sim_core::params::MODEL_EPOCH)
         .u64("rows", rows)
         .u64("mix_rows", mix_rows)
         .u64("segments", segments)
@@ -329,15 +331,6 @@ fn metrics(state: &AppState) -> Response {
     }
 }
 
-/// Resolves a `scale=` query value: a named scale (`quick`, `bench`,
-/// `paper`, ...) or a raw hexadecimal params fingerprint.
-fn parse_scale_filter(value: &str) -> Option<u64> {
-    if let Some(scale) = ExperimentScale::named(value) {
-        return Some(scale.params.fingerprint());
-    }
-    parse_hex(value)
-}
-
 /// Parses a 64-bit fingerprint: 1–16 hex digits after at most one `0x`.
 /// Signs and repeated prefixes are rejected (`from_str_radix` alone
 /// would take a leading `+`).
@@ -349,84 +342,58 @@ fn parse_hex(value: &str) -> Option<u64> {
     u64::from_str_radix(digits, 16).ok()
 }
 
+/// `/runs` — the store's rows, each paired with the `"none"` row of its
+/// trace or mix (if stored) so the response carries speedups without a
+/// second client query. `kind=single` (the default) lists single-core
+/// rows, filtered by `workload=` and `trace=` (hex trace fingerprint);
+/// `kind=mix` lists rows of two or more cores, filtered by `label=`,
+/// `mix=` (hex mix fingerprint) and `cores=N`. Both take `prefetcher=`,
+/// `scale=` (name or hex params fingerprint) and `limit=N`.
 fn runs(state: &AppState, req: &Request) -> Response {
-    match req.query.get("kind").map(String::as_str) {
-        None | Some("single") => single_runs(state, req),
-        Some("mix") => mix_runs(state, req),
-        Some(_) => Response::error(400, "kind must be single or mix"),
-    }
-}
-
-fn single_runs(state: &AppState, req: &Request) -> Response {
-    let mut query = RunQuery {
-        workload: req.query.get("workload").cloned(),
-        prefetcher: req.query.get("prefetcher").cloned(),
-        ..RunQuery::default()
+    let (single, label_key, fingerprint_key) = match req.query.get("kind").map(String::as_str) {
+        None | Some("single") => (true, "workload", "trace"),
+        Some("mix") => (false, "label", "mix"),
+        Some(_) => return Response::error(400, "kind must be single or mix"),
     };
-    if let Some(scale) = req.query.get("scale") {
-        match parse_scale_filter(scale) {
-            Some(fp) => query.params_fingerprint = Some(fp),
-            None => {
-                return Response::error(
-                    400,
-                    "scale must be a known scale name or a hex fingerprint",
-                )
-            }
-        }
-    }
-    if let Some(trace) = req.query.get("trace") {
-        match parse_hex(trace) {
-            Some(fp) => query.trace_fingerprint = Some(fp),
-            None => return Response::error(400, "trace must be a hex fingerprint"),
-        }
-    }
-    if let Some(limit) = req.query.get("limit") {
-        match limit.parse::<usize>() {
-            Ok(n) => query.limit = Some(n),
-            Err(_) => return Response::error(400, "limit must be a non-negative integer"),
-        }
-    }
-    let rows = state.store.with_store(|s| s.query(&query));
-    let body = json_array(rows.iter().map(run_json));
-    Response::json(body + "\n")
-}
-
-/// `/runs?kind=mix` — the store's multi-core rows. Filters: `label=`,
-/// `prefetcher=`, `scale=` (name or hex params fingerprint), `mix=`
-/// (hex mix fingerprint), `cores=N`, `limit=N`.
-fn mix_runs(state: &AppState, req: &Request) -> Response {
-    let mut query = MixQuery {
-        label: req.query.get("label").cloned(),
+    let mut query = Query {
+        label: req.query.get(label_key).cloned(),
         prefetcher: req.query.get("prefetcher").cloned(),
-        ..MixQuery::default()
+        cores: if single { 1..=1 } else { 2..=GZR_MAX_CORES },
+        ..Query::default()
     };
-    // Mix rows are keyed on `params.with_cores(n)`, whose fingerprint
-    // differs per core count — so a *named* scale matches its params at
-    // every supported core count, while a raw hex fingerprint (already
+    // Rows are keyed on `params.with_cores(n)`, whose fingerprint differs
+    // per core count — so a *named* scale matches its params at every
+    // core count the listing covers, while a raw hex fingerprint (already
     // core-count specific) matches exactly.
     let mut scale_fps: Option<Vec<u64>> = None;
     if let Some(scale) = req.query.get("scale") {
         if let Some(named) = ExperimentScale::named(scale) {
-            scale_fps = Some(
-                (1..=results_store::format::GZR_MAX_CORES)
+            scale_fps = Some(if single {
+                vec![named.params.fingerprint()]
+            } else {
+                query
+                    .cores
+                    .clone()
                     .map(|n| named.params.with_cores(n).fingerprint())
-                    .collect(),
-            );
+                    .collect()
+            });
         } else if let Some(fp) = parse_hex(scale) {
             query.params_fingerprint = Some(fp);
         } else {
             return Response::error(400, "scale must be a known scale name or a hex fingerprint");
         }
     }
-    if let Some(mix) = req.query.get("mix") {
-        match parse_hex(mix) {
-            Some(fp) => query.mix_fingerprint = Some(fp),
-            None => return Response::error(400, "mix must be a hex fingerprint"),
+    if let Some(value) = req.query.get(fingerprint_key) {
+        match parse_hex(value) {
+            Some(fp) => query.fingerprint = Some(fp),
+            None => {
+                return Response::error(400, &format!("{fingerprint_key} must be a hex fingerprint"))
+            }
         }
     }
-    if let Some(cores) = req.query.get("cores") {
+    if let (false, Some(cores)) = (single, req.query.get("cores")) {
         match cores.parse::<usize>() {
-            Ok(n) => query.cores = Some(n),
+            Ok(n) => query.cores = n..=n,
             Err(_) => return Response::error(400, "cores must be a non-negative integer"),
         }
     }
@@ -437,9 +404,7 @@ fn mix_runs(state: &AppState, req: &Request) -> Response {
             Err(_) => return Response::error(400, "limit must be a non-negative integer"),
         }
     }
-    // Serialize inside the lock from references: each row pairs with the
-    // "none" baseline of its mix (if stored) so the response carries the
-    // paper's geometric-mean speedup without a second client query.
+    // Serialize inside the lock from references.
     let body = state.store.with_store(|s| {
         let rows = s
             .query(&query)
@@ -451,53 +416,76 @@ fn mix_runs(state: &AppState, req: &Request) -> Response {
             })
             .take(limit);
         json_array(rows.map(|rec| {
-            let base = s.get_mix(rec.mix_fingerprint, rec.params_fingerprint, "none");
-            mix_json(&rec, base.as_ref())
+            let base = baseline_of(s, &rec);
+            if single {
+                run_json(&rec, base.as_ref())
+            } else {
+                mix_json(&rec, base.as_ref())
+            }
         }))
     });
     Response::json(body + "\n")
 }
 
-/// One store row as a JSON object: identity, raw run sizes and every
-/// projected metric. Fingerprints are hex *strings* — they use all 64
-/// bits, beyond JSON's exact-integer range.
-fn run_json(rec: &RunRecord) -> String {
+/// The stored `"none"` row of `rec`'s trace or mix, if any. Only rows of
+/// `rec`'s core count are looked at, so a store written by external
+/// tooling cannot pair rows whose core counts disagree (`speedup_over`
+/// would panic and turn the listing into a `500`).
+fn baseline_of(store: &ResultsStore, rec: &MixRecord) -> Option<MixRecord> {
+    if rec.prefetcher == "none" {
+        return Some(rec.clone());
+    }
+    let cores = rec.cores();
+    store.lookup(
+        rec.mix_fingerprint,
+        rec.params_fingerprint,
+        "none",
+        cores..=cores,
+    )
+}
+
+/// JSON for a metric that needs the baseline: `null` without one.
+fn with_baseline(baseline: Option<&MixRecord>, metric: impl Fn(&MixRecord) -> f64) -> String {
+    baseline.map_or_else(|| "null".to_string(), |base| json_f64(metric(base)))
+}
+
+/// One single-core row as a JSON object: identity, raw run sizes and
+/// every projected metric; the baseline-relative ones (`baseline_ipc`,
+/// `speedup`, `coverage`) are `null` when the `"none"` row is not
+/// stored. Fingerprints are hex *strings* — they use all 64 bits, beyond
+/// JSON's exact-integer range.
+fn run_json(rec: &MixRecord, baseline: Option<&MixRecord>) -> String {
+    let stats = &rec.report.cores[0];
+    let base = |b: &MixRecord| b.report.cores[0];
     JsonObject::new()
-        .string("workload", &rec.workload)
+        .string("workload", &rec.label)
         .string("prefetcher", &rec.prefetcher)
-        .string(
-            "trace_fingerprint",
-            &format!("{:016x}", rec.trace_fingerprint),
-        )
+        .string("trace_fingerprint", &format!("{:016x}", rec.mix_fingerprint))
         .string(
             "params_fingerprint",
             &format!("{:016x}", rec.params_fingerprint),
         )
-        .u64("instructions", rec.stats.instructions)
-        .u64("cycles", rec.stats.cycles)
-        .f64("ipc", rec.ipc())
-        .f64("baseline_ipc", rec.baseline_ipc())
-        .f64("speedup", rec.speedup())
-        .f64("accuracy", rec.accuracy())
-        .f64("coverage", rec.coverage())
-        .f64("late_fraction", rec.late_fraction())
+        .u64("instructions", stats.instructions)
+        .u64("cycles", stats.cycles)
+        .f64("ipc", stats.ipc())
+        .raw("baseline_ipc", with_baseline(baseline, |b| base(b).ipc()))
+        .raw(
+            "speedup",
+            with_baseline(baseline, |b| stats.speedup_over(&base(b))),
+        )
+        .f64("accuracy", stats.overall_accuracy())
+        .raw(
+            "coverage",
+            with_baseline(baseline, |b| stats.coverage_over(&base(b))),
+        )
+        .f64("late_fraction", stats.late_fraction())
         .build()
 }
 
 /// One mix row as a JSON object: identity, core count, per-core IPCs and
-/// — when the mix's `"none"` baseline is stored — the geometric-mean
-/// speedup over it (`null` otherwise).
-///
-/// A baseline row whose core count disagrees with the run's (possible
-/// only in a store written by external tooling — the harness derives
-/// both from the same mix) is treated as missing rather than asserted
-/// on: `speedup_over` panicking here would turn the whole listing into
-/// a `500`.
+/// — when the mix's `"none"` row is stored — the geometric-mean speedup
+/// over it (`null` otherwise).
 fn mix_json(rec: &MixRecord, baseline: Option<&MixRecord>) -> String {
-    let speedup = match baseline {
-        Some(base) if base.cores() == rec.cores() => json_f64(rec.speedup_over(base)),
-        _ => "null".to_string(),
-    };
     JsonObject::new()
         .string("label", &rec.label)
         .string("prefetcher", &rec.prefetcher)
@@ -512,7 +500,7 @@ fn mix_json(rec: &MixRecord, baseline: Option<&MixRecord>) -> String {
             json_array(rec.report.cores.iter().map(|c| json_f64(c.ipc()))),
         )
         .f64("mean_ipc", rec.mean_ipc())
-        .raw("speedup", speedup)
+        .raw("speedup", with_baseline(baseline, |b| rec.speedup_over(b)))
         .build()
 }
 
@@ -520,7 +508,8 @@ fn mix_json(rec: &MixRecord, baseline: Option<&MixRecord>) -> String {
 mod tests {
     use super::*;
     use crate::http::parse_target;
-    use sim_core::params::RunParams;
+    use results_store::RunRecord;
+    use sim_core::params::{Fnv1a, RunParams};
     use sim_core::stats::CoreStats;
 
     fn test_state(tag: &str) -> AppState {
@@ -548,23 +537,23 @@ mod tests {
         )
     }
 
-    fn seed_row(state: &AppState, workload: &str, prefetcher: &str) {
-        let fp = workload.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-        });
+    fn fnv(label: &str) -> u64 {
+        let mut h = Fnv1a::new();
+        for b in label.bytes() {
+            h.mix(u64::from(b));
+        }
+        h.finish()
+    }
+
+    fn seed_row(state: &AppState, workload: &str, prefetcher: &str, cycles: u64) {
         state.store.record(RunRecord {
-            trace_fingerprint: fp,
+            trace_fingerprint: fnv(workload),
             params_fingerprint: RunParams::quick().fingerprint(),
             workload: workload.to_string(),
             prefetcher: prefetcher.to_string(),
             stats: CoreStats {
                 instructions: 1_000,
-                cycles: 400,
-                ..CoreStats::default()
-            },
-            baseline: CoreStats {
-                instructions: 1_000,
-                cycles: 800,
+                cycles,
                 ..CoreStats::default()
             },
         });
@@ -573,24 +562,32 @@ mod tests {
     #[test]
     fn healthz_reports_store_shape() {
         let state = test_state("healthz");
-        seed_row(&state, "bwaves_s", "gaze");
+        seed_row(&state, "bwaves_s", "gaze", 400);
         let resp = get(&state, "/healthz");
         assert_eq!(resp.status, 200);
         let body = String::from_utf8(resp.body).expect("utf8");
         assert!(body.contains("\"status\":\"ok\""));
         assert!(body.contains("\"rows\":1"));
+        let epoch = format!("\"model_epoch\":{}", sim_core::params::MODEL_EPOCH);
+        assert!(body.contains(&epoch), "{body}");
     }
 
     #[test]
     fn runs_filters_by_query_string() {
         let state = test_state("runs");
-        seed_row(&state, "bwaves_s", "gaze");
-        seed_row(&state, "bwaves_s", "pmp");
-        seed_row(&state, "mcf_s", "gaze");
+        seed_row(&state, "bwaves_s", "gaze", 400);
+        seed_row(&state, "bwaves_s", "pmp", 400);
+        seed_row(&state, "bwaves_s", "none", 800);
+        seed_row(&state, "mcf_s", "gaze", 400);
 
+        // Baseline rows are listed too; each row joins its trace's
+        // "none" row, and a row without one has null baseline metrics.
         let all = String::from_utf8(get(&state, "/runs").body).expect("utf8");
-        assert_eq!(all.matches("\"workload\"").count(), 3);
-        assert!(all.contains("\"speedup\":2.0"), "2x over baseline: {all}");
+        assert_eq!(all.matches("\"workload\"").count(), 4);
+        assert_eq!(all.matches("\"speedup\":2.0").count(), 2, "{all}");
+        assert_eq!(all.matches("\"speedup\":1.0").count(), 1, "{all}");
+        assert_eq!(all.matches("\"speedup\":null").count(), 1, "{all}");
+        assert!(all.contains("\"baseline_ipc\":1.25"), "{all}");
 
         let gaze = String::from_utf8(get(&state, "/runs?prefetcher=gaze").body).expect("utf8");
         assert_eq!(gaze.matches("\"workload\"").count(), 2);
@@ -598,6 +595,7 @@ mod tests {
         let one =
             String::from_utf8(get(&state, "/runs?workload=mcf_s&scale=quick").body).expect("utf8");
         assert_eq!(one.matches("\"workload\"").count(), 1);
+        assert!(one.contains("\"coverage\":null"), "{one}");
 
         let wrong_scale = String::from_utf8(get(&state, "/runs?scale=bench").body).expect("utf8");
         assert_eq!(wrong_scale.trim(), "[]");
@@ -628,9 +626,7 @@ mod tests {
                 })
                 .collect(),
         };
-        let mix_fp = label.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-        }) ^ cores as u64;
+        let mix_fp = fnv(label) ^ cores as u64;
         state.store.record(MixRecord {
             mix_fingerprint: mix_fp,
             params_fingerprint: RunParams::quick().with_cores(cores).fingerprint(),
@@ -679,34 +675,14 @@ mod tests {
             String::from_utf8(get(&state, "/runs?kind=mix&scale=quick&limit=2").body).expect("u8");
         assert_eq!(limited.matches("\"label\"").count(), 2);
 
-        // Single-core rows and mix rows are separate listings.
+        // Single-core rows and mix rows are separate listings: a 1-core
+        // row is not a mix.
         let single = String::from_utf8(get(&state, "/runs").body).expect("utf8");
         assert_eq!(single.trim(), "[]");
+        seed_row(&state, "a", "gaze", 400);
+        let mixes = String::from_utf8(get(&state, "/runs?kind=mix").body).expect("utf8");
+        assert_eq!(mixes.matches("\"label\"").count(), 3);
 
-        // A baseline row with a mismatched core count (only possible in a
-        // store written by external tooling) yields speedup null, not a
-        // panic under the store lock.
-        let mismatched = mix_json(
-            &results_store::MixRecord {
-                mix_fingerprint: 1,
-                params_fingerprint: 2,
-                prefetcher: "gaze".into(),
-                label: "x+y".into(),
-                report: sim_core::stats::SimReport {
-                    cores: vec![CoreStats::default(); 2],
-                },
-            },
-            Some(&results_store::MixRecord {
-                mix_fingerprint: 1,
-                params_fingerprint: 2,
-                prefetcher: "none".into(),
-                label: "x+y".into(),
-                report: sim_core::stats::SimReport {
-                    cores: vec![CoreStats::default(); 4],
-                },
-            }),
-        );
-        assert!(mismatched.contains("\"speedup\":null"), "{mismatched}");
 
         assert_eq!(get(&state, "/runs?kind=bogus").status, 400);
         assert_eq!(get(&state, "/runs?kind=mix&cores=x").status, 400);

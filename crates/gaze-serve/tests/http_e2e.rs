@@ -684,7 +684,7 @@ fn server_serves_fig13_and_reloads_stale_stores() {
     );
 
     // Reopen-on-stale: a second, independent handle — another process in
-    // production — flushes new rows (one of each record kind) after the
+    // production — flushes new rows (a 1-core and a 2-core one) after the
     // server opened its store.
     let probe_fp = 0xfeed_faceu64;
     {
@@ -694,15 +694,12 @@ fn server_serves_fig13_and_reloads_stale_stores() {
             cycles: 500,
             ..Default::default()
         };
-        let mut baseline = stats;
-        baseline.cycles = 1_000;
         writer.append(results_store::RunRecord {
             trace_fingerprint: probe_fp,
             params_fingerprint: 0x1,
             workload: "stale-probe".to_string(),
             prefetcher: "gaze".to_string(),
             stats,
-            baseline,
         });
         writer.append(results_store::MixRecord {
             mix_fingerprint: probe_fp ^ 1,
@@ -723,14 +720,14 @@ fn server_serves_fig13_and_reloads_stale_stores() {
     assert_eq!(
         body.matches("\"workload\":\"stale-probe\"").count(),
         1,
-        "the v1 row flushed after server start must be visible: {body}"
+        "the 1-core row flushed after server start must be visible: {body}"
     );
     let (_, body) = request(addr, "GET", "/runs?kind=mix&label=stale%2Bprobe");
     let body = String::from_utf8(body).expect("utf8");
     assert_eq!(
         body.matches("\"label\":\"stale+probe\"").count(),
         1,
-        "the v2 row flushed after server start must be visible: {body}"
+        "the 2-core row flushed after server start must be visible: {body}"
     );
     let (_, body) = request(addr, "GET", "/healthz");
     let body = String::from_utf8(body).expect("utf8");
@@ -763,7 +760,7 @@ fn server_serves_fig13_and_reloads_stale_stores() {
     let body = String::from_utf8(body).expect("utf8");
     assert!(
         body.contains("\"segments\":1,") || body.contains("\"segments\":2,"),
-        "at most one segment per record kind: {body}"
+        "at most one segment per core count: {body}"
     );
     let (_, body) = request(addr, "GET", "/runs?workload=stale-probe");
     let body = String::from_utf8(body).expect("utf8");

@@ -30,10 +30,11 @@
 //!   counts match the scale.
 //! * `GAZE_RESULTS_DIR` — persist every run into the results store at this
 //!   directory and reuse stored runs instead of re-simulating (see
-//!   `docs/RESULTS.md`). Single-core runs persist as v1 records and
-//!   multi-core mixes as v2 records, so a warm store regenerates the
-//!   *entire* figure set — and any custom spec it covers — with zero
-//!   simulation.
+//!   `docs/RESULTS.md`). Every run persists as one row of its core count
+//!   and every no-prefetching baseline as its own `none` row, so a warm
+//!   store regenerates the *entire* figure set — and any custom spec it
+//!   covers — with zero simulation. The store refuses to open a
+//!   directory written by an older GZR version.
 //! * `GAZE_REQUIRE_WARM=1` — exit with an error if any simulation ran
 //!   (i.e. assert that the store served everything, multi-core paths
 //!   included). Used by CI to prove the warm-restart path.

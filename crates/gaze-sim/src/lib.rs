@@ -19,8 +19,8 @@
 //!   built-in [`spec::ExperimentSpec`] and any custom sweep is a spec text
 //!   file (`docs/EXPERIMENTS.md`); specs compile to a deduplicated job
 //!   plan, execute on the parallel engine — which reads each job from the
-//!   results store before simulating it, records misses write-through and
-//!   simulates each shared no-prefetching baseline once — and render to
+//!   results store before simulating it and records misses write-through;
+//!   every baseline is an ordinary `none` job — and render to
 //!   [`report::Table`]s,
 //! * [`experiments`] — the experiment registry (scales, names,
 //!   [`experiments::run_experiment`]) the binary and the integration

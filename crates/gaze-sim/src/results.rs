@@ -12,22 +12,20 @@
 //! * **miss** — the job is simulated and the result is recorded
 //!   write-through, so the *next* process to ask gets the hit.
 //!
-//! Both record kinds take the same path
-//! ([`lookup`](StoreHandle::lookup) / [`record`](StoreHandle::record),
-//! generic over [`Record`]): single-core jobs as
-//! [`RunRecord`](results_store::RunRecord)s keyed by the trace
-//! fingerprint, multi-core jobs as
-//! [`MixRecord`](results_store::MixRecord)s keyed by the
-//! mix fingerprint ([`sim_core::params::mix_fingerprint`]) and the params
-//! fingerprint *at the mix's core count*. The runners themselves never
-//! touch the store.
+//! Every job takes the same path ([`lookup`](StoreHandle::lookup) /
+//! [`record`](StoreHandle::record)): its result is one
+//! [`MixRecord`] row keyed by the mix fingerprint
+//! ([`sim_core::params::mix_fingerprint`], a single-core job's trace
+//! fingerprint) and the params fingerprint *at the job's core count*.
+//! No-prefetching baselines are ordinary `"none"` rows. The runners
+//! themselves never touch the store.
 //!
 //! A warm store thus regenerates the full figure set — multi-core
 //! fig13–fig18 included — with zero simulation; see the `results_store`
 //! integration test and the CI warm restart smoke.
 //!
-//! Appends are buffered and written as one crash-safe segment per
-//! [`flush`] (the parallel engine flushes after each fan-out, the CLI
+//! Appends are buffered and written as one crash-safe segment per core
+//! count per [`flush`] (the parallel engine flushes after each fan-out, the CLI
 //! flushes at exit, and the buffer auto-flushes every
 //! [`AUTO_FLUSH_RECORDS`] appends). The store handle is process-global
 //! and behind an `RwLock`. Lookups, `contains`,
@@ -39,11 +37,12 @@
 //! lock.
 
 use std::io;
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use results_store::{Record, ResultsStore};
+use results_store::{MixRecord, ResultsStore};
 
 /// Pending appends are flushed to a segment automatically once this many
 /// accumulate (long sweeps become durable incrementally, not only at
@@ -90,58 +89,62 @@ impl StoreHandle {
         })
     }
 
-    /// Looks up the stored `R` row for (fingerprint, params fingerprint,
-    /// prefetcher) — a trace fingerprint for a single-core row, a mix
-    /// fingerprint for a mix row — and counts a hit.
+    /// Looks up the stored row for (fingerprint, params fingerprint,
+    /// prefetcher) among rows of `cores` cores — a trace fingerprint for
+    /// a single-core row, a mix fingerprint for a mix row — and counts a
+    /// hit.
     ///
-    /// The stored [`label`](Record::label) (workload name or mix label)
-    /// must equal `label`: fingerprints are content hashes, so two
-    /// differently-named inputs with identical record streams share a
-    /// key, and a label mismatch is treated as a miss so report rows
-    /// always carry the right names.
-    pub fn lookup<R: Record>(
+    /// The stored label (workload name or mix label) must equal `label`:
+    /// fingerprints are content hashes, so two differently-named inputs
+    /// with identical record streams share a key, and a label mismatch is
+    /// treated as a miss so report rows always carry the right names.
+    pub fn lookup(
         &self,
         fingerprint: u64,
         params_fingerprint: u64,
         prefetcher: &str,
         label: &str,
-    ) -> Option<R> {
-        let rec = self.find(fingerprint, params_fingerprint, prefetcher, label)?;
+        cores: usize,
+    ) -> Option<MixRecord> {
+        let rec = self.find(fingerprint, params_fingerprint, prefetcher, label, cores)?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         store_counters().0.inc();
         Some(rec)
     }
 
-    /// Whether the store holds the `R` row [`lookup`](Self::lookup) would
-    /// return, without touching the hit/miss counters. The spec
-    /// planner's warm/cold dry-run uses this.
-    pub fn contains<R: Record>(
+    /// Whether the store holds the row [`lookup`](Self::lookup) would
+    /// return, without touching the hit/miss counters. The spec planner's
+    /// warm/cold dry-run uses this.
+    pub fn contains(
         &self,
         fingerprint: u64,
         params_fingerprint: u64,
         prefetcher: &str,
         label: &str,
+        cores: usize,
     ) -> bool {
-        self.find::<R>(fingerprint, params_fingerprint, prefetcher, label)
+        self.find(fingerprint, params_fingerprint, prefetcher, label, cores)
             .is_some()
     }
 
-    fn find<R: Record>(
+    fn find(
         &self,
         fingerprint: u64,
         params_fingerprint: u64,
         prefetcher: &str,
         label: &str,
-    ) -> Option<R> {
-        self.with_store(|s| s.lookup::<R>(fingerprint, params_fingerprint, prefetcher))
-            .filter(|rec| rec.label() == label)
+        cores: usize,
+    ) -> Option<MixRecord> {
+        let cores: RangeInclusive<usize> = cores..=cores;
+        self.with_store(|s| s.lookup(fingerprint, params_fingerprint, prefetcher, cores))
+            .filter(|rec| rec.label == label)
     }
 
     /// Records a freshly simulated row write-through (deduplicated inside
     /// the store) and counts a miss. A mix row's params fingerprint must
     /// be taken at the mix's core count (`params.with_cores(n)`).
     /// Auto-flushes when the pending batch reaches [`AUTO_FLUSH_RECORDS`].
-    pub fn record<R: Record>(&self, rec: R) {
+    pub fn record(&self, rec: impl Into<MixRecord>) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         store_counters().1.inc();
         let mut store = self.write();
@@ -157,7 +160,7 @@ impl StoreHandle {
         }
     }
 
-    /// Flushes pending appends as one crash-safe segment per record kind.
+    /// Flushes pending appends as one crash-safe segment per core count.
     pub fn flush(&self) -> io::Result<usize> {
         self.write().flush()
     }
@@ -284,8 +287,9 @@ pub fn flush() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_single;
-    use results_store::{MixRecord, RunRecord};
+    use crate::runner::simulate_core;
+    use crate::factory::make_prefetcher;
+    use results_store::RunRecord;
     use sim_core::params::RunParams;
     use sim_core::trace::source_fingerprint;
     use workloads::build_workload;
@@ -300,35 +304,36 @@ mod tests {
             ..RunParams::test()
         };
         let trace = build_workload("bwaves_s", 4_000);
-        let run = run_single(&trace, "gaze", &params);
+        let stats = simulate_core(&trace, make_prefetcher("gaze"), None, &params);
         let fp = source_fingerprint(&trace);
 
         let handle = StoreHandle::open(&dir).expect("open");
         assert!(handle
-            .lookup::<RunRecord>(fp, params.fingerprint(), "gaze", "bwaves_s")
+            .lookup(fp, params.fingerprint(), "gaze", "bwaves_s", 1)
             .is_none());
         handle.record(RunRecord {
             trace_fingerprint: fp,
             params_fingerprint: params.fingerprint(),
-            workload: run.workload.clone(),
-            prefetcher: run.prefetcher.clone(),
-            stats: run.stats,
-            baseline: run.baseline,
+            workload: "bwaves_s".to_string(),
+            prefetcher: "gaze".to_string(),
+            stats,
         });
         handle.flush().expect("flush");
 
         let reopened = StoreHandle::open(&dir).expect("reopen");
-        let hit: RunRecord = reopened
-            .lookup(fp, params.fingerprint(), "gaze", "bwaves_s")
+        let hit = reopened
+            .lookup(fp, params.fingerprint(), "gaze", "bwaves_s", 1)
             .expect("stored run");
-        assert_eq!(hit.workload, run.workload);
-        assert_eq!(hit.stats, run.stats);
-        assert_eq!(hit.baseline, run.baseline);
-        assert_eq!(hit.speedup(), run.speedup());
+        assert_eq!(hit.label, "bwaves_s");
+        assert_eq!(hit.report.cores, vec![stats]);
         assert_eq!(reopened.hits(), 1);
-        // A mismatched workload name is a miss even with the right key.
+        // A mismatched workload name is a miss even with the right key,
+        // and so is the right key at another core count.
         assert!(reopened
-            .lookup::<RunRecord>(fp, params.fingerprint(), "gaze", "other-name")
+            .lookup(fp, params.fingerprint(), "gaze", "other-name", 1)
+            .is_none());
+        assert!(reopened
+            .lookup(fp, params.fingerprint(), "gaze", "bwaves_s", 2)
             .is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -347,7 +352,6 @@ mod tests {
             workload: "bwaves_s".to_string(),
             prefetcher: "gaze".to_string(),
             stats: Default::default(),
-            baseline: Default::default(),
         });
         handle.flush().expect("flush");
 
@@ -356,7 +360,7 @@ mod tests {
             handle.with_store(|store| {
                 assert_eq!(store.len(), 1);
                 s.spawn(|| {
-                    let hit = handle.lookup::<RunRecord>(0xfeed, 0xbeef, "gaze", "bwaves_s");
+                    let hit = handle.lookup(0xfeed, 0xbeef, "gaze", "bwaves_s", 1);
                     let _ = tx.send(hit.is_some());
                 });
                 rx.recv_timeout(std::time::Duration::from_secs(5))
@@ -396,7 +400,7 @@ mod tests {
         };
         let handle = StoreHandle::open(&dir).expect("open");
         assert!(handle
-            .lookup::<MixRecord>(0xabc, params.fingerprint(), "gaze", "a+b")
+            .lookup(0xabc, params.fingerprint(), "gaze", "a+b", 2)
             .is_none());
         handle.record(MixRecord {
             mix_fingerprint: 0xabc,
@@ -408,14 +412,14 @@ mod tests {
         handle.flush().expect("flush");
 
         let reopened = StoreHandle::open(&dir).expect("reopen");
-        let hit: MixRecord = reopened
-            .lookup(0xabc, params.fingerprint(), "gaze", "a+b")
+        let hit = reopened
+            .lookup(0xabc, params.fingerprint(), "gaze", "a+b", 2)
             .expect("stored mix");
         assert_eq!(hit.report, report);
         assert_eq!(reopened.hits(), 1);
         // A mismatched label is a miss even with the right key.
         assert!(reopened
-            .lookup::<MixRecord>(0xabc, params.fingerprint(), "gaze", "other+mix")
+            .lookup(0xabc, params.fingerprint(), "gaze", "other+mix", 2)
             .is_none());
         std::fs::remove_dir_all(&dir).ok();
     }

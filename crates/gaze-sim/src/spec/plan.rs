@@ -3,23 +3,23 @@
 //!
 //! The engine is the one dedup and persistence layer: the plan holds each
 //! job once, [`execute`] looks every job up in the active results store
-//! before simulating it and records misses write-through, and a sweep's
-//! single-core jobs share one no-prefetching baseline per (workload,
-//! params). The runners it calls only simulate.
+//! before simulating it and records misses write-through. Every baseline
+//! is an ordinary `"none"` job: a mix's is planned by its table, a
+//! single-core job's by [`JobPlan::push`]. The runners it calls only
+//! simulate.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use results_store::{MixRecord, Record, RunRecord};
+use results_store::MixRecord;
 use sim_core::stats::{CoreStats, SimReport};
 use sim_core::trace::{source_fingerprint, TraceSource};
 
 use crate::experiments::ExperimentScale;
 use crate::factory::make_prefetcher;
 use crate::parallel::parallel_map;
-use crate::results::StoreHandle;
 use crate::runner::{
     mix_label, multi_level_name, records_for, run_heterogeneous, simulate_core, RunParams,
     SingleRun,
@@ -31,7 +31,8 @@ use super::{resolve_workloads, split_levels, ConfigAxis, Entry, TableKind};
 /// One atomic simulation job.
 #[derive(Debug, Clone)]
 pub enum Job {
-    /// A single-core run (optionally multi-level) with its baseline.
+    /// A single-core run (optionally multi-level). Its baseline is the
+    /// `"none"` single-core job on the same workload and parameters.
     Single {
         /// Workload name.
         workload: String,
@@ -79,12 +80,23 @@ impl Job {
         }
     }
 
-    /// Workload names this job touches.
-    fn workload_names(&self) -> Vec<&str> {
+    /// Workloads this job runs, in core order.
+    fn workloads(&self) -> &[String] {
         match self {
-            Job::Single { workload, .. } => vec![workload.as_str()],
-            Job::Mix { workloads, .. } => workloads.iter().map(String::as_str).collect(),
+            Job::Single { workload, .. } => std::slice::from_ref(workload),
+            Job::Mix { workloads, .. } => workloads,
         }
+    }
+}
+
+/// The no-prefetching job whose run is the baseline of every single-core
+/// job on `workload` under `params`.
+fn baseline_job(workload: &str, params: RunParams) -> Job {
+    Job::Single {
+        workload: workload.to_string(),
+        l1: "none".to_string(),
+        l2: None,
+        params,
     }
 }
 
@@ -120,10 +132,22 @@ pub struct JobPlan {
 }
 
 impl JobPlan {
-    /// Adds a job unless an identical one is already planned.
+    /// Adds a job unless an identical one is already planned. A
+    /// single-core job brings its baseline: the `"none"` job on the same
+    /// workload and parameters is planned right after it.
     pub fn push(&mut self, job: Job) {
-        if self.seen.insert(job.key()) {
-            self.jobs.push(job);
+        if !self.seen.insert(job.key()) {
+            return;
+        }
+        let baseline = match &job {
+            Job::Single {
+                workload, params, ..
+            } => Some(baseline_job(workload, *params)),
+            Job::Mix { .. } => None,
+        };
+        self.jobs.push(job);
+        if let Some(baseline) = baseline {
+            self.push(baseline);
         }
     }
 
@@ -156,7 +180,7 @@ impl JobPlan {
     pub fn workload_count(&self) -> usize {
         let mut names = HashSet::new();
         for job in &self.jobs {
-            names.extend(job.workload_names());
+            names.extend(job.workloads());
         }
         names.len()
     }
@@ -301,7 +325,7 @@ pub struct JobResults {
 
 impl JobResults {
     /// The single-core run of (workload, combined prefetcher name) under
-    /// `params`.
+    /// `params`, paired with the workload's `"none"` run as its baseline.
     ///
     /// # Panics
     ///
@@ -367,57 +391,62 @@ fn workload_handles(plan: &JobPlan, scale: &ExperimentScale) -> Workloads {
     let records = records_for(&scale.params);
     let mut traces = Workloads::new();
     for job in plan.jobs() {
-        for name in job.workload_names() {
+        for name in job.workloads() {
             if !traces.contains_key(name) {
-                traces.insert(name.to_string(), LazyWorkload::new(name, records));
+                traces.insert(name.clone(), LazyWorkload::new(name, records));
             }
         }
     }
     traces
 }
 
-/// Where a job's row lives in the results store.
+/// The results-store row a job's result lives in.
 struct StoreKey {
-    /// Trace fingerprint (single-core) or mix fingerprint (mix).
+    /// Mix fingerprint of the job's traces (a single-core job's trace
+    /// fingerprint).
     fingerprint: u64,
-    /// The parameters the row is keyed under: at the mix's core count
-    /// for a mix.
-    params: RunParams,
+    /// Fingerprint of the parameters at the job's core count.
+    params_fp: u64,
     /// Stored prefetcher name (the combined `l1+l2` name when multi-level).
     name: String,
-    /// Workload name (single-core) or mix label (mix) the row must carry.
+    /// Workload name or mix label the row must carry.
     label: String,
+    /// Core count of the row.
+    cores: usize,
+}
+
+impl StoreKey {
+    /// The row that stores `report` under this key.
+    fn row(&self, report: SimReport) -> MixRecord {
+        MixRecord {
+            mix_fingerprint: self.fingerprint,
+            params_fingerprint: self.params_fp,
+            prefetcher: self.name.clone(),
+            label: self.label.clone(),
+            report,
+        }
+    }
 }
 
 /// The store key of `job`. Fingerprints a workload without building it
 /// when its fingerprint is already memoized in this process.
 fn store_key(job: &Job, traces: &Workloads) -> StoreKey {
-    match job {
-        Job::Single {
-            workload,
-            l1,
-            l2,
-            params,
-        } => StoreKey {
-            fingerprint: source_fingerprint(&traces[workload.as_str()]),
-            params: *params,
-            name: multi_level_name(l1, l2.as_deref()),
-            label: workload.clone(),
-        },
+    let (name, params) = match job {
+        Job::Single { l1, l2, params, .. } => (multi_level_name(l1, l2.as_deref()), *params),
         Job::Mix {
             workloads,
             prefetcher,
             params,
-        } => {
-            let refs = mix_refs(workloads, traces);
-            let fps: Vec<u64> = refs.iter().map(|t| source_fingerprint(*t)).collect();
-            StoreKey {
-                fingerprint: sim_core::params::mix_fingerprint(&fps),
-                params: params.with_cores(workloads.len()),
-                name: prefetcher.clone(),
-                label: mix_label(&refs),
-            }
-        }
+        } => (prefetcher.clone(), params.with_cores(workloads.len())),
+    };
+    let refs = mix_refs(job.workloads(), traces);
+    let fps: Vec<u64> = refs.iter().map(|t| source_fingerprint(*t)).collect();
+    StoreKey {
+        fingerprint: sim_core::params::mix_fingerprint(&fps),
+        params_fp: params.fingerprint(),
+        name,
+        label: mix_label(&refs),
+        cores: refs.len(),
     }
 }
 
@@ -444,111 +473,27 @@ fn mix_refs<'a>(workloads: &[String], traces: &'a Workloads) -> Vec<&'a dyn Trac
         .collect()
 }
 
-/// A job result and the store row that persists it: all that differs
-/// between single-core and mix jobs on the store path.
-trait Persisted: Sized {
-    /// The row kind.
-    type Row: Record;
-    /// The result a stored row carries.
-    fn from_row(row: Self::Row) -> Self;
-    /// The row that stores this result under `key`.
-    fn to_row(&self, key: &StoreKey) -> Self::Row;
-}
-
-impl Persisted for SingleRun {
-    type Row = RunRecord;
-
-    fn from_row(row: RunRecord) -> SingleRun {
-        SingleRun {
-            workload: row.workload,
-            prefetcher: row.prefetcher,
-            stats: row.stats,
-            baseline: row.baseline,
-        }
-    }
-
-    fn to_row(&self, key: &StoreKey) -> RunRecord {
-        RunRecord {
-            trace_fingerprint: key.fingerprint,
-            params_fingerprint: key.params.fingerprint(),
-            workload: self.workload.clone(),
-            prefetcher: self.prefetcher.clone(),
-            stats: self.stats,
-            baseline: self.baseline,
-        }
-    }
-}
-
-impl Persisted for SimReport {
-    type Row = MixRecord;
-
-    fn from_row(row: MixRecord) -> SimReport {
-        row.report
-    }
-
-    fn to_row(&self, key: &StoreKey) -> MixRecord {
-        MixRecord {
-            mix_fingerprint: key.fingerprint,
-            params_fingerprint: key.params.fingerprint(),
-            prefetcher: key.name.clone(),
-            label: key.label.clone(),
-            report: self.clone(),
-        }
-    }
-}
-
-/// The stored `T` under `key`, counted as a hit.
-fn lookup<T: Persisted>(store: &StoreHandle, key: &StoreKey) -> Option<T> {
-    let pfp = key.params.fingerprint();
-    store
-        .lookup(key.fingerprint, pfp, &key.name, &key.label)
-        .map(T::from_row)
-}
-
-/// Whether the store holds the `T` row under `key`, without touching the
-/// hit/miss counters.
-fn stored<T: Persisted>(store: &StoreHandle, key: &StoreKey) -> bool {
-    let pfp = key.params.fingerprint();
-    store.contains::<T::Row>(key.fingerprint, pfp, &key.name, &key.label)
-}
-
-/// One slot per (workload, params fingerprint) a plan's single-core jobs
-/// touch, filled with that no-prefetching baseline on first use.
-type Baselines<'a> = HashMap<(&'a str, u64), OnceLock<CoreStats>>;
-
-/// Simulates `job`; a single-core job takes its baseline from its slot.
-fn simulate(job: &Job, traces: &Workloads, baselines: &Baselines) -> Output {
+/// Simulates `job`: a single-core job is a one-core report.
+fn simulate(job: &Job, traces: &Workloads) -> SimReport {
     match job {
         Job::Single {
             workload,
             l1,
             l2,
             params,
-        } => {
-            let trace = &traces[workload.as_str()];
-            let slot = &baselines[&(workload.as_str(), params.fingerprint())];
-            Output::Single(Box::new(SingleRun {
-                workload: workload.clone(),
-                prefetcher: multi_level_name(l1, l2.as_deref()),
-                stats: simulate_core(
-                    trace,
-                    make_prefetcher(l1),
-                    l2.as_deref().map(make_prefetcher),
-                    params,
-                ),
-                baseline: *slot
-                    .get_or_init(|| simulate_core(trace, make_prefetcher("none"), None, params)),
-            }))
-        }
+        } => SimReport {
+            cores: vec![simulate_core(
+                &traces[workload.as_str()],
+                make_prefetcher(l1),
+                l2.as_deref().map(make_prefetcher),
+                params,
+            )],
+        },
         Job::Mix {
             workloads,
             prefetcher,
             params,
-        } => Output::Mix(run_heterogeneous(
-            &mix_refs(workloads, traces),
-            prefetcher,
-            params,
-        )),
+        } => run_heterogeneous(&mix_refs(workloads, traces), prefetcher, params),
     }
 }
 
@@ -562,12 +507,10 @@ pub type Progress<'a> = &'a (dyn Fn(usize, usize) + Sync);
 /// workers, which simulate them and record each write-through. Results
 /// become durable before this returns.
 ///
-/// A single-core miss takes its no-prefetching baseline from a table with
-/// one slot per (workload, params) the misses touch, so each distinct
-/// baseline is simulated at most once per call, and only when some job
-/// needing it misses. Stored rows carry their baseline, so a warm plan
-/// simulates nothing and starts no thread. The `"none"` mix jobs are
-/// ordinary plan jobs.
+/// A single-core job's baseline is the `"none"` job [`JobPlan::push`]
+/// planned beside it, an ordinary job with its own stored row, so a
+/// baseline any earlier process stored is never simulated again. A warm
+/// plan simulates nothing and starts no thread.
 pub fn execute(plan: &JobPlan, scale: &ExperimentScale) -> JobResults {
     execute_with_progress(plan, scale, None)
 }
@@ -584,17 +527,17 @@ pub fn execute_with_progress(
     let store = crate::results::active_store();
     let total = plan.len();
     let done = AtomicUsize::new(0);
-    let finished = |output: Output, started: Instant| {
-        note_job(&output, started.elapsed().as_micros() as u64);
+    let finished = |job: &Job, report: SimReport, started: Instant| {
+        note_job(job, started.elapsed().as_micros() as u64);
         if let Some(report) = progress {
             report(done.fetch_add(1, Ordering::SeqCst) + 1, total);
         }
-        output
+        report
     };
 
     // Stored jobs are answered here, on the calling thread; only the
     // misses reach the fan-out below.
-    let mut outputs: Vec<Option<Output>> = (0..total).map(|_| None).collect();
+    let mut outputs: Vec<Option<SimReport>> = (0..total).map(|_| None).collect();
     let mut misses: Vec<(&Job, Option<StoreKey>)> = Vec::new();
     match store.as_deref() {
         None => misses.extend(plan.jobs().iter().map(|job| (job, None))),
@@ -602,71 +545,65 @@ pub fn execute_with_progress(
             for ((job, key), slot) in store_keys(plan, &traces).zip(&mut outputs) {
                 // gaze-lint: allow(wall_clock) -- feeds only the job-duration metrics, never a simulated result
                 let started = Instant::now();
-                let hit = match job {
-                    Job::Single { .. } => {
-                        lookup(store, &key).map(|run| Output::Single(Box::new(run)))
-                    }
-                    Job::Mix { .. } => lookup(store, &key).map(Output::Mix),
-                };
-                match hit {
-                    Some(output) => *slot = Some(finished(output, started)),
+                match store.lookup(key.fingerprint, key.params_fp, &key.name, &key.label, key.cores) {
+                    Some(row) => *slot = Some(finished(job, row.report, started)),
                     None => misses.push((job, Some(key))),
                 }
             }
         }
     }
 
-    // Every slot exists before the fan-out, so workers share the table
-    // without a lock; the first worker to need a baseline fills its slot.
-    let baselines: Baselines = misses
-        .iter()
-        .filter_map(|(job, _)| match job {
-            Job::Single {
-                workload, params, ..
-            } => Some(((workload.as_str(), params.fingerprint()), OnceLock::new())),
-            Job::Mix { .. } => None,
-        })
-        .collect();
     let simulated = parallel_map(&misses, |(job, key)| {
         // gaze-lint: allow(wall_clock) -- feeds only the job-duration metrics, never a simulated result
         let started = Instant::now();
-        let output = simulate(job, &traces, &baselines);
+        let report = simulate(job, &traces);
         if let (Some(store), Some(key)) = (store.as_deref(), key) {
-            match &output {
-                Output::Single(run) => store.record(run.to_row(key)),
-                Output::Mix(report) => store.record(report.to_row(key)),
-            }
+            store.record(key.row(report.clone()));
         }
-        finished(output, started)
+        finished(job, report, started)
     });
     crate::results::flush();
 
     let mut simulated = simulated.into_iter();
     let mut results = JobResults::default();
+    let mut single_stats: HashMap<JobKey, CoreStats> = HashMap::new();
     for (job, output) in plan.jobs().iter().zip(outputs) {
-        let output = output.unwrap_or_else(|| simulated.next().expect("one output per miss"));
-        match output {
-            Output::Single(run) => {
-                results.singles.insert(job.key(), *run);
+        let report = output.unwrap_or_else(|| simulated.next().expect("one output per miss"));
+        match job {
+            Job::Single { .. } => {
+                single_stats.insert(job.key(), report.cores[0]);
             }
-            Output::Mix(report) => {
+            Job::Mix { .. } => {
                 results.mixes.insert(job.key(), report);
             }
         }
     }
+    for job in plan.jobs() {
+        if let Job::Single {
+            workload,
+            l1,
+            l2,
+            params,
+        } = job
+        {
+            let key = job.key();
+            let run = SingleRun {
+                workload: workload.clone(),
+                prefetcher: multi_level_name(l1, l2.as_deref()),
+                stats: single_stats[&key],
+                baseline: single_stats[&baseline_job(workload, *params).key()],
+            };
+            results.singles.insert(key, run);
+        }
+    }
     results
-}
-
-enum Output {
-    Single(Box<SingleRun>),
-    Mix(SimReport),
 }
 
 /// Publishes one finished engine job to the process-global metrics:
 /// `gaze_sim_jobs_total{kind=…}` and the `gaze_sim_job_duration_us`
 /// wall-time histogram. Store hits and misses land here alike — a warm
 /// sweep shows up as the same job count with a collapsed duration tail.
-fn note_job(output: &Output, us: u64) {
+fn note_job(job: &Job, us: u64) {
     use gaze_obs::metrics::{registry, Counter, Histogram};
     static SERIES: OnceLock<([Counter; 2], Histogram)> = OnceLock::new();
     let (jobs, duration) = SERIES.get_or_init(|| {
@@ -685,9 +622,9 @@ fn note_job(output: &Output, us: u64) {
             ),
         )
     });
-    let kind = match output {
-        Output::Single(_) => 0,
-        Output::Mix(_) => 1,
+    let kind = match job {
+        Job::Single { .. } => 0,
+        Job::Mix { .. } => 1,
     };
     jobs[kind].inc();
     duration.record(us);
@@ -734,9 +671,8 @@ pub fn dry_run(plan: &JobPlan, scale: &ExperimentScale) -> PlanReport {
     let traces = workload_handles(plan, scale);
     report.store_active = true;
     report.warm = store_keys(plan, &traces)
-        .filter(|(job, key)| match job {
-            Job::Single { .. } => stored::<SingleRun>(&store, key),
-            Job::Mix { .. } => stored::<SimReport>(&store, key),
+        .filter(|(_, key)| {
+            store.contains(key.fingerprint, key.params_fp, &key.name, &key.label, key.cores)
         })
         .count();
     report.cold = plan.len() - report.warm;
@@ -772,10 +708,11 @@ mod tests {
         };
         let mut plan = JobPlan::default();
         table_jobs(&kind, &s, &mut plan);
-        assert_eq!(plan.len(), 4);
+        // 2 workloads x (gaze, pmp), plus one "none" baseline each.
+        assert_eq!(plan.len(), 6);
         // Planning the same table again adds nothing.
         table_jobs(&kind, &s, &mut plan);
-        assert_eq!(plan.len(), 4);
+        assert_eq!(plan.len(), 6);
         // An overlapping table only adds its new cells.
         let overlapping = TableKind::WorkloadRows {
             traces: TraceSel::List(vec!["bwaves_s".into()]),
@@ -785,9 +722,9 @@ mod tests {
             avg_label: None,
         };
         table_jobs(&overlapping, &s, &mut plan);
-        assert_eq!(plan.len(), 5);
+        assert_eq!(plan.len(), 7);
         assert_eq!(plan.workload_count(), 2);
-        assert_eq!(plan.kind_counts(), (5, 0));
+        assert_eq!(plan.kind_counts(), (7, 0));
     }
 
     #[test]
@@ -823,12 +760,15 @@ mod tests {
             &mut plan,
         );
         let results = execute(&plan, &s);
-        assert_eq!(results.len(), 2);
+        assert_eq!(results.len(), 3, "gaze, gaze+bingo and their baseline");
         let plain = results.single("bwaves_s", "gaze", &s.params);
         assert_eq!(plain.prefetcher, "gaze");
         assert!(plain.stats.ipc() > 0.0);
         let combined = results.single("bwaves_s", "gaze+bingo", &s.params);
         assert_eq!(combined.prefetcher, "gaze+bingo");
+        let baseline = results.single("bwaves_s", "none", &s.params);
+        assert_eq!(plain.baseline, baseline.stats);
+        assert_eq!(combined.baseline, baseline.stats);
     }
 
     #[test]
@@ -836,17 +776,17 @@ mod tests {
         let s = scale();
         let spec = builtin::builtin_spec("fig09").expect("builtin");
         let plan = crate::spec::plan_specs(&[&spec], &s);
-        // 3 variants x 5 suites x 1 workload each.
-        assert_eq!(plan.len(), 15);
+        // 3 variants x 5 suites x 1 workload each, plus 5 baselines.
+        assert_eq!(plan.len(), 20);
         // The dry run only consults the store when one is explicitly
         // active; configure(None) pins "no store" for this process even
         // if the environment carries GAZE_RESULTS_DIR.
         crate::results::configure(None).expect("deactivate store");
         let report = dry_run(&plan, &s);
         crate::results::configure(None).expect("deactivate store");
-        assert_eq!(report.jobs, 15);
+        assert_eq!(report.jobs, 20);
         assert!(!report.store_active);
-        assert_eq!(report.cold, 15);
+        assert_eq!(report.cold, 20);
         assert_eq!(report.warm, 0);
     }
 }

@@ -1,7 +1,8 @@
 //! Determinism regression tests for the parallel experiment engine.
 //!
-//! The engine's optimizations — thread-pool fan-out, baselines shared
-//! across a sweep and event-driven cycle skipping — must all be *exact*:
+//! The engine's optimizations — thread-pool fan-out, one `none` job per
+//! workload as every prefetcher's baseline and event-driven cycle
+//! skipping — must all be *exact*:
 //! [`plan::execute`] produces bit-identical statistics to a fresh serial
 //! [`run_single`] of every pair.
 
@@ -43,7 +44,8 @@ fn executed_plan_matches_serial_fresh_reference_and_is_repeatable() {
         &s,
         &mut job_plan,
     );
-    assert_eq!(job_plan.len(), workloads.len() * prefetchers.len());
+    // Every (workload, prefetcher) pair plus one baseline per workload.
+    assert_eq!(job_plan.len(), workloads.len() * (prefetchers.len() + 1));
     let first = plan::execute(&job_plan, &s);
     let second = plan::execute(&job_plan, &s);
     for workload in workloads {

@@ -14,7 +14,7 @@ use gaze_sim::results;
 use gaze_sim::runner::{mix_label, records_for, simulated_instructions, RunParams};
 use gaze_sim::spec::plan::{self, Job, JobPlan};
 use gaze_sim::spec::{Entry, Metric, MixDef, TableKind, TraceSel};
-use results_store::{ResultsStore, RunQuery};
+use results_store::{Query, ResultsStore};
 use sim_core::params::mix_fingerprint;
 use sim_core::trace::{source_fingerprint, TraceSource};
 use workloads::build_workload;
@@ -124,9 +124,9 @@ fn warm_store_regenerates_figures_with_zero_simulation() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The warm-store acceptance criterion for the multi-core path: Fig. 13
-/// (multi-level, persisted as v1 rows keyed by the combined `l1+l2`
-/// name) regenerates from a reopened store with zero simulation,
+/// The warm-store acceptance criterion for multi-level runs: Fig. 13
+/// (persisted as 1-core rows keyed by the combined `l1+l2` name)
+/// regenerates from a reopened store with zero simulation,
 /// byte-identical to the cold pass.
 #[test]
 fn warm_store_regenerates_fig13_with_zero_simulation() {
@@ -159,7 +159,7 @@ fn warm_store_regenerates_fig13_with_zero_simulation() {
 }
 
 /// Multi-core runs (heterogeneous, homogeneous and their shared "none"
-/// baseline) persist as v2 mix records and are served back bit-identically
+/// baseline) persist as multi-core rows and are served back bit-identically
 /// with zero simulation after a reopen.
 #[test]
 fn multicore_runs_round_trip_through_the_store() {
@@ -200,7 +200,7 @@ fn multicore_runs_round_trip_through_the_store() {
     let cold_base = cold.mix(&pair, "none", &params);
     let cold_speedup = cold_het.speedup_over(cold_base);
 
-    // The v2 rows are durable and typed correctly.
+    // The mix rows are durable and typed correctly.
     let t1 = build_workload("bwaves_s", records_for(&params));
     let t2 = build_workload("mcf_s", records_for(&params));
     let store = ResultsStore::open(&dir).expect("reopen");
@@ -256,35 +256,78 @@ fn parallel_engine_write_through_persists_every_pair() {
         plan::execute(&rows_plan(&workloads, &prefetchers, &scale), &scale)
     };
 
-    // Every (prefetcher × workload) pair landed in the store, durably.
+    // Every (prefetcher × workload) pair and every workload's "none"
+    // baseline landed in the store, durably.
     let store = ResultsStore::open(&dir).expect("reopen");
-    assert_eq!(store.len(), prefetchers.len() * workloads.len());
+    assert_eq!(store.len(), (prefetchers.len() + 1) * workloads.len());
     assert_eq!(store.pending_len(), 0, "execute flushes");
     for workload in workloads {
         let trace = build_workload(workload, records_for(&params));
+        let fp = source_fingerprint(&trace);
+        let baseline = store
+            .get(fp, params.fingerprint(), "none")
+            .unwrap_or_else(|| panic!("missing none × {workload}"));
         for prefetcher in prefetchers {
             let run = results.single(workload, prefetcher, &params);
             let rec = store
-                .get(source_fingerprint(&trace), params.fingerprint(), prefetcher)
+                .get(fp, params.fingerprint(), prefetcher)
                 .unwrap_or_else(|| panic!("missing {prefetcher} × {workload}"));
             assert_eq!(rec.stats, run.stats, "bit-identical stats");
-            assert_eq!(rec.baseline, run.baseline);
-            assert_eq!(rec.speedup(), run.speedup());
+            assert_eq!(baseline.stats, run.baseline);
         }
     }
 
     // The typed query API slices the matrix both ways.
-    let per_prefetcher = store.query(&RunQuery {
+    let per_prefetcher = store.query(&Query {
         prefetcher: Some("gaze".into()),
-        ..RunQuery::default()
+        ..Query::default()
     });
     assert_eq!(per_prefetcher.len(), workloads.len());
-    let per_workload = store.query(&RunQuery {
-        workload: Some("mcf_s".into()),
+    let per_workload = store.query(&Query {
+        label: Some("mcf_s".into()),
         params_fingerprint: Some(params.fingerprint()),
-        ..RunQuery::default()
+        ..Query::default()
     });
-    assert_eq!(per_workload.len(), prefetchers.len());
+    assert_eq!(per_workload.len(), prefetchers.len() + 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A single-core run is a 1-core mix: a one-workload `Job::Mix` and the
+/// `Job::Single` of the same workload, prefetcher and parameters key one
+/// row, and recording both counts a duplicate, never a conflict.
+#[test]
+fn a_one_core_mix_and_a_single_run_share_one_row() {
+    let _guard = store_lock();
+    let dir = temp_dir("one-core-mix");
+    let scale = scale_of(RunParams {
+        warmup: 1_000,
+        measured: 4_000,
+        ..RunParams::test()
+    });
+    let params = scale.params;
+    let mut job_plan = rows_plan(&["bwaves_s"], &["gaze"], &scale);
+    let lone = vec!["bwaves_s".to_string()];
+    job_plan.push(Job::Mix {
+        workloads: lone.clone(),
+        prefetcher: "gaze".into(),
+        params,
+    });
+    assert_eq!(job_plan.len(), 3, "gaze, its baseline and the 1-core mix");
+    let (results, conflicts, duplicates) = {
+        let _active = ActiveDir::new(&dir);
+        let results = plan::execute(&job_plan, &scale);
+        let store = results::active_store().expect("active");
+        let counts = store.with_store(|s| (s.conflicting_appends(), s.duplicates_skipped()));
+        (results, counts.0, counts.1)
+    };
+    assert_eq!(conflicts, 0, "both runs simulate identical counters");
+    assert_eq!(duplicates, 1, "the second recording is a duplicate");
+    assert_eq!(
+        results.mix(&lone, "gaze", &params).cores,
+        vec![results.single("bwaves_s", "gaze", &params).stats]
+    );
+    let store = ResultsStore::open(&dir).expect("reopen");
+    assert_eq!((store.len(), store.mix_len()), (2, 0), "gaze and none rows");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -304,7 +347,7 @@ fn rerunning_a_sweep_adds_no_duplicate_rows() {
         plan::execute(&job_plan, &scale);
     }
     let store = ResultsStore::open(&dir).expect("reopen");
-    assert_eq!(store.len(), 2, "second sweep was served from the store");
+    assert_eq!(store.len(), 3, "second sweep was served from the store");
     assert_eq!(store.conflicting_appends(), 0);
 
     // A different scale is a different key: the store accumulates both.
@@ -318,6 +361,6 @@ fn rerunning_a_sweep_adds_no_duplicate_rows() {
         plan::execute(&rows_plan(&["bwaves_s"], &["gaze"], &other), &other);
     }
     let store = ResultsStore::open(&dir).expect("reopen");
-    assert_eq!(store.len(), 3);
+    assert_eq!(store.len(), 5, "gaze and none at the new scale");
     std::fs::remove_dir_all(&dir).ok();
 }

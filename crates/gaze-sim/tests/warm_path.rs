@@ -189,10 +189,11 @@ fn a_missing_row_builds_exactly_its_workloads() {
     assert_eq!(traces_materialized(), before);
 }
 
-/// Each sweep simulates a distinct baseline at most once, and only for a
-/// workload with a missing row: stored rows carry their baseline.
+/// Every baseline is an ordinary stored `none` row: a sweep simulates
+/// each missing one once, and a second, cold process that asks for other
+/// prefetchers on the same workloads simulates no baseline at all.
 #[test]
-fn a_sweep_simulates_each_missing_baseline_once() {
+fn a_second_process_simulates_no_stored_baseline() {
     let _guard = lock();
     // Budgets no other test uses, so no earlier run could have warmed them.
     let scale = ExperimentScale {
@@ -204,33 +205,42 @@ fn a_sweep_simulates_each_missing_baseline_once() {
         workloads_per_suite: 1,
     };
     let budget = scale.params.warmup + scale.params.measured;
-    let single = |workload: &str, l1: &str| Job::Single {
-        workload: workload.to_string(),
-        l1: l1.to_string(),
-        l2: None,
-        params: scale.params,
-    };
-    let mut plan = JobPlan::default();
-    for l1 in ["gaze", "pmp"] {
-        for workload in ["bwaves_s", "mcf_s"] {
-            plan.push(single(workload, l1));
+    let workloads = ["bwaves_s", "mcf_s"];
+    let plan_of = |prefetchers: &[&str]| {
+        let mut plan = JobPlan::default();
+        for l1 in prefetchers {
+            for workload in workloads {
+                plan.push(Job::Single {
+                    workload: workload.to_string(),
+                    l1: l1.to_string(),
+                    l2: None,
+                    params: scale.params,
+                });
+            }
         }
-    }
-    let _store = ActiveStore::fresh("baselines");
+        plan
+    };
+    let store = ActiveStore::fresh("baselines");
+    let before = simulated_instructions();
+    execute(&plan_of(&["gaze"]), &scale);
+    assert_eq!(
+        simulated_instructions() - before,
+        2 * 2 * budget,
+        "a cold sweep simulates every row plus one baseline per workload"
+    );
+
+    // A new process (a fresh handle on the same directory) asks for
+    // another prefetcher: only its rows simulate, the baselines are hits.
+    store.reopen();
+    let plan = plan_of(&["pmp"]);
+    assert_eq!(plan.len(), 4, "pmp and none per workload");
     let before = simulated_instructions();
     execute(&plan, &scale);
     assert_eq!(
         simulated_instructions() - before,
-        (2 + 1) * 2 * budget,
-        "a cold sweep simulates every row plus one baseline per workload"
+        2 * budget,
+        "the stored baselines were simulated again"
     );
-
-    // One new row: it and its baseline, since the stored rows' baselines
-    // are not reused.
-    plan.push(single("mcf_s", "vberti"));
-    let before = simulated_instructions();
-    execute(&plan, &scale);
-    assert_eq!(simulated_instructions() - before, 2 * budget);
 
     let before = simulated_instructions();
     execute(&plan, &scale);

@@ -49,8 +49,8 @@ fn main() -> ExitCode {
         "info" => {
             println!("dir:               {dir}");
             println!("segments:          {}", store.segment_count());
-            println!("runs:              {}", store.len());
-            println!("mix runs:          {}", store.mix_len());
+            println!("1-core rows:       {}", store.len());
+            println!("multi-core rows:   {}", store.mix_len());
             println!("duplicates merged: {}", store.duplicates_skipped());
             println!("key conflicts:     {}", store.conflicting_appends());
             println!("records decoded:   {}", store.records_decoded());
@@ -59,7 +59,7 @@ fn main() -> ExitCode {
         "compact" => match store.compact() {
             Ok(stats) => {
                 println!(
-                    "compacted {} segment(s) into {}: {} run row(s), {} mix row(s), \
+                    "compacted {} segment(s) into {}: {} 1-core row(s), {} multi-core row(s), \
                      {} duplicate(s) dropped",
                     stats.segments_before,
                     stats.segments_after,

@@ -13,22 +13,21 @@
 //! need to be resident. A [`compact`](ResultsStore::compact) pass merges
 //! segments and physically drops duplicate rows.
 //!
-//! Keys are content fingerprints, not names: a record is identified by the
-//! FNV-1a fingerprint of its trace's record stream, the fingerprint of its
-//! [`RunParams`](sim_core::params::RunParams), and the prefetcher name.
-//! Re-running the same sweep therefore hits the store regardless of
-//! whether the trace came from an in-memory generator or a packed GZT
-//! file, and appending the same result twice is a deduplicated no-op.
+//! Keys are content fingerprints, not names: a row is identified by the
+//! fingerprint of its trace mix ([`sim_core::params::mix_fingerprint`];
+//! for a single-core run, the FNV-1a fingerprint of the trace's record
+//! stream), the fingerprint of its
+//! [`RunParams`](sim_core::params::RunParams) (which folds the model
+//! epoch and the core count), and the prefetcher name. Re-running the
+//! same sweep therefore hits the store regardless of whether the trace
+//! came from an in-memory generator or a packed GZT file, and appending
+//! the same result twice is a deduplicated no-op.
 //!
-//! Two record schemas coexist (a store directory may mix segments of
-//! both): version-1 [`RunRecord`]s hold one single-core run plus its
-//! no-prefetching baseline, and version-2 [`MixRecord`]s hold the
-//! per-core counters of one multi-core run, keyed by a *mix* fingerprint
-//! ([`sim_core::params::mix_fingerprint`]) folding the core count and
-//! every trace in the mix. The store has one code path for both: every
-//! operation is generic over the sealed [`Record`] trait, and the
-//! per-kind differences (version, size, key, lookup label, content
-//! equality, codec, segment-name fields) live only in its two impls.
+//! There is one row kind, [`MixRecord`]: a run of one prefetcher on
+//! 1..=8 cores with its per-core counters. A single-core run is a 1-core
+//! row ([`RunRecord`] is its view), and every no-prefetching baseline is
+//! an ordinary row under `prefetcher = "none"`. Segments hold one core
+//! count each, so a lookup or query for one core count skips the others.
 //!
 //! The crate is dependency-free (std only) like the rest of the
 //! workspace. The experiment harness integrates it behind the
@@ -44,26 +43,28 @@
 //! # Example
 //!
 //! ```
-//! use results_store::{ResultsStore, RunQuery, RunRecord};
+//! use results_store::{Query, ResultsStore, RunRecord};
 //! use sim_core::stats::CoreStats;
 //!
 //! let dir = std::env::temp_dir().join(format!("gzr-doc-{}", std::process::id()));
 //! let _ = std::fs::remove_dir_all(&dir);
 //! let mut store = ResultsStore::open(&dir).unwrap();
-//! store.append(RunRecord {
-//!     trace_fingerprint: 0xfeed,
-//!     params_fingerprint: 0xbeef,
-//!     workload: "bwaves_s".into(),
-//!     prefetcher: "gaze".into(),
-//!     stats: CoreStats { instructions: 100, cycles: 50, ..Default::default() },
-//!     baseline: CoreStats { instructions: 100, cycles: 100, ..Default::default() },
-//! });
+//! for (prefetcher, cycles) in [("gaze", 50), ("none", 100)] {
+//!     store.append(RunRecord {
+//!         trace_fingerprint: 0xfeed,
+//!         params_fingerprint: 0xbeef,
+//!         workload: "bwaves_s".into(),
+//!         prefetcher: prefetcher.into(),
+//!         stats: CoreStats { instructions: 100, cycles, ..Default::default() },
+//!     });
+//! }
 //! store.flush().unwrap();
 //!
 //! let reopened = ResultsStore::open(&dir).unwrap();
-//! let rows = reopened.query(&RunQuery { prefetcher: Some("gaze".into()), ..Default::default() });
+//! let rows = reopened.query(&Query { prefetcher: Some("gaze".into()), ..Default::default() });
 //! assert_eq!(rows.len(), 1);
-//! assert_eq!(rows[0].speedup(), 2.0);
+//! let baseline = reopened.get(0xfeed, 0xbeef, "none").unwrap();
+//! assert_eq!(rows[0].report.cores[0].speedup_over(&baseline.stats), 2.0);
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
@@ -72,8 +73,5 @@ pub mod format;
 mod obs;
 pub mod store;
 
-pub use format::{
-    decode_mix_record, decode_record, encode_mix_record, encode_record, MixRecord, Record,
-    RecordKey, RunRecord, SegmentRecords,
-};
-pub use store::{CompactStats, MixQuery, Query, ResultsStore, RunQuery};
+pub use format::{decode_record, encode_record, MixRecord, RecordKey, RunRecord};
+pub use store::{CompactStats, Query, ResultsStore};

@@ -1,29 +1,27 @@
 //! The append-only, directory-backed results store.
 //!
-//! Every operation is written once, generic over [`Record`]; what differs
-//! between single-core runs and multi-core mixes lives in the two
-//! `Record` impls, and each kind's unflushed rows live in its own table.
+//! Every row is a [`MixRecord`] of 1..=[`GZR_MAX_CORES`] cores, so every
+//! operation has one code path; [`RunRecord`] is only the single-core
+//! view of a 1-core row.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ffi::OsString;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Write};
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::format::{
-    read_segment, read_segment_any, write_segment, MixRecord, Record, RecordKey, RunRecord,
-    SegmentRecords, GZR_HEADER_BYTES, GZR_MIX_RECORD_BYTES, GZR_VERSION, GZR_VERSION_MIX,
+    decode_record, read_segment, record_bytes, write_segment, MixRecord, RecordKey, RunRecord,
+    GZR_HEADER_BYTES, GZR_MAX_CORES,
 };
 use sim_core::params::Fnv1a;
 
 /// Extension of segment files inside a store directory.
 pub const SEGMENT_EXTENSION: &str = "gzr";
 
-/// Prefix of segment file names
-/// (`seg-<seq>-<pid>-<nonce>-<hash>.gzr`); loading only requires the
-/// prefix and extension, so stores written under older naming schemes
-/// stay readable.
+/// Prefix of segment file names (`seg-<seq>-<pid>-<nonce>-<hash>.gzr`).
 pub const SEGMENT_PREFIX: &str = "seg-";
 
 /// Prefix of in-progress temporary files; never loaded, so a crash
@@ -31,79 +29,49 @@ pub const SEGMENT_PREFIX: &str = "seg-";
 /// corrupt segment.
 pub const TMP_PREFIX: &str = ".tmp-";
 
-/// A typed filter over the rows of one record kind, answered by
-/// [`ResultsStore::query`].
-pub trait Query {
-    /// The record kind this filter selects from.
-    type Record: Record;
-    /// Whether `rec` passes every set filter.
-    fn matches(&self, rec: &Self::Record) -> bool;
-    /// The most rows to return (`None`: all).
-    fn limit(&self) -> Option<usize>;
-}
+/// Every core count a row can have.
+const ALL_CORES: RangeInclusive<usize> = 1..=GZR_MAX_CORES;
 
-/// Typed filter over the store. Every field is optional; `None` matches
-/// everything. Results come back in store order (segment load order, then
-/// append order), so a query is deterministic for a given store state.
-#[derive(Debug, Clone, Default)]
-pub struct RunQuery {
-    /// Keep only rows of this workload name.
-    pub workload: Option<String>,
-    /// Keep only rows of this prefetcher.
-    pub prefetcher: Option<String>,
-    /// Keep only rows recorded under this run-parameter fingerprint
-    /// (i.e. one experiment scale/configuration).
-    pub params_fingerprint: Option<u64>,
-    /// Keep only rows of this trace fingerprint.
-    pub trace_fingerprint: Option<u64>,
-    /// Truncate the result to at most this many rows.
-    pub limit: Option<usize>,
-}
-
-impl Query for RunQuery {
-    type Record = RunRecord;
-
-    fn matches(&self, rec: &RunRecord) -> bool {
-        self.workload.as_deref().is_none_or(|w| rec.workload == w)
-            && self
-                .prefetcher
-                .as_deref()
-                .is_none_or(|p| rec.prefetcher == p)
-            && self
-                .params_fingerprint
-                .is_none_or(|f| rec.params_fingerprint == f)
-            && self
-                .trace_fingerprint
-                .is_none_or(|f| rec.trace_fingerprint == f)
-    }
-
-    fn limit(&self) -> Option<usize> {
-        self.limit
-    }
-}
-
-/// Typed filter over the store's multi-core (v2) rows. Every field is
-/// optional; `None` matches everything. Results come back in store order.
-#[derive(Debug, Clone, Default)]
-pub struct MixQuery {
-    /// Keep only rows of this mix label.
+/// Typed filter over the store's rows, answered by
+/// [`ResultsStore::query`]. Every optional field is unset by default and
+/// then matches everything; `cores` defaults to every core count. Results
+/// come back in store order (segment load order, then append order), so a
+/// query is deterministic for a given store state.
+#[derive(Debug, Clone)]
+pub struct Query {
+    /// Keep only rows of this label (a workload name for 1-core rows).
     pub label: Option<String>,
     /// Keep only rows of this prefetcher (`"none"` selects baselines).
     pub prefetcher: Option<String>,
-    /// Keep only rows recorded under this run-parameter fingerprint.
+    /// Keep only rows recorded under this run-parameter fingerprint
+    /// (i.e. one experiment scale/configuration at one core count).
     pub params_fingerprint: Option<u64>,
-    /// Keep only rows of this mix fingerprint.
-    pub mix_fingerprint: Option<u64>,
-    /// Keep only rows with this many cores.
-    pub cores: Option<usize>,
+    /// Keep only rows of this mix fingerprint (a trace fingerprint for
+    /// 1-core rows).
+    pub fingerprint: Option<u64>,
+    /// Keep only rows whose core count lies in this range; segments of
+    /// other core counts are skipped unread.
+    pub cores: RangeInclusive<usize>,
     /// Truncate the result to at most this many rows.
     pub limit: Option<usize>,
 }
 
-impl Query for MixQuery {
-    type Record = MixRecord;
+impl Default for Query {
+    fn default() -> Self {
+        Query {
+            label: None,
+            prefetcher: None,
+            params_fingerprint: None,
+            fingerprint: None,
+            cores: ALL_CORES,
+            limit: None,
+        }
+    }
+}
 
-    fn matches(&self, rec: &MixRecord) -> bool {
+impl Query {
+    /// Whether `rec` passes every filter.
+    pub fn matches(&self, rec: &MixRecord) -> bool {
         self.label.as_deref().is_none_or(|l| rec.label == l)
             && self
                 .prefetcher
@@ -112,14 +80,8 @@ impl Query for MixQuery {
             && self
                 .params_fingerprint
                 .is_none_or(|f| rec.params_fingerprint == f)
-            && self
-                .mix_fingerprint
-                .is_none_or(|f| rec.mix_fingerprint == f)
-            && self.cores.is_none_or(|c| rec.cores() == c)
-    }
-
-    fn limit(&self) -> Option<usize> {
-        self.limit
+            && self.fingerprint.is_none_or(|f| rec.mix_fingerprint == f)
+            && self.cores.contains(&rec.cores())
     }
 }
 
@@ -130,80 +92,14 @@ impl Query for MixQuery {
 pub struct CompactStats {
     /// Segment count before compaction.
     pub segments_before: usize,
-    /// Segment count after compaction (≤ one per record kind).
+    /// Segment count after compaction (≤ one per core count).
     pub segments_after: usize,
     /// Distinct single-core rows in the compacted store.
     pub runs: usize,
-    /// Distinct multi-core mix rows in the compacted store.
+    /// Distinct multi-core rows in the compacted store.
     pub mixes: usize,
     /// Duplicate rows (identical keys across segments) dropped.
     pub duplicates_dropped: u64,
-}
-
-/// The per-kind in-memory state of a store. Both items are public but
-/// unnameable outside the crate, which seals [`Record`].
-pub(crate) mod kind {
-    use super::{HashMap, RecordKey, ResultsStore};
-
-    /// One record kind's unflushed rows and persisted counts.
-    #[derive(Debug)]
-    pub struct Table<R> {
-        /// Appended rows not yet flushed, in append order.
-        pub(super) pending: Vec<R>,
-        /// Key → position in `pending`.
-        pub(super) index: HashMap<RecordKey, usize>,
-        /// Distinct persisted keys (recomputed from segment indexes).
-        pub(super) persisted: usize,
-        /// Pending rows whose key is *also* persisted (possible after a
-        /// reload picked up a foreign segment); they count once in `len`.
-        pub(super) shadowed: usize,
-    }
-
-    impl<R> Default for Table<R> {
-        fn default() -> Self {
-            Table {
-                pending: Vec::new(),
-                index: HashMap::new(),
-                persisted: 0,
-                shadowed: 0,
-            }
-        }
-    }
-
-    impl<R> Table<R> {
-        /// Distinct rows of this kind, persisted + pending.
-        pub(super) fn len(&self) -> usize {
-            self.persisted + self.pending.len() - self.shadowed
-        }
-    }
-
-    /// The store's table of this kind.
-    pub trait Sealed: Sized {
-        /// This kind's table in `store`.
-        fn table(store: &ResultsStore) -> &Table<Self>;
-        /// This kind's table in `store`, mutably.
-        fn table_mut(store: &mut ResultsStore) -> &mut Table<Self>;
-    }
-}
-
-use kind::Table;
-
-impl kind::Sealed for RunRecord {
-    fn table(store: &ResultsStore) -> &Table<Self> {
-        &store.runs
-    }
-    fn table_mut(store: &mut ResultsStore) -> &mut Table<Self> {
-        &mut store.runs
-    }
-}
-
-impl kind::Sealed for MixRecord {
-    fn table(store: &ResultsStore) -> &Table<Self> {
-        &store.mixes
-    }
-    fn table_mut(store: &mut ResultsStore) -> &mut Table<Self> {
-        &mut store.mixes
-    }
 }
 
 /// One segment index entry: the FNV key hash of a record and its
@@ -216,11 +112,10 @@ struct IndexEntry {
     index: u64,
 }
 
-/// Hashes an `R` key `(fingerprint, params_fingerprint, prefetcher)` for
-/// the segment index, tagged with the kind's format version.
-fn key_hash<R: Record>((fingerprint, params, prefetcher): (u64, u64, &str)) -> u64 {
+/// Hashes a key `(fingerprint, params_fingerprint, prefetcher)` for the
+/// segment index.
+fn key_hash((fingerprint, params, prefetcher): (u64, u64, &str)) -> u64 {
     let mut hasher = Fnv1a::new();
-    hasher.mix(u64::from(R::VERSION));
     hasher.mix(fingerprint);
     hasher.mix(params);
     hasher.mix(prefetcher.len() as u64);
@@ -236,8 +131,8 @@ fn key_hash<R: Record>((fingerprint, params, prefetcher): (u64, u64, &str)) -> u
 #[derive(Debug)]
 struct Segment {
     path: PathBuf,
-    /// GZR format version (1 = runs, 2 = mixes).
-    version: u16,
+    /// Core count of every row in the segment.
+    cores: usize,
     /// `(key_hash, record_index)` sorted ascending by `(hash, index)`, so
     /// equal hashes probe in record order and the first write wins.
     entries: Vec<IndexEntry>,
@@ -246,19 +141,19 @@ struct Segment {
 
 impl Segment {
     /// A loaded segment holding `records`, its key table built from them.
-    fn new<R: Record>(path: PathBuf, file: File, records: &[R]) -> Segment {
+    fn new(path: PathBuf, file: File, cores: usize, records: &[MixRecord]) -> Segment {
         let mut entries: Vec<IndexEntry> = records
             .iter()
             .enumerate()
             .map(|(index, rec)| IndexEntry {
-                hash: key_hash::<R>(rec.key_parts()),
+                hash: key_hash(rec.key_parts()),
                 index: index as u64,
             })
             .collect();
         entries.sort_unstable_by_key(|e| (e.hash, e.index));
         Segment {
             path,
-            version: R::VERSION,
+            cores,
             entries,
             file,
         }
@@ -287,32 +182,41 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
     }
 }
 
-/// An append-only store of [`RunRecord`]s and [`MixRecord`]s backed by a
-/// directory of GZR segment files.
+/// An append-only store of [`MixRecord`] rows backed by a directory of
+/// GZR segment files.
 ///
 /// * **Durability** — [`flush`](ResultsStore::flush) writes all unpersisted
-///   records as one new segment per kind: the bytes go to a `.tmp-` file
-///   first, are fsynced, and the file is atomically renamed into place. A
-///   crash at any point leaves either the old segment set or the old set
-///   plus complete new segments — never a half-written segment.
-/// * **Dedup** — one record of a kind exists per [`Record::key`].
-///   Re-appending an existing key is a no-op (simulations are
-///   deterministic, so the row content is identical); duplicates across
-///   segments are collapsed by every read path (first segment in load
-///   order wins) and physically dropped by
-///   [`compact`](ResultsStore::compact).
+///   rows as one new segment per core count: the bytes go to a `.tmp-`
+///   file first, are fsynced, and the file is atomically renamed into
+///   place. A crash at any point leaves either the old segment set or the
+///   old set plus complete new segments — never a half-written segment.
+/// * **Dedup** — one row exists per [`MixRecord::key`]. Re-appending an
+///   existing key is a no-op (simulations are deterministic, so the row
+///   content is identical); duplicates across segments are collapsed by
+///   every read path (first segment in load order wins) and physically
+///   dropped by [`compact`](ResultsStore::compact). The params
+///   fingerprint folds the core count, so keys of different core counts
+///   never meet.
 /// * **Index** — opening validates each segment with one full scan and
 ///   keeps only its sorted `(key hash, record index)` table: resident
 ///   memory is bounded by 16 bytes per key, never by payloads. A point
-///   lookup goes pending overlay → binary-searched key table → one
-///   positioned record read. Single-core (v1) and multi-core (v2) records
-///   live in separate segments.
+///   lookup goes pending overlay → binary-searched key table of each
+///   segment of the asked core count → one positioned record read.
 #[derive(Debug)]
 pub struct ResultsStore {
     dir: PathBuf,
     segments: Vec<Segment>,
-    runs: Table<RunRecord>,
-    mixes: Table<MixRecord>,
+    /// Appended rows not yet flushed, in append order.
+    pending: Vec<MixRecord>,
+    /// Key → position in `pending`.
+    index: HashMap<RecordKey, usize>,
+    /// Distinct persisted rows per core count (recomputed from segment
+    /// indexes), indexed by core count.
+    persisted: [usize; GZR_MAX_CORES + 1],
+    /// Keys of pending rows that a segment loaded after their append also
+    /// holds (possible after a reload picked up a foreign segment); they
+    /// count once.
+    shadowed: HashSet<RecordKey>,
     /// Names of every segment file this store has loaded or written.
     /// Segments are immutable and only ever added by writers (compaction
     /// removes them), so comparing this set against the directory listing
@@ -356,9 +260,11 @@ impl ResultsStore {
     /// is decoded exactly once; no payload stays resident.
     ///
     /// Fails if the directory cannot be created/read or if any segment is
-    /// corrupt or truncated — a store that silently dropped a damaged
-    /// segment would quietly re-simulate (or worse, serve partial sweeps),
-    /// so damage is loud.
+    /// corrupt, truncated or of another GZR version — a store that
+    /// silently dropped a damaged segment would quietly re-simulate (or
+    /// worse, serve partial sweeps), and one that served an older
+    /// version's rows could pass pre-fix results off as current, so both
+    /// are loud.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<ResultsStore> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
@@ -367,8 +273,10 @@ impl ResultsStore {
         let mut store = ResultsStore {
             dir,
             segments: Vec::new(),
-            runs: Table::default(),
-            mixes: Table::default(),
+            pending: Vec::new(),
+            index: HashMap::new(),
+            persisted: [0; GZR_MAX_CORES + 1],
+            shadowed: HashSet::new(),
             known_segments: BTreeSet::new(),
             duplicates_base: 0,
             duplicates_runtime: 0,
@@ -392,17 +300,13 @@ impl ResultsStore {
         crate::fault::check_io("gzr.segment.read")?;
         let file = File::open(&path)?;
         let total_len = file.metadata()?.len();
-        let records = read_segment_any(
+        let (cores, records) = read_segment(
             &mut BufReader::new(&file),
             total_len,
             &path.display().to_string(),
         )?;
-        let segment = match records {
-            SegmentRecords::Runs(records) => Segment::new(path, file, &records),
-            SegmentRecords::Mixes(records) => Segment::new(path, file, &records),
-        };
-        self.note_decoded(segment.entries.len() as u64);
-        Ok(segment)
+        self.note_decoded(records.len() as u64);
+        Ok(Segment::new(path, file, cores, &records))
     }
 
     /// Adds a loaded or freshly written segment to the store.
@@ -418,19 +322,31 @@ impl ResultsStore {
         &self.dir
     }
 
-    /// Number of distinct single-core records (persisted + pending).
+    /// Number of distinct rows (persisted + pending) whose core count
+    /// lies in `cores`.
+    fn count(&self, cores: RangeInclusive<usize>) -> usize {
+        let persisted: usize = cores.clone().map(|c| self.persisted[c]).sum();
+        let pending = self
+            .pending
+            .iter()
+            .filter(|r| cores.contains(&r.cores()) && !self.shadowed.contains(&r.key()))
+            .count();
+        persisted + pending
+    }
+
+    /// Number of distinct single-core rows (persisted + pending).
     pub fn len(&self) -> usize {
-        self.runs.len()
+        self.count(1..=1)
     }
 
-    /// Number of distinct multi-core mix records (persisted + pending).
+    /// Number of distinct multi-core rows (persisted + pending).
     pub fn mix_len(&self) -> usize {
-        self.mixes.len()
+        self.count(2..=GZR_MAX_CORES)
     }
 
-    /// Whether the store holds no records of either kind.
+    /// Whether the store holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0 && self.mix_len() == 0
+        self.count(ALL_CORES) == 0
     }
 
     /// Number of segment files currently loaded.
@@ -438,9 +354,9 @@ impl ResultsStore {
         self.segments.len()
     }
 
-    /// Number of appended-but-not-yet-flushed records (both kinds).
+    /// Number of appended-but-not-yet-flushed rows.
     pub fn pending_len(&self) -> usize {
-        self.runs.pending.len() + self.mixes.pending.len()
+        self.pending.len()
     }
 
     /// Number of duplicate rows the store is collapsing: re-appends of
@@ -448,10 +364,7 @@ impl ResultsStore {
     /// (multi-writer overlap, crash-retry leftovers) — the rows
     /// [`compact`](Self::compact) would drop.
     pub fn duplicates_skipped(&self) -> u64 {
-        self.duplicates_base
-            + self.duplicates_runtime
-            + self.runs.shadowed as u64
-            + self.mixes.shadowed as u64
+        self.duplicates_base + self.duplicates_runtime + self.shadowed.len() as u64
     }
 
     /// Number of appends (or cross-segment duplicates) whose key already
@@ -462,11 +375,11 @@ impl ResultsStore {
         self.conflicts_base + self.conflicts_runtime
     }
 
-    /// Number of appends dropped because the record was not encodable
-    /// (over-long/empty names, or a mix with zero or more than
-    /// [`GZR_MAX_CORES`](crate::format::GZR_MAX_CORES) cores) — always
-    /// zero for rows produced by the experiment harness, whose labels are
-    /// truncated to fit and whose core counts are bounded.
+    /// Number of appends dropped because the row was not encodable
+    /// (over-long/empty names, or zero or more than
+    /// [`GZR_MAX_CORES`] cores) — always zero for rows produced by the
+    /// experiment harness, whose labels are truncated to fit and whose
+    /// core counts are bounded.
     pub fn rejected_appends(&self) -> u64 {
         self.rejected_appends
     }
@@ -493,50 +406,63 @@ impl ResultsStore {
         params_fingerprint: u64,
         prefetcher: &str,
     ) -> Option<RunRecord> {
-        self.lookup(trace_fingerprint, params_fingerprint, prefetcher)
+        self.lookup(trace_fingerprint, params_fingerprint, prefetcher, 1..=1)
+            .map(RunRecord::from_row)
     }
 
-    /// The mix row stored under (mix fingerprint, params fingerprint,
-    /// prefetcher); see [`lookup`](Self::lookup).
+    /// The multi-core row stored under (mix fingerprint, params
+    /// fingerprint, prefetcher); see [`lookup`](Self::lookup).
     pub fn get_mix(
         &self,
         mix_fingerprint: u64,
         params_fingerprint: u64,
         prefetcher: &str,
     ) -> Option<MixRecord> {
-        self.lookup(mix_fingerprint, params_fingerprint, prefetcher)
+        self.lookup(
+            mix_fingerprint,
+            params_fingerprint,
+            prefetcher,
+            2..=GZR_MAX_CORES,
+        )
     }
 
-    /// Looks up the `R` row stored under (fingerprint, params
-    /// fingerprint, prefetcher): pending overlay first, then per segment
-    /// a binary-searched key table → one positioned read.
+    /// Looks up the row stored under (fingerprint, params fingerprint,
+    /// prefetcher) whose core count lies in `cores`: pending overlay
+    /// first, then per segment of those core counts a binary-searched key
+    /// table → one positioned read. Segments of other core counts are
+    /// not touched.
     ///
     /// A failing record read is answered fail-open as a miss (a warning +
     /// [`read_errors`](Self::read_errors)): the caller re-simulates and
     /// appends an identical row, which every read path collapses.
-    pub fn lookup<R: Record>(
+    pub fn lookup(
         &self,
         fingerprint: u64,
         params_fingerprint: u64,
         prefetcher: &str,
-    ) -> Option<R> {
-        let table = R::table(self);
+        cores: RangeInclusive<usize>,
+    ) -> Option<MixRecord> {
         // The owned probe key is only built when there are pending rows
         // to probe: a warm store's pending overlay is usually empty.
-        if !table.index.is_empty() {
+        if !self.index.is_empty() {
             let key = (fingerprint, params_fingerprint, prefetcher.to_string());
-            if let Some(&i) = table.index.get(&key) {
-                return Some(table.pending[i].clone());
+            if let Some(&i) = self.index.get(&key) {
+                let rec = &self.pending[i];
+                return cores.contains(&rec.cores()).then(|| rec.clone());
             }
         }
-        self.lookup_persisted((fingerprint, params_fingerprint, prefetcher))
+        self.lookup_persisted((fingerprint, params_fingerprint, prefetcher), cores)
     }
 
-    fn lookup_persisted<R: Record>(&self, key: (u64, u64, &str)) -> Option<R> {
-        let hash = key_hash::<R>(key);
-        for segment in self.segments_of::<R>() {
+    fn lookup_persisted(
+        &self,
+        key: (u64, u64, &str),
+        cores: RangeInclusive<usize>,
+    ) -> Option<MixRecord> {
+        let hash = key_hash(key);
+        for segment in self.segments.iter().filter(|s| cores.contains(&s.cores)) {
             for entry in segment.candidates(hash) {
-                match self.read_at::<R>(segment, entry.index) {
+                match self.read_at(segment, entry.index) {
                     Ok(rec) if rec.key_parts() == key => return Some(rec),
                     Ok(_) => {} // key-hash collision; keep probing
                     Err(err) => self.note_read_error(segment, err),
@@ -544,11 +470,6 @@ impl ResultsStore {
             }
         }
         None
-    }
-
-    /// The loaded segments holding `R` records, in load order.
-    fn segments_of<R: Record>(&self) -> impl Iterator<Item = &Segment> {
-        self.segments.iter().filter(|s| s.version == R::VERSION)
     }
 
     fn note_read_error(&self, segment: &Segment, err: io::Error) {
@@ -569,24 +490,26 @@ impl ResultsStore {
     }
 
     /// Positioned read + decode of one record.
-    fn read_at<R: Record>(&self, segment: &Segment, index: u64) -> io::Result<R> {
+    fn read_at(&self, segment: &Segment, index: u64) -> io::Result<MixRecord> {
         crate::fault::check_io("gzr.segment.pread")?;
         crate::obs::metrics().preads.inc();
-        // Sized for the larger kind, so a point read never allocates.
-        let mut buf = [0u8; GZR_MIX_RECORD_BYTES];
-        let buf = &mut buf[..R::BYTES];
-        let offset = GZR_HEADER_BYTES as u64 + index * R::BYTES as u64;
+        // Sized for the largest row, so a point read never allocates a
+        // buffer.
+        let mut buf = [0u8; record_bytes(GZR_MAX_CORES)];
+        let size = record_bytes(segment.cores);
+        let buf = &mut buf[..size];
+        let offset = GZR_HEADER_BYTES as u64 + index * size as u64;
         read_exact_at(&segment.file, buf, offset)?;
         self.note_decoded(1);
-        R::decode(buf)
+        decode_record(buf)
     }
 
     /// Decodes a whole segment for a query or compaction scan (fresh
     /// handle, so point reads and scans never fight over a cursor).
-    fn scan<R: Record>(&self, segment: &Segment) -> io::Result<Vec<R>> {
+    fn scan(&self, segment: &Segment) -> io::Result<Vec<MixRecord>> {
         crate::fault::check_io("gzr.segment.scan")?;
         let file = File::open(&segment.path)?;
-        let records = read_segment(
+        let (_, records) = read_segment(
             &mut BufReader::new(&file),
             file.metadata()?.len(),
             &segment.path.display().to_string(),
@@ -595,50 +518,77 @@ impl ResultsStore {
         Ok(records)
     }
 
-    /// Appends a record, deduplicating on its key. Returns `true` when the
-    /// record was new; `false` when an identical key already existed (the
-    /// stored row wins and the new one is dropped) or when the record is
-    /// not encodable (over-long/empty names, or a mix with zero or more
-    /// than [`GZR_MAX_CORES`](crate::format::GZR_MAX_CORES) cores; counted
-    /// in [`rejected_appends`](Self::rejected_appends)) — admitting an
-    /// unencodable record would make every later [`flush`](Self::flush)
+    /// Appends a row (a [`RunRecord`] appends as its 1-core row),
+    /// deduplicating on its key. Returns `true` when the row was new;
+    /// `false` when an identical key already existed (the stored row wins
+    /// and the new one is dropped) or when the row is not encodable
+    /// (over-long/empty names, or zero or more than
+    /// [`GZR_MAX_CORES`] cores; counted in
+    /// [`rejected_appends`](Self::rejected_appends)) — admitting an
+    /// unencodable row would make every later [`flush`](Self::flush)
     /// fail, wedging the pending queue forever.
     ///
-    /// The record is only durable after the next [`flush`](Self::flush).
-    pub fn append<R: Record>(&mut self, rec: R) -> bool {
-        if rec.encode().is_err() {
+    /// The row is only durable after the next [`flush`](Self::flush).
+    pub fn append(&mut self, rec: impl Into<MixRecord>) -> bool {
+        let rec = rec.into();
+        if crate::format::encode_record(&rec).is_err() {
             self.rejected_appends += 1;
             return false;
         }
         let key = rec.key();
-        let table = R::table(self);
-        let same = match table.index.get(&key) {
-            Some(&i) => Some(table.pending[i].same_results(&rec)),
+        let existing = match self.index.get(&key) {
+            Some(&i) => Some(self.pending[i].report == rec.report),
             None => self
-                .lookup_persisted::<R>(rec.key_parts())
-                .map(|existing| existing.same_results(&rec)),
+                .lookup_persisted(rec.key_parts(), rec.cores()..=rec.cores())
+                .map(|stored| stored.report == rec.report),
         };
-        if let Some(same) = same {
+        if let Some(same) = existing {
             self.duplicates_runtime += 1;
             if !same {
                 self.conflicts_runtime += 1;
             }
             return false;
         }
-        let table = R::table_mut(self);
-        table.index.insert(key, table.pending.len());
-        table.pending.push(rec);
+        self.index.insert(key, self.pending.len());
+        self.pending.push(rec);
         true
     }
 
-    /// Writes every pending record durably and returns how many records
-    /// were persisted. Pending single-core rows become one new v1 segment
-    /// and pending mix rows one new v2 segment (each: write `.tmp-` file,
-    /// fsync, atomic rename, fsync directory). A no-op returning 0 when
-    /// nothing is pending.
+    /// Writes every pending row durably and returns how many rows were
+    /// persisted: one new segment per core count among them (each: write
+    /// `.tmp-` file, fsync, atomic rename, fsync directory). On a failure
+    /// the rows of that core count and every later one stay pending. A
+    /// no-op returning 0 when nothing is pending.
     pub fn flush(&mut self) -> io::Result<usize> {
         let started = std::time::Instant::now();
-        let written = self.flush_kind::<RunRecord>()? + self.flush_kind::<MixRecord>()?;
+        let mut written = 0;
+        for cores in ALL_CORES {
+            let batch: Vec<MixRecord> = self
+                .pending
+                .iter()
+                .filter(|r| r.cores() == cores)
+                .cloned()
+                .collect();
+            if batch.is_empty() {
+                continue;
+            }
+            let segment = self.persist(cores, &batch)?;
+            self.adopt(segment);
+            self.pending.retain(|r| r.cores() != cores);
+            let shadowed = batch
+                .iter()
+                .filter(|r| self.shadowed.remove(&r.key()))
+                .count();
+            self.persisted[cores] += batch.len() - shadowed;
+            self.duplicates_runtime += shadowed as u64;
+            written += batch.len();
+        }
+        self.index = self
+            .pending
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.key(), i))
+            .collect();
         if written > 0 {
             let us = started.elapsed().as_micros() as u64;
             crate::obs::metrics().flush_duration_us.record(us);
@@ -651,38 +601,22 @@ impl ResultsStore {
         Ok(written)
     }
 
-    /// Persists the pending rows of one kind as one segment; on failure
-    /// they stay pending.
-    fn flush_kind<R: Record>(&mut self) -> io::Result<usize> {
-        let pending = &R::table(self).pending;
-        if pending.is_empty() {
-            return Ok(0);
-        }
-        let segment = self.persist(pending)?;
-        self.adopt(segment);
-        let table = R::table_mut(self);
-        let (written, shadowed) = (table.pending.len(), table.shadowed);
-        table.persisted += written - shadowed;
-        table.shadowed = 0;
-        table.pending.clear();
-        table.index.clear();
-        self.duplicates_runtime += shadowed as u64;
-        Ok(written)
-    }
-
-    /// Writes one batch of a single record kind as a new segment (see
+    /// Writes one batch of `cores`-core rows as a new segment (see
     /// [`write_segment_file`](Self::write_segment_file)) and returns it
-    /// loaded, indexed from the batch itself.
-    fn persist<R: Record>(&self, batch: &[R]) -> io::Result<Segment> {
+    /// loaded, indexed from the batch itself. The segment name's hash
+    /// folds each row's (fingerprint, params fingerprint, core count).
+    fn persist(&self, cores: usize, batch: &[MixRecord]) -> io::Result<Segment> {
         let mut hasher = Fnv1a::new();
         for rec in batch {
-            rec.fold_name(&mut hasher);
+            hasher.mix(rec.mix_fingerprint);
+            hasher.mix(rec.params_fingerprint);
+            hasher.mix(cores as u64);
         }
-        let path = self.write_segment_file(hasher, |mut out| write_segment(&mut out, batch))?;
+        let path =
+            self.write_segment_file(hasher, |mut out| write_segment(&mut out, cores, batch))?;
         let file = File::open(&path)?;
-        Ok(Segment::new(path, file, batch))
+        Ok(Segment::new(path, file, cores, batch))
     }
-
     /// Writes one segment crash-safely: `.tmp-` file, fsync, atomic rename
     /// to an unused `seg-` name, fsync directory. On any failure the tmp
     /// file is removed (best-effort; a leftover is ignored by loads) and
@@ -754,7 +688,7 @@ impl ResultsStore {
         Ok(final_path)
     }
 
-    /// Rewrites the store as at most one segment per record kind,
+    /// Rewrites the store as at most one segment per core count,
     /// physically dropping superseded duplicate rows, then removes the
     /// old segments. Crash-safe in every window: the merged segments are
     /// durable *before* any old segment is unlinked, so a kill anywhere
@@ -765,39 +699,47 @@ impl ResultsStore {
     /// write points).
     ///
     /// Pending rows are flushed first. A store that is already compact
-    /// (at most one segment per kind) returns immediately.
+    /// (at most one segment per core count) returns immediately.
     pub fn compact(&mut self) -> io::Result<CompactStats> {
         self.flush()?;
         let segments_before = self.segments.len();
-        let kinds = [GZR_VERSION, GZR_VERSION_MIX]
-            .iter()
-            .filter(|&&v| self.segments.iter().any(|s| s.version == v))
-            .count();
-        if segments_before <= kinds {
-            // One segment per kind cannot hold duplicates (appends dedup
-            // within a batch), so there is nothing to merge or drop.
+        let core_counts: BTreeSet<usize> = self.segments.iter().map(|s| s.cores).collect();
+        let counts = |rows: &[MixRecord]| {
+            let runs = rows.iter().filter(|r| r.cores() == 1).count();
+            (runs, rows.len() - runs)
+        };
+        if segments_before <= core_counts.len() {
+            // One segment per core count cannot hold duplicates (appends
+            // dedup within a batch), so there is nothing to merge or drop.
             return Ok(CompactStats {
                 segments_before,
                 segments_after: segments_before,
-                runs: self.runs.persisted,
-                mixes: self.mixes.persisted,
+                runs: self.persisted[1],
+                mixes: self.persisted[2..].iter().sum(),
                 duplicates_dropped: 0,
             });
         }
         crate::fault::check_io("gzr.compact.begin")?;
         let started = std::time::Instant::now();
 
-        // Loud full read of both kinds before anything is written.
-        let (runs, run_duplicates) = self.merged::<RunRecord>()?;
-        let (mixes, mix_duplicates) = self.merged::<MixRecord>()?;
-        let duplicates_dropped = run_duplicates + mix_duplicates;
+        // Loud full read of every row before anything is written.
+        let (rows, duplicates_dropped) = self.merged()?;
 
         // Write the merged segments through the ordinary crash-safe path;
         // the old segments stay the readable truth until the rename lands.
         crate::fault::check_io("gzr.compact.write")?;
         let old_paths: Vec<PathBuf> = self.segments.iter().map(|s| s.path.clone()).collect();
-        self.adopt_rows(&runs)?;
-        self.adopt_rows(&mixes)?;
+        for &cores in &core_counts {
+            let batch: Vec<MixRecord> = rows
+                .iter()
+                .filter(|r| r.cores() == cores)
+                .cloned()
+                .collect();
+            if !batch.is_empty() {
+                let segment = self.persist(cores, &batch)?;
+                self.adopt(segment);
+            }
+        }
 
         // Only now unlink the superseded segments. A kill in this loop
         // leaves overlap, never loss.
@@ -829,23 +771,24 @@ impl ResultsStore {
                 ("us", &us),
             ],
         );
+        let (runs, mixes) = counts(&rows);
         Ok(CompactStats {
             segments_before,
             segments_after: self.segments.len(),
-            runs: runs.len(),
-            mixes: mixes.len(),
+            runs,
+            mixes,
             duplicates_dropped,
         })
     }
 
-    /// Every distinct `R` row on disk (first segment in load order wins)
-    /// and the number of duplicate rows left out. A failing read fails.
-    fn merged<R: Record>(&self) -> io::Result<(Vec<R>, u64)> {
+    /// Every distinct row on disk (first segment in load order wins) and
+    /// the number of duplicate rows left out. A failing read fails.
+    fn merged(&self) -> io::Result<(Vec<MixRecord>, u64)> {
         let mut seen: HashSet<RecordKey> = HashSet::new();
         let mut rows = Vec::new();
         let mut duplicates = 0;
-        for segment in self.segments_of::<R>() {
-            for rec in self.scan::<R>(segment)? {
+        for segment in &self.segments {
+            for rec in self.scan(segment)? {
                 if seen.insert(rec.key()) {
                     rows.push(rec);
                 } else {
@@ -854,16 +797,6 @@ impl ResultsStore {
             }
         }
         Ok((rows, duplicates))
-    }
-
-    /// Persists one kind's merged rows as a new segment of this store, if
-    /// there are any.
-    fn adopt_rows<R: Record>(&mut self, rows: &[R]) -> io::Result<()> {
-        if !rows.is_empty() {
-            let segment = self.persist(rows)?;
-            self.adopt(segment);
-        }
-        Ok(())
     }
 
     /// Whether the directory holds segment files this store has not
@@ -881,7 +814,7 @@ impl ResultsStore {
 
     /// Reloads from disk if [`is_stale`](Self::is_stale), so rows written
     /// by concurrent processes become visible; returns whether a reload
-    /// happened. Pending (unflushed) records of *this* store are always
+    /// happened. Pending (unflushed) rows of *this* store are always
     /// kept.
     ///
     /// Segments are immutable, so the common case — new segments appended
@@ -903,10 +836,7 @@ impl ResultsStore {
             // A segment this store loaded is gone: the directory was
             // rebuilt, so the in-memory state cannot be patched — reopen.
             let mut fresh = ResultsStore::open(&self.dir)?;
-            for rec in std::mem::take(&mut self.runs.pending) {
-                fresh.append(rec);
-            }
-            for rec in std::mem::take(&mut self.mixes.pending) {
+            for rec in std::mem::take(&mut self.pending) {
                 fresh.append(rec);
             }
             *self = fresh;
@@ -922,97 +852,86 @@ impl ResultsStore {
             self.adopt(segment);
         }
         self.recount()?;
-        self.reshadow::<RunRecord>();
-        self.reshadow::<MixRecord>();
+        // Pending rows whose key a foreign segment now also holds count
+        // once, and their flush writes a duplicate row that dedup-on-read
+        // collapses (exactly like a crash-retry).
+        self.shadowed = self
+            .pending
+            .iter()
+            .filter(|r| {
+                self.lookup_persisted(r.key_parts(), r.cores()..=r.cores())
+                    .is_some()
+            })
+            .map(MixRecord::key)
+            .collect();
         Ok(true)
     }
 
-    /// Recounts the pending `R` rows whose key a foreign segment now also
-    /// holds: they count once, and their flush writes a duplicate row
-    /// that dedup-on-read collapses (exactly like a crash-retry).
-    fn reshadow<R: Record>(&mut self) {
-        let shadowed = R::table(self)
-            .pending
-            .iter()
-            .filter(|r| self.lookup_persisted::<R>(r.key_parts()).is_some())
-            .count();
-        R::table_mut(self).shadowed = shadowed;
-    }
-
-    /// Recomputes the persisted distinct-row and duplicate/conflict
-    /// counts from the segment indexes.
+    /// Recomputes the persisted distinct-row counts per core count and
+    /// the duplicate/conflict counts from the segment indexes. Payloads
+    /// are only read for keys whose hash appears more than once — a
+    /// duplicate-free store recounts with **zero** record reads.
     fn recount(&mut self) -> io::Result<()> {
-        let (runs, run_dups, run_conflicts) = self.recount_kind::<RunRecord>()?;
-        let (mixes, mix_dups, mix_conflicts) = self.recount_kind::<MixRecord>()?;
-        self.runs.persisted = runs;
-        self.mixes.persisted = mixes;
-        self.duplicates_base = run_dups + mix_dups;
-        self.conflicts_base = run_conflicts + mix_conflicts;
-        Ok(())
-    }
-
-    /// `(distinct, duplicates, conflicts)` over the `R` segments. Payloads
-    /// are only read for keys whose hash appears more than once across
-    /// them — a duplicate-free store recounts with **zero** record reads.
-    fn recount_kind<R: Record>(&self) -> io::Result<(usize, u64, u64)> {
         // (hash, segment position, record index): sorting groups equal
         // hashes and orders each group first-write-first.
         let mut keys: Vec<(u64, usize, u64)> = Vec::new();
-        for (pos, segment) in self
-            .segments
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.version == R::VERSION)
-        {
+        for (pos, segment) in self.segments.iter().enumerate() {
             keys.extend(segment.entries.iter().map(|e| (e.hash, pos, e.index)));
         }
         keys.sort_unstable();
 
-        let mut distinct = 0usize;
+        let mut persisted = [0; GZR_MAX_CORES + 1];
         let mut duplicates = 0u64;
         let mut conflicts = 0u64;
         for group in keys.chunk_by(|a, b| a.0 == b.0) {
-            if group.len() == 1 {
-                distinct += 1;
+            if let [(_, pos, _)] = group {
+                persisted[self.segments[*pos].cores] += 1;
                 continue;
             }
             // Same hash more than once: fetch payloads to tell true
             // duplicates from hash collisions.
-            let mut firsts: Vec<R> = Vec::new();
+            let mut firsts: Vec<MixRecord> = Vec::new();
             for &(_, pos, index) in group {
-                let rec = self.read_at::<R>(&self.segments[pos], index)?;
+                let rec = self.read_at(&self.segments[pos], index)?;
                 match firsts.iter().find(|f| f.key_parts() == rec.key_parts()) {
                     None => {
-                        distinct += 1;
+                        persisted[rec.cores()] += 1;
                         firsts.push(rec);
                     }
                     Some(first) => {
                         duplicates += 1;
-                        if !first.same_results(&rec) {
+                        if first.report != rec.report {
                             conflicts += 1;
                         }
                     }
                 }
             }
         }
-        Ok((distinct, duplicates, conflicts))
+        self.persisted = persisted;
+        self.duplicates_base = duplicates;
+        self.conflicts_base = conflicts;
+        Ok(())
     }
 
-    /// All rows of `query`'s record kind that match it, in deterministic
-    /// store order (segment load order, then pending append order; the
-    /// first copy of a duplicated key wins). This scans segments — prefer
-    /// [`lookup`](Self::lookup) for point lookups. Segments that fail to
-    /// read are skipped fail-open (a warning +
+    /// All rows that match `query`, in deterministic store order (segment
+    /// load order, then pending append order; the first copy of a
+    /// duplicated key wins). This scans the segments of the queried core
+    /// counts — prefer [`lookup`](Self::lookup) for point lookups.
+    /// Segments that fail to read are skipped fail-open (a warning +
     /// [`read_errors`](Self::read_errors)).
-    pub fn query<Q: Query>(&self, query: &Q) -> Vec<Q::Record> {
-        let limit = query.limit().unwrap_or(usize::MAX);
+    pub fn query(&self, query: &Query) -> Vec<MixRecord> {
+        let limit = query.limit.unwrap_or(usize::MAX);
         if limit == 0 {
             return Vec::new();
         }
         let mut out = Vec::new();
         let mut seen: HashSet<RecordKey> = HashSet::new();
-        'segments: for segment in self.segments_of::<Q::Record>() {
-            let records = match self.scan::<Q::Record>(segment) {
+        let segments = self
+            .segments
+            .iter()
+            .filter(|s| query.cores.contains(&s.cores));
+        'segments: for segment in segments {
+            let records = match self.scan(segment) {
                 Ok(records) => records,
                 Err(err) => {
                     self.note_read_error(segment, err);
@@ -1031,32 +950,37 @@ impl ResultsStore {
                 }
             }
         }
-        for rec in &<Q::Record as kind::Sealed>::table(self).pending {
+        for rec in &self.pending {
             if out.len() >= limit {
                 break;
             }
-            if seen.contains(&rec.key()) {
-                continue;
-            }
-            if query.matches(rec) {
+            if !seen.contains(&rec.key()) && query.matches(rec) {
                 out.push(rec.clone());
             }
         }
         out
     }
 
-    /// Every single-core record in the store, in store order. This scans
-    /// every v1 segment — prefer [`get`](Self::get) /
+    /// Every single-core row in the store, in store order. This scans
+    /// every 1-core segment — prefer [`get`](Self::get) /
     /// [`query`](Self::query) on large stores.
     pub fn records(&self) -> Vec<RunRecord> {
-        self.query(&RunQuery::default())
+        let rows = self.query(&Query {
+            cores: 1..=1,
+            ..Query::default()
+        });
+        rows.into_iter().map(RunRecord::from_row).collect()
     }
 
-    /// Every multi-core mix record in the store, in store order. This
-    /// scans every v2 segment — prefer [`get_mix`](Self::get_mix) /
-    /// [`query`](Self::query) on large stores.
+    /// Every multi-core row in the store, in store order. This scans
+    /// every segment of two or more cores — prefer
+    /// [`get_mix`](Self::get_mix) / [`query`](Self::query) on large
+    /// stores.
     pub fn mix_records(&self) -> Vec<MixRecord> {
-        self.query(&MixQuery::default())
+        self.query(&Query {
+            cores: 2..=GZR_MAX_CORES,
+            ..Query::default()
+        })
     }
 }
 
@@ -1078,32 +1002,28 @@ mod tests {
             ..CoreStats::default()
         };
         stats.l1d.demand_accesses = 2_000;
-        let mut baseline = stats;
-        baseline.cycles = cycles * 2;
-        baseline.llc.demand_misses = 100;
         RunRecord {
             trace_fingerprint: fnv(workload),
             params_fingerprint: 42,
             workload: workload.to_string(),
             prefetcher: prefetcher.to_string(),
             stats,
-            baseline,
         }
     }
 
     fn fnv(s: &str) -> u64 {
-        s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-        })
+        let mut hasher = Fnv1a::new();
+        for byte in s.bytes() {
+            hasher.mix(u64::from(byte));
+        }
+        hasher.finish()
     }
 
-    /// The in-memory key hashes keep the values they had when each kind
-    /// had its own hasher (kind tag 1 for runs, 2 for mixes).
+    /// The in-memory key hash of one key, pinned: it indexes every
+    /// segment, whatever its core count.
     #[test]
-    fn key_hashes_are_pinned_per_kind() {
-        let key = (0x1234, 0x5678, "gaze");
-        assert_eq!(key_hash::<RunRecord>(key), 0xcb95_6d1b_83fb_f711);
-        assert_eq!(key_hash::<MixRecord>(key), 0xb5c4_02b6_2f39_3a72);
+    fn key_hashes_are_pinned() {
+        assert_eq!(key_hash((0x1234, 0x5678, "gaze")), 0x9989_f70b_de75_7892);
     }
 
     #[test]
@@ -1187,7 +1107,7 @@ mod tests {
         // the append-path dedup is bypassed to model the crash-retry /
         // concurrent-writer overlap compaction exists to clean up.
         let mut other = ResultsStore::open(&dir).expect("second handle");
-        other.runs.pending.push(record("a", "gaze", 1_000));
+        other.pending.push(record("a", "gaze", 1_000).into());
         other.flush().expect("flush duplicate");
 
         store.reload_if_stale().expect("reload");
@@ -1197,7 +1117,7 @@ mod tests {
 
         let stats = store.compact().expect("compact");
         assert_eq!(stats.segments_before, 4);
-        assert_eq!(stats.segments_after, 2, "one v1 + one v2 segment");
+        assert_eq!(stats.segments_after, 2, "one 1-core + one 2-core segment");
         assert_eq!(stats.runs, 2);
         assert_eq!(stats.mixes, 1);
         assert_eq!(stats.duplicates_dropped, 1);
@@ -1220,6 +1140,7 @@ mod tests {
         let again = store.compact().expect("recompact");
         assert_eq!(again.segments_before, 2);
         assert_eq!(again.segments_after, 2);
+        assert_eq!((again.runs, again.mixes), (2, 1));
         assert_eq!(again.duplicates_dropped, 0);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1294,6 +1215,7 @@ mod tests {
         assert!(!store.append(mix_record("a+b", "gaze", 2, 1)));
         assert_eq!(store.conflicting_appends(), 1);
         store.flush().expect("flush");
+        assert_eq!(store.segment_count(), 2, "one segment per core count");
 
         let reopened = ResultsStore::open(&dir).expect("reopen");
         assert_eq!(reopened.mix_len(), 3);
@@ -1304,18 +1226,36 @@ mod tests {
         assert_eq!(hit.cores(), 2);
         assert_eq!(hit.report.cores[0].cycles, 14_000);
 
-        let four_core = reopened.query(&MixQuery {
-            cores: Some(4),
-            ..MixQuery::default()
+        let four_core = reopened.query(&Query {
+            cores: 4..=4,
+            ..Query::default()
         });
         assert_eq!(four_core.len(), 1);
         assert_eq!(four_core[0].label, "a+b+c+d");
-        let gaze = reopened.query(&MixQuery {
+        let gaze = reopened.query(&Query {
             prefetcher: Some("gaze".into()),
             limit: Some(1),
-            ..MixQuery::default()
+            ..Query::default()
         });
         assert_eq!(gaze.len(), 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A lookup for one core count reads no segment of another: the
+    /// 2-core segment holds the key, the 1-core probe decodes nothing.
+    #[test]
+    fn a_lookup_skips_segments_of_other_core_counts() {
+        let dir = temp_dir("core-skip");
+        let mut store = ResultsStore::open(&dir).expect("open");
+        let mix = mix_record("a+b", "gaze", 2, 9_000);
+        store.append(mix.clone());
+        store.append(record("a", "gaze", 1_000));
+        store.flush().expect("flush");
+        let decoded = store.records_decoded();
+        assert!(store.get(mix.mix_fingerprint, 77, "gaze").is_none());
+        assert_eq!(store.records_decoded(), decoded, "no 2-core read");
+        assert_eq!(store.get_mix(mix.mix_fingerprint, 77, "gaze"), Some(mix));
+        assert_eq!(store.records_decoded(), decoded + 1);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1327,7 +1267,7 @@ mod tests {
         assert!(!store.append(mix_record("too+many", "gaze", 9, 1_000)));
         // A run with an over-long workload name.
         let mut bad = record("x", "gaze", 1_000);
-        bad.workload = "w".repeat(100);
+        bad.workload = "w".repeat(200);
         assert!(!store.append(bad));
         assert_eq!(store.rejected_appends(), 2);
         assert_eq!(store.pending_len(), 0, "rejected rows never go pending");
@@ -1342,16 +1282,18 @@ mod tests {
     }
 
     #[test]
-    fn flush_writes_one_segment_per_record_kind() {
-        let dir = temp_dir("two-kinds");
+    fn flush_writes_one_segment_per_core_count() {
+        let dir = temp_dir("core-counts");
         let mut store = ResultsStore::open(&dir).expect("open");
         store.append(record("a", "gaze", 1_000));
         store.append(mix_record("a+a", "gaze", 2, 2_000));
-        assert_eq!(store.pending_len(), 2);
-        assert_eq!(store.flush().expect("flush"), 2);
-        assert_eq!(store.segment_count(), 2, "one v1 + one v2 segment");
+        store.append(mix_record("a+b", "gaze", 2, 2_500));
+        store.append(mix_record("a+a+a+a", "gaze", 4, 2_000));
+        assert_eq!(store.pending_len(), 4);
+        assert_eq!(store.flush().expect("flush"), 4);
+        assert_eq!(store.segment_count(), 3, "1-, 2- and 4-core segments");
         let reopened = ResultsStore::open(&dir).expect("reopen");
-        assert_eq!((reopened.len(), reopened.mix_len()), (1, 1));
+        assert_eq!((reopened.len(), reopened.mix_len()), (1, 3));
         assert!(!reopened.is_empty());
         fs::remove_dir_all(&dir).ok();
     }
@@ -1413,27 +1355,32 @@ mod tests {
         store.append(record("bwaves_s", "gaze", 1_000));
         store.append(record("bwaves_s", "pmp", 2_000));
         store.append(record("mcf_s", "gaze", 3_000));
+        store.append(mix_record("bwaves_s+mcf_s", "gaze", 2, 3_000));
 
-        let all = store.query(&RunQuery::default());
-        assert_eq!(all.len(), 3);
+        assert_eq!(store.query(&Query::default()).len(), 4);
+        let single = Query {
+            cores: 1..=1,
+            ..Query::default()
+        };
+        assert_eq!(store.query(&single).len(), 3);
 
-        let gaze_only = store.query(&RunQuery {
+        let gaze_only = store.query(&Query {
             prefetcher: Some("gaze".into()),
-            ..RunQuery::default()
+            ..single.clone()
         });
         assert_eq!(gaze_only.len(), 2);
 
-        let one_workload = store.query(&RunQuery {
-            workload: Some("bwaves_s".into()),
+        let one_workload = store.query(&Query {
+            label: Some("bwaves_s".into()),
             limit: Some(1),
-            ..RunQuery::default()
+            ..single.clone()
         });
         assert_eq!(one_workload.len(), 1);
         assert_eq!(one_workload[0].prefetcher, "gaze");
 
-        let wrong_scale = store.query(&RunQuery {
+        let wrong_scale = store.query(&Query {
             params_fingerprint: Some(999),
-            ..RunQuery::default()
+            ..Query::default()
         });
         assert!(wrong_scale.is_empty());
         fs::remove_dir_all(&dir).ok();

@@ -9,7 +9,7 @@ use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use results_store::{fault, MixRecord, Record, ResultsStore, RunRecord};
+use results_store::{fault, MixRecord, RecordKey, ResultsStore, RunRecord};
 use sim_core::stats::{CoreStats, SimReport};
 
 /// Every failpoint a compaction can cross, in execution order: the
@@ -56,16 +56,17 @@ fn run(workload: &str, prefetcher: &str) -> RunRecord {
         cycles: 4_000 + fp % 997,
         ..CoreStats::default()
     };
-    let mut baseline = stats;
-    baseline.cycles *= 2;
     RunRecord {
         trace_fingerprint: fp,
         params_fingerprint: 42,
         workload: workload.to_string(),
         prefetcher: prefetcher.to_string(),
         stats,
-        baseline,
     }
+}
+
+fn run_key(run: &RunRecord) -> RecordKey {
+    MixRecord::from(run.clone()).key()
 }
 
 fn mix(label: &str) -> MixRecord {
@@ -94,13 +95,13 @@ fn canonical_runs() -> Vec<RunRecord> {
         run("bwaves", "gaze"),
         run("mcf", "pmp"),
     ];
-    rows.sort_by_key(|r| r.key());
+    rows.sort_by_key(run_key);
     rows
 }
 
 fn canonical_mixes() -> Vec<MixRecord> {
     let mut rows = vec![mix("astar+mcf"), mix("bwaves+lbm"), mix("mcf+omnetpp")];
-    rows.sort_by_key(|r| r.key());
+    rows.sort_by_key(MixRecord::key);
     rows
 }
 
@@ -138,12 +139,12 @@ fn assert_canonical(dir: &PathBuf, context: &str) -> ResultsStore {
         Err(e) => panic!("{context}: store failed to reopen: {e}"),
     };
     let mut runs = store.records();
-    runs.sort_by_key(|r| r.key());
+    runs.sort_by_key(run_key);
     assert_eq!(runs, canonical_runs(), "{context}: run rows");
     let mut mixes = store.mix_records();
-    mixes.sort_by_key(|r| r.key());
+    mixes.sort_by_key(MixRecord::key);
     assert_eq!(mixes, canonical_mixes(), "{context}: mix rows");
-    let keys: HashSet<_> = runs.iter().map(RunRecord::key).collect();
+    let keys: HashSet<_> = runs.iter().map(run_key).collect();
     assert_eq!(keys.len(), runs.len(), "{context}: duplicate run keys");
     assert_eq!((store.len(), store.mix_len()), (3, 3), "{context}: counts");
     assert_eq!(store.read_errors(), 0, "{context}: read errors");

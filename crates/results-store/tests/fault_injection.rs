@@ -20,6 +20,7 @@ use std::path::PathBuf;
 
 use results_store::fault::{self, FaultKind};
 use results_store::{MixRecord, ResultsStore, RunRecord};
+use sim_core::params::Fnv1a;
 use sim_core::stats::{CoreStats, SimReport};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -29,9 +30,11 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn fnv(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-    })
+    let mut hasher = Fnv1a::new();
+    for b in s.bytes() {
+        hasher.mix(u64::from(b));
+    }
+    hasher.finish()
 }
 
 fn record(workload: &str, prefetcher: &str, cycles: u64) -> RunRecord {
@@ -40,15 +43,12 @@ fn record(workload: &str, prefetcher: &str, cycles: u64) -> RunRecord {
         cycles,
         ..CoreStats::default()
     };
-    let mut baseline = stats;
-    baseline.cycles = cycles * 2;
     RunRecord {
         trace_fingerprint: fnv(workload),
         params_fingerprint: 42,
         workload: workload.to_string(),
         prefetcher: prefetcher.to_string(),
         stats,
-        baseline,
     }
 }
 
@@ -70,7 +70,7 @@ fn mix_record(label: &str, prefetcher: &str, cores: usize, cycles: u64) -> MixRe
     }
 }
 
-/// Appends the standard two-kind batch (3 v1 rows + 2 v2 rows), so a
+/// Appends the standard batch (3 1-core rows + 2 2-core rows), so a
 /// flush writes two segments and hits every failpoint at least twice.
 fn seed_pending(store: &mut ResultsStore) {
     for (w, p) in [("bwaves_s", "gaze"), ("bwaves_s", "pmp"), ("mcf_s", "gaze")] {
@@ -122,8 +122,8 @@ fn every_single_fault_in_a_two_segment_flush_recovers() {
     let mut cases_fired = 0usize;
     for point in FLUSH_POINTS {
         for kind in KINDS {
-            // The two-segment flush passes each point up to twice (v1
-            // then v2 segment); the write point can see more hits. Probe
+            // The two-segment flush passes each point up to twice (1-core
+            // then 2-core segment); the write point can see more hits. Probe
             // hit indices until one stops firing.
             for hit in 0..4 {
                 let tag = format!("{point}-{}-{hit}", kind_name(kind));
@@ -176,12 +176,12 @@ fn every_single_fault_in_a_two_segment_flush_recovers() {
                 let after_crash = reopen_clean(&dir, &tag);
                 assert!(
                     after_crash.is_empty() || after_crash.len() == 3,
-                    "{tag}: partial v1 segment visible ({} rows)",
+                    "{tag}: partial 1-core segment visible ({} rows)",
                     after_crash.len()
                 );
                 assert!(
                     after_crash.mix_len() == 0 || after_crash.mix_len() == 2,
-                    "{tag}: partial v2 segment visible ({} rows)",
+                    "{tag}: partial 2-core segment visible ({} rows)",
                     after_crash.mix_len()
                 );
 
@@ -321,7 +321,7 @@ fn post_rename_fault_duplicates_are_collapsed_on_reopen() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Deterministic LCG over u64 (same constants as the v2 property tests).
+/// Deterministic LCG over u64 (same constants as the row property tests).
 struct Lcg(u64);
 
 impl Lcg {
@@ -339,8 +339,8 @@ impl Lcg {
 }
 
 /// Randomized kill-mid-flush schedules: every round appends fresh rows
-/// of both kinds, injects one random fault (point × kind × hit) into the
-/// multi-segment flush, then simulates a process restart — reopen from
+/// of both core counts, injects one random fault (point × kind × hit)
+/// into the multi-segment flush, then simulates a process restart — reopen from
 /// disk only — and re-flushes. The reopened store must never expose a
 /// torn record, and by the end every row ever appended is present.
 #[test]
@@ -364,7 +364,8 @@ fn lcg_kill_mid_flush_schedules_always_recover() {
         }
         for i in 0..(1 + rng.pick(2)) {
             let label = format!("mix-{round}-{i}");
-            let cores = 1 + rng.pick(4);
+            // Two to five cores: 1-core rows are the single-core ones.
+            let cores = 2 + rng.pick(4);
             let cycles = 2_000 + rng.pick(9_000) as u64;
             store.append(mix_record(&label, "gaze", cores, cycles));
             expected_mixes.push((label, cores, cycles));

@@ -1,5 +1,5 @@
 //! Byte pin of the GZR format: every committed fixture segment
-//! (`tests/fixtures/gzr-store`, both record kinds) decodes and re-encodes
+//! (`tests/fixtures/gzr-store`, 1-core and multi-core) decodes and re-encodes
 //! to exactly the bytes on disk, through the segment writer and through a
 //! store's flush, and the flushed segment's name folds the documented
 //! fields.
@@ -7,8 +7,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use results_store::format::{read_segment_any, write_segment};
-use results_store::{ResultsStore, SegmentRecords};
+use results_store::format::{read_segment, write_segment};
+use results_store::{MixRecord, ResultsStore};
 use sim_core::params::Fnv1a;
 
 fn fixture_segments() -> Vec<PathBuf> {
@@ -22,72 +22,55 @@ fn fixture_segments() -> Vec<PathBuf> {
     paths
 }
 
-fn decode(bytes: &[u8], context: &str) -> SegmentRecords {
-    read_segment_any(&mut &bytes[..], bytes.len() as u64, context).expect("fixture decodes")
+fn decode(bytes: &[u8], context: &str) -> (usize, Vec<MixRecord>) {
+    read_segment(&mut &bytes[..], bytes.len() as u64, context).expect("fixture decodes")
 }
 
-fn encode(records: &SegmentRecords) -> Vec<u8> {
+fn encode(cores: usize, records: &[MixRecord]) -> Vec<u8> {
     let mut out = Vec::new();
-    match records {
-        SegmentRecords::Runs(r) => write_segment(&mut out, r),
-        SegmentRecords::Mixes(r) => write_segment(&mut out, r),
-    }
-    .expect("fixture re-encodes");
+    write_segment(&mut out, cores, records).expect("fixture re-encodes");
     out
 }
 
 #[test]
 fn fixture_segments_reencode_byte_identically() {
-    let (mut runs, mut mixes) = (0, 0);
+    let mut core_counts = Vec::new();
     for path in fixture_segments() {
         let bytes = fs::read(&path).expect("read fixture");
-        let records = decode(&bytes, &path.display().to_string());
-        match &records {
-            SegmentRecords::Runs(r) => runs += r.len(),
-            SegmentRecords::Mixes(r) => mixes += r.len(),
-        }
-        assert!(encode(&records) == bytes, "{}", path.display());
+        let (cores, records) = decode(&bytes, &path.display().to_string());
+        core_counts.push(cores);
+        assert!(encode(cores, &records) == bytes, "{}", path.display());
     }
-    assert!(runs > 0 && mixes > 0, "fixtures cover both kinds");
+    assert!(
+        core_counts.contains(&1) && core_counts.iter().any(|&c| c > 1),
+        "fixtures cover 1-core and multi-core rows: {core_counts:?}"
+    );
 }
 
 /// Appending a fixture's rows to an empty store and flushing writes the
 /// fixture's bytes again, under a name whose hash folds, per record,
-/// `(trace fp, params fp, cycles)` for runs or `(mix fp, params fp,
-/// cores)` for mixes, then the writer's pid and nonce.
+/// `(mix fp, params fp, cores)`, then the writer's pid and nonce.
 #[test]
 fn store_flush_writes_fixture_bytes_under_the_documented_name_hash() {
     for (n, path) in fixture_segments().into_iter().enumerate() {
         let bytes = fs::read(&path).expect("read fixture");
-        let records = decode(&bytes, &path.display().to_string());
+        let (cores, records) = decode(&bytes, &path.display().to_string());
         let dir = std::env::temp_dir().join(format!("gzr-bytes-{}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let mut store = ResultsStore::open(&dir).expect("open");
         let mut hasher = Fnv1a::new();
-        match &records {
-            SegmentRecords::Runs(r) => {
-                for rec in r {
-                    assert!(store.append(rec.clone()));
-                    hasher.mix(rec.trace_fingerprint);
-                    hasher.mix(rec.params_fingerprint);
-                    hasher.mix(rec.stats.cycles);
-                }
-            }
-            SegmentRecords::Mixes(r) => {
-                for rec in r {
-                    assert!(store.append(rec.clone()));
-                    hasher.mix(rec.mix_fingerprint);
-                    hasher.mix(rec.params_fingerprint);
-                    hasher.mix(rec.cores() as u64);
-                }
-            }
+        for rec in records {
+            hasher.mix(rec.mix_fingerprint);
+            hasher.mix(rec.params_fingerprint);
+            hasher.mix(cores as u64);
+            assert!(store.append(rec));
         }
         store.flush().expect("flush");
         let written: Vec<PathBuf> = fs::read_dir(&dir)
             .expect("store dir")
             .map(|e| e.expect("dir entry").path())
             .collect();
-        assert_eq!(written.len(), 1, "one segment per kind");
+        assert_eq!(written.len(), 1, "one segment per core count");
         assert!(
             fs::read(&written[0]).expect("read") == bytes,
             "{}",

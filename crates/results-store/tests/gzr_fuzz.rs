@@ -1,7 +1,8 @@
-//! GZR input boundary: LCG-driven mutations of one valid segment of each
-//! record kind — byte flips, truncation, extension and header rewrites
-//! (version 1↔2, `record_size`, `record_count`, reserved bytes). Both
-//! `read_segment_any` and `ResultsStore::open` on a directory holding the
+//! GZR input boundary: LCG-driven mutations of valid segments of 1, 2
+//! and 8 cores — byte flips, truncation, extension and header rewrites
+//! (older and unknown versions, `record_size`, `record_count`, reserved
+//! bytes, another core count). Both `read_segment` and
+//! `ResultsStore::open` on a directory holding the
 //! mutated file must answer `Ok` or an `InvalidData` error: no panic, no
 //! other error kind, and no single allocation larger than the file plus
 //! a fixed allowance for buffers (a header's record count must never size
@@ -14,8 +15,8 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use results_store::format::{read_segment_any, write_segment, GZR_HEADER_BYTES};
-use results_store::{MixRecord, ResultsStore, RunRecord};
+use results_store::format::{read_segment, record_bytes, write_segment, GZR_HEADER_BYTES};
+use results_store::{MixRecord, ResultsStore};
 use sim_core::stats::{CoreStats, SimReport};
 
 /// Allocator that records the largest single request made by a thread
@@ -102,37 +103,32 @@ fn stats(seed: u64) -> CoreStats {
     s
 }
 
-fn run_segment() -> Vec<u8> {
-    let records: Vec<RunRecord> = (0..3)
-        .map(|i| RunRecord {
-            trace_fingerprint: 0x1000 + i,
-            params_fingerprint: 42,
-            workload: format!("workload-{i}"),
+/// A valid segment of three `cores`-core rows.
+fn valid_segment(cores: usize) -> Vec<u8> {
+    let records: Vec<MixRecord> = (0..3)
+        .map(|i| MixRecord {
+            mix_fingerprint: 0x1000 + i,
+            params_fingerprint: 42 + cores as u64,
             prefetcher: "gaze".to_string(),
-            stats: stats(i),
-            baseline: stats(i + 7),
-        })
-        .collect();
-    let mut bytes = Vec::new();
-    write_segment(&mut bytes, &records).expect("valid runs encode");
-    bytes
-}
-
-fn mix_segment() -> Vec<u8> {
-    let records: Vec<MixRecord> = (1..=2)
-        .map(|cores| MixRecord {
-            mix_fingerprint: 0x2000 + cores,
-            params_fingerprint: 43,
-            prefetcher: "gaze".to_string(),
-            label: format!("mix-{cores}"),
+            label: format!("mix-{cores}-{i}"),
             report: SimReport {
-                cores: (0..cores).map(stats).collect(),
+                cores: (0..cores as u64).map(|c| stats(i * 8 + c)).collect(),
             },
         })
         .collect();
     let mut bytes = Vec::new();
-    write_segment(&mut bytes, &records).expect("valid mixes encode");
+    write_segment(&mut bytes, cores, &records).expect("valid rows encode");
     bytes
+}
+
+/// The record size of a core count other than `size`'s.
+fn other_size(size: u16, rng: &mut Lcg) -> u16 {
+    loop {
+        let other = record_bytes(1 + rng.below(8)) as u16;
+        if other != size {
+            return other;
+        }
+    }
 }
 
 fn put_u16(buf: &mut [u8], at: usize, v: u16) {
@@ -168,12 +164,18 @@ fn mutate(base: &[u8], rng: &mut Lcg) -> (Vec<u8>, String) {
             format!("extended by {extra}")
         }
         3 => {
-            let version = [1, 2, 0, 3, rng.next() as u16][rng.below(5)];
+            let version = [1, 2, 0, 4, rng.next() as u16][rng.below(5)];
             put_u16(&mut bytes, 4, version);
             format!("version {version}")
         }
         4 => {
-            let size = [528, 1864, 0, u16::MAX, rng.next() as u16][rng.below(5)];
+            let size = [
+                other_size(record_size, rng),
+                record_size + 1,
+                0,
+                u16::MAX,
+                rng.next() as u16,
+            ][rng.below(5)];
             put_u16(&mut bytes, 6, size);
             format!("record_size {size}")
         }
@@ -192,18 +194,17 @@ fn mutate(base: &[u8], rng: &mut Lcg) -> (Vec<u8>, String) {
             format!("record_count {claimed}")
         }
         _ => {
-            // The other kind's version, with a record size and count made
-            // consistent with each other, and dirty reserved bytes half
-            // the time.
-            let (version, size) = if base[4] == 1 { (2, 1864) } else { (1, 528) };
-            put_u16(&mut bytes, 4, version);
+            // Another core count's record size, with the record count
+            // made consistent with it, and dirty reserved bytes half the
+            // time.
+            let size = other_size(record_size, rng);
             put_u16(&mut bytes, 6, size);
             let count = (bytes.len() - GZR_HEADER_BYTES) / usize::from(size);
             put_u64(&mut bytes, 8, count as u64);
             if rng.below(2) == 0 {
                 bytes[16 + rng.below(16)] = 1 + rng.below(255) as u8;
             }
-            format!("rewritten as v{version} x{count}")
+            format!("rewritten as record_size {size} x{count}")
         }
     };
     (bytes, what)
@@ -234,15 +235,16 @@ fn mutated_segments_are_accepted_or_rejected_as_invalid_data() {
     let segment = dir.join("seg-00000000-fuzz.gzr");
     let mut rng = Lcg(0x5eed_9a2e);
     let (mut accepted, mut rejected) = (0, 0);
-    for (kind, base) in [("runs", run_segment()), ("mixes", mix_segment())] {
+    for cores in [1, 2, 8] {
+        let base = valid_segment(cores);
         for case in 0..400 {
             let (bytes, what) = mutate(&base, &mut rng);
-            let context = format!("{kind} case {case} ({what})");
+            let context = format!("{cores}-core case {case} ({what})");
             fs::write(&segment, &bytes).expect("write mutated segment");
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let mut decoded = None;
                 let largest = largest_allocation(|| {
-                    let result = read_segment_any(&mut &bytes[..], bytes.len() as u64, "fuzz");
+                    let result = read_segment(&mut &bytes[..], bytes.len() as u64, "fuzz");
                     decoded = Some(result.is_ok());
                     assert_ok_or_invalid(result, &context);
                     let opened = ResultsStore::open(&dir);

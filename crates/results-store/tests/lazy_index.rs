@@ -2,10 +2,10 @@
 //!
 //! A store served through per-segment sorted key tables and positioned
 //! record reads must be *indistinguishable* from one that materializes
-//! every record: the LCG property drives randomized v1+v2 stores and
-//! checks every `get`/`get_mix`, every randomized `RunQuery`/`MixQuery`,
-//! and the full record listings bit-identically against a fully-resident
-//! reference model.
+//! every record: the LCG property drives randomized stores of rows of 1 to
+//! 4 cores and checks every `get`/`get_mix`/`lookup`, every randomized
+//! `Query`, and the full record listings bit-identically against a
+//! fully-resident reference model.
 //!
 //! The tests at the bottom pin the cost model: an open decodes each
 //! persisted record exactly once, a point lookup decodes exactly the one
@@ -16,10 +16,10 @@ use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use results_store::{MixQuery, MixRecord, Query, ResultsStore, RunQuery, RunRecord};
+use results_store::{MixRecord, Query, ResultsStore, RunRecord};
 use sim_core::stats::{CacheStats, CoreStats, PrefetchStats, SimReport};
 
-/// Deterministic u64 stream (same LCG idiom as the v2 property tests).
+/// Deterministic u64 stream (same LCG idiom as the row property tests).
 struct Lcg(u64);
 
 impl Lcg {
@@ -74,19 +74,16 @@ fn random_run(rng: &mut Lcg) -> RunRecord {
         },
         ..CoreStats::default()
     };
-    let mut baseline = stats;
-    baseline.cycles *= 2;
     RunRecord {
         trace_fingerprint: 0xAAAA_0000 + w as u64,
         params_fingerprint: params,
         workload: format!("wl-{w:02}"),
         prefetcher: prefetcher.to_string(),
         stats,
-        baseline,
     }
 }
 
-/// A mix record from the same small key space.
+/// A row of 1 to 4 cores from the same small key space.
 fn random_mix(rng: &mut Lcg) -> MixRecord {
     let m = rng.pick(WORKLOADS / 2);
     let prefetcher = PREFETCHERS[rng.pick(PREFETCHERS.len())];
@@ -110,132 +107,147 @@ fn random_mix(rng: &mut Lcg) -> MixRecord {
 }
 
 /// The fully-resident reference: every row the store kept, in store
-/// order, filtered in plain memory.
+/// order, filtered in plain memory, and the segment count its flushes
+/// wrote.
 struct Reference {
-    runs: Vec<RunRecord>,
-    mixes: Vec<MixRecord>,
+    rows: Vec<MixRecord>,
+    segments: usize,
 }
 
 impl Reference {
-    fn query(&self, q: &RunQuery) -> Vec<RunRecord> {
-        let rows = self.runs.iter().filter(|r| q.matches(r)).cloned();
+    fn query(&self, q: &Query) -> Vec<MixRecord> {
+        let rows = self.rows.iter().filter(|r| q.matches(r)).cloned();
         match q.limit {
             Some(n) => rows.take(n).collect(),
             None => rows.collect(),
         }
     }
 
-    fn query_mixes(&self, q: &MixQuery) -> Vec<MixRecord> {
-        let rows = self.mixes.iter().filter(|r| q.matches(r)).cloned();
-        match q.limit {
-            Some(n) => rows.take(n).collect(),
-            None => rows.collect(),
-        }
+    /// The single-core view of every 1-core row.
+    fn runs(&self) -> Vec<RunRecord> {
+        self.rows
+            .iter()
+            .filter(|r| r.cores() == 1)
+            .map(|r| RunRecord {
+                trace_fingerprint: r.mix_fingerprint,
+                params_fingerprint: r.params_fingerprint,
+                workload: r.label.clone(),
+                prefetcher: r.prefetcher.clone(),
+                stats: r.report.cores[0],
+            })
+            .collect()
+    }
+
+    fn mixes(&self) -> Vec<MixRecord> {
+        self.rows
+            .iter()
+            .filter(|r| r.cores() > 1)
+            .cloned()
+            .collect()
     }
 }
 
-/// Builds a multi-segment store of both kinds under `dir` and the
-/// matching reference model (only rows `append` kept, in append order —
-/// which is store order for a single writer).
+/// Builds a multi-segment store under `dir` and the matching reference
+/// model (only rows `append` kept; each flush writes one segment per
+/// core count, in core-count order, so that is the store order).
 fn build_store(dir: &Path, seed: u64, rounds: usize) -> Reference {
     let mut rng = Lcg::new(seed);
     let mut reference = Reference {
-        runs: Vec::new(),
-        mixes: Vec::new(),
+        rows: Vec::new(),
+        segments: 0,
     };
     let mut store = ResultsStore::open(dir).expect("open");
     for _ in 0..rounds {
+        let mut round: Vec<MixRecord> = Vec::new();
         for _ in 0..12 {
             let rec = random_run(&mut rng);
             if store.append(rec.clone()) {
-                reference.runs.push(rec);
+                round.push(rec.into());
             }
         }
         for _ in 0..8 {
             let rec = random_mix(&mut rng);
             if store.append(rec.clone()) {
-                reference.mixes.push(rec);
+                round.push(rec);
             }
         }
         store.flush().expect("flush");
+        round.sort_by_key(MixRecord::cores);
+        let cores: HashSet<usize> = round.iter().map(MixRecord::cores).collect();
+        reference.segments += cores.len();
+        reference.rows.extend(round);
     }
     reference
 }
 
 /// A random query over the same value pools the generator draws from
 /// (so filters sometimes hit, sometimes miss).
-fn random_run_query(rng: &mut Lcg) -> RunQuery {
-    RunQuery {
-        workload: rng
-            .chance(2)
-            .then(|| format!("wl-{:02}", rng.pick(WORKLOADS + 2))),
+fn random_query(rng: &mut Lcg) -> Query {
+    let (label, fingerprint) = if rng.chance(2) {
+        (
+            format!("wl-{:02}", rng.pick(WORKLOADS + 2)),
+            0xAAAA_0000 + rng.pick(WORKLOADS + 2) as u64,
+        )
+    } else {
+        (
+            format!("mix-{:02}", rng.pick(WORKLOADS / 2 + 2)),
+            0xBBBB_0000 + rng.pick(WORKLOADS / 2 + 2) as u64,
+        )
+    };
+    let low = 1 + rng.pick(4);
+    let cores = if rng.chance(3) {
+        low..=low + rng.pick(3)
+    } else {
+        1..=8
+    };
+    Query {
+        label: rng.chance(2).then_some(label),
         prefetcher: rng
             .chance(2)
             .then(|| PREFETCHERS[rng.pick(PREFETCHERS.len())].to_string()),
         params_fingerprint: rng.chance(2).then(|| 40 + rng.pick(5) as u64),
-        trace_fingerprint: rng
-            .chance(3)
-            .then(|| 0xAAAA_0000 + rng.pick(WORKLOADS + 2) as u64),
+        fingerprint: rng.chance(3).then_some(fingerprint),
+        cores,
         limit: rng.chance(3).then(|| rng.pick(10)),
-    }
-}
-
-fn random_mix_query(rng: &mut Lcg) -> MixQuery {
-    MixQuery {
-        label: rng
-            .chance(2)
-            .then(|| format!("mix-{:02}", rng.pick(WORKLOADS / 2 + 2))),
-        prefetcher: rng
-            .chance(2)
-            .then(|| PREFETCHERS[rng.pick(PREFETCHERS.len())].to_string()),
-        params_fingerprint: rng.chance(2).then(|| 40 + rng.pick(5) as u64),
-        mix_fingerprint: rng
-            .chance(3)
-            .then(|| 0xBBBB_0000 + rng.pick(WORKLOADS / 2 + 2) as u64),
-        cores: rng.chance(3).then(|| 1 + rng.pick(4)),
-        limit: rng.chance(3).then(|| rng.pick(8)),
     }
 }
 
 /// Every surface of `store` answers bit-identically to the reference.
 fn assert_store_matches(store: &ResultsStore, reference: &Reference, seed: u64, context: &str) {
-    assert_eq!(
-        store.records(),
-        reference.runs.as_slice(),
-        "{context}: full run listing"
-    );
+    assert_eq!(store.records(), reference.runs(), "{context}: run listing");
     assert_eq!(
         store.mix_records(),
-        reference.mixes.as_slice(),
-        "{context}: full mix listing"
+        reference.mixes(),
+        "{context}: mix listing"
     );
-    for rec in &reference.runs {
+    for rec in &reference.rows {
+        let cores = rec.cores();
         let hit = store
-            .get(
-                rec.trace_fingerprint,
+            .lookup(
+                rec.mix_fingerprint,
                 rec.params_fingerprint,
                 &rec.prefetcher,
+                cores..=cores,
             )
-            .unwrap_or_else(|| panic!("{context}: missing {}/{}", rec.workload, rec.prefetcher));
-        assert_eq!(&hit, rec, "{context}: run payload");
-    }
-    for rec in &reference.mixes {
-        let hit = store
-            .get_mix(rec.mix_fingerprint, rec.params_fingerprint, &rec.prefetcher)
             .unwrap_or_else(|| panic!("{context}: missing {}/{}", rec.label, rec.prefetcher));
-        assert_eq!(&hit, rec, "{context}: mix payload");
+        assert_eq!(&hit, rec, "{context}: row payload");
+        let (fp, params, pf) = (rec.mix_fingerprint, rec.params_fingerprint, &rec.prefetcher);
+        assert_eq!(store.get(fp, params, pf).is_some(), cores == 1, "{context}");
+        assert_eq!(store.get_mix(fp, params, pf).is_some(), cores > 1, "{context}");
+    }
+    for rec in reference.runs() {
+        let hit = store.get(
+            rec.trace_fingerprint,
+            rec.params_fingerprint,
+            &rec.prefetcher,
+        );
+        assert_eq!(hit, Some(rec), "{context}: run view");
     }
     // Absent keys miss through the key table, never a wrong row.
-    let run_keys: HashSet<(u64, u64, &str)> = reference
-        .runs
+    let keys: HashSet<(u64, u64, &str)> = reference
+        .rows
         .iter()
-        .map(|r| {
-            (
-                r.trace_fingerprint,
-                r.params_fingerprint,
-                r.prefetcher.as_str(),
-            )
-        })
+        .map(|r| (r.mix_fingerprint, r.params_fingerprint, r.prefetcher.as_str()))
         .collect();
     let mut rng = Lcg::new(seed ^ 0x5eed);
     for _ in 0..200 {
@@ -245,26 +257,20 @@ fn assert_store_matches(store: &ResultsStore, reference: &Reference, seed: u64, 
             probe.params_fingerprint,
             probe.prefetcher.clone(),
         );
-        assert!(!run_keys.contains(&(key.0, key.1, key.2.as_str())));
+        assert!(!keys.contains(&(key.0, key.1, key.2.as_str())));
         assert!(
-            store.get(key.0, key.1, &key.2).is_none(),
+            store.lookup(key.0, key.1, &key.2, 1..=8).is_none(),
             "{context}: phantom hit for absent key"
         );
     }
     // Randomized typed queries, including limits.
     let mut rng = Lcg::new(seed ^ 0x51);
-    for i in 0..120 {
-        let q = random_run_query(&mut rng);
+    for i in 0..240 {
+        let q = random_query(&mut rng);
         assert_eq!(
             store.query(&q),
             reference.query(&q),
-            "{context}: run query #{i} {q:?}"
-        );
-        let q = random_mix_query(&mut rng);
-        assert_eq!(
-            store.query(&q),
-            reference.query_mixes(&q),
-            "{context}: mix query #{i} {q:?}"
+            "{context}: query #{i} {q:?}"
         );
     }
 }
@@ -291,28 +297,28 @@ fn open_decodes_each_record_once_and_lookups_one() {
     let seed = 50u64;
     let dir = temp_dir("decode-once");
     let reference = build_store(&dir, seed, 6);
-    let persisted = (reference.runs.len() + reference.mixes.len()) as u64;
+    let persisted = reference.rows.len() as u64;
 
     let store = ResultsStore::open(&dir).expect("reopen");
-    assert_eq!(store.segment_count(), 12, "one segment per kind per round");
+    assert_eq!(
+        store.segment_count(),
+        reference.segments,
+        "one segment per core count per round"
+    );
     assert_eq!(store.records_decoded(), persisted, "one decode per record");
 
     let mut decoded = persisted;
-    for rec in &reference.runs {
-        let hit = store.get(
-            rec.trace_fingerprint,
+    for rec in &reference.rows {
+        let cores = rec.cores();
+        let hit = store.lookup(
+            rec.mix_fingerprint,
             rec.params_fingerprint,
             &rec.prefetcher,
+            cores..=cores,
         );
         assert_eq!(hit.as_ref(), Some(rec));
         decoded += 1;
-        assert_eq!(store.records_decoded(), decoded, "one decode per run get");
-    }
-    for rec in &reference.mixes {
-        let hit = store.get_mix(rec.mix_fingerprint, rec.params_fingerprint, &rec.prefetcher);
-        assert_eq!(hit.as_ref(), Some(rec));
-        decoded += 1;
-        assert_eq!(store.records_decoded(), decoded, "one decode per mix get");
+        assert_eq!(store.records_decoded(), decoded, "one decode per lookup");
     }
     assert!(store.get(0xdead_beef, 42, "gaze").is_none());
     assert!(store.get_mix(0xdead_beef, 42, "gaze").is_none());
@@ -357,7 +363,7 @@ fn leftover_gzx_files_are_ignored_and_left_untouched() {
         .map(|e| e.path())
         .collect();
     segments.sort();
-    // Round one's flush wrote a v1 segment, then a v2 segment.
+    // Round one's flush wrote a 1-core segment, then one of more cores.
     let run_segment = &segments[0];
     let mix_segment = &segments[1];
     let run_count = u64::from_le_bytes(

@@ -12,6 +12,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 
 use results_store::{ResultsStore, RunRecord};
+use sim_core::params::Fnv1a;
 use sim_core::stats::CoreStats;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -26,17 +27,16 @@ fn record(workload: &str, cycles: u64) -> RunRecord {
         cycles,
         ..CoreStats::default()
     };
-    let mut baseline = stats;
-    baseline.cycles = cycles * 2;
+    let mut hasher = Fnv1a::new();
+    for b in workload.bytes() {
+        hasher.mix(u64::from(b));
+    }
     RunRecord {
-        trace_fingerprint: workload.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-        }),
+        trace_fingerprint: hasher.finish(),
         params_fingerprint: 42,
         workload: workload.to_string(),
         prefetcher: "gaze".to_string(),
         stats,
-        baseline,
     }
 }
 

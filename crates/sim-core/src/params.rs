@@ -9,13 +9,24 @@
 //! scale — shares one definition and one stable
 //! [`fingerprint`](RunParams::fingerprint).
 //!
-//! Fingerprints are FNV-1a over every field (floats via their IEEE-754 bit
-//! patterns), so they are a pure function of the parameter values: stable
-//! across processes, platforms and re-runs. They key the on-disk results
-//! store, so changing what is hashed (or how) is a format-affecting change
-//! — bump the store version when touching [`Fnv1a`].
+//! Fingerprints are FNV-1a over the [`MODEL_EPOCH`] and every field
+//! (floats via their IEEE-754 bit patterns), so they are a pure function
+//! of the model version and the parameter values: stable across
+//! processes, platforms and re-runs. They key the on-disk results store,
+//! so changing what is hashed (or how) is a format-affecting change —
+//! bump the store version when touching [`Fnv1a`].
 
 use crate::config::SimConfig;
+
+/// Version of the simulated model, folded into every
+/// [`RunParams::fingerprint`] and therefore into every results-store key.
+///
+/// Bump it in any change that moves a simulated number (a fidelity fix,
+/// a trace-generator change): rows stored under the old epoch then miss
+/// and re-simulate instead of being served as current. The golden-figure
+/// test binds this value to a digest of the committed figure CSVs, so a
+/// golden-CSV change without a bump fails there.
+pub const MODEL_EPOCH: u64 = 1;
 
 /// Instruction budgets and system configuration of one simulation.
 #[derive(Debug, Clone, Copy)]
@@ -104,13 +115,16 @@ impl RunParams {
         self
     }
 
-    /// Stable FNV-1a fingerprint of the budgets and the full configuration.
+    /// Stable FNV-1a fingerprint of the [`MODEL_EPOCH`], the budgets and
+    /// the full configuration.
     ///
-    /// Two `RunParams` fingerprint identically exactly when every budget and
-    /// configuration field is equal, so the fingerprint is a valid cache /
-    /// store key for deterministic simulations.
+    /// Two `RunParams` of one build fingerprint identically exactly when
+    /// every budget and configuration field is equal, so the fingerprint
+    /// is a valid cache / store key for deterministic simulations; a model
+    /// epoch bump moves every fingerprint.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
+        h.mix(MODEL_EPOCH);
         h.mix(self.warmup);
         h.mix(self.measured);
         self.config.fingerprint_into(&mut h);
@@ -125,16 +139,18 @@ pub fn records_for(params: &RunParams) -> usize {
     ((params.warmup + params.measured) / 5).max(4_000) as usize
 }
 
-/// Stable FNV-1a fingerprint of a multi-core trace *mix*: folds the core
-/// count, then every core's trace fingerprint in core order.
+/// Stable FNV-1a fingerprint of a trace *mix*, one trace per core: the
+/// results store keys every row by it.
 ///
-/// This keys the results store's multi-core (v2) records. Folding the
-/// count first means a one-core mix never fingerprints identically to its
-/// lone trace's own [`source_fingerprint`](crate::trace::source_fingerprint),
-/// so single-run and mix key spaces cannot alias; folding in core order
-/// means `[a, b]` and `[b, a]` are distinct mixes (core placement matters
-/// under shared-LLC contention).
+/// A one-trace mix is a single-core run, so its fingerprint is that
+/// trace's own [`source_fingerprint`](crate::trace::source_fingerprint).
+/// A larger mix folds the core count, then every core's trace
+/// fingerprint in core order: `[a, b]` and `[b, a]` are distinct mixes
+/// (core placement matters under shared-LLC contention).
 pub fn mix_fingerprint(core_trace_fingerprints: &[u64]) -> u64 {
+    if let [single] = core_trace_fingerprints {
+        return *single;
+    }
     let mut h = Fnv1a::new();
     h.mix(core_trace_fingerprints.len() as u64);
     for &fp in core_trace_fingerprints {
@@ -148,10 +164,9 @@ pub fn mix_fingerprint(core_trace_fingerprints: &[u64]) -> u64 {
 /// trace-stream fingerprint in [`crate::trace`], store key hashes).
 ///
 /// Each word is folded whole with the 64-bit FNV offset basis
-/// `0xcbf2_9ce4_8422_2325` and the multiplier `0x1000_0000_01b3`. That
-/// multiplier is *not* the FNV-64 prime (`0x100_0000_01b3`); it is kept
-/// because it is part of the on-disk key definition of the results store.
-/// Changing either constant moves every stored key, so it may only happen
+/// `0xcbf2_9ce4_8422_2325` and the FNV-64 prime `0x100_0000_01b3`. Both
+/// constants are part of the on-disk key definition of the results
+/// store: changing either moves every stored key, so it may only happen
 /// together with a GZR version bump.
 #[derive(Debug, Clone)]
 pub struct Fnv1a(u64);
@@ -166,7 +181,7 @@ impl Fnv1a {
     /// Folds one word into the hash.
     pub fn mix(&mut self, v: u64) {
         self.0 ^= v;
-        self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
     }
 
     /// Folds an IEEE-754 double in by bit pattern.
@@ -241,7 +256,7 @@ mod tests {
         assert_eq!(mix_fingerprint(&[a, b]), mix_fingerprint(&[a, b]));
         assert_ne!(mix_fingerprint(&[a, b]), mix_fingerprint(&[b, a]));
         assert_ne!(mix_fingerprint(&[a]), mix_fingerprint(&[a, a]));
-        // A one-core mix is not the trace fingerprint itself.
-        assert_ne!(mix_fingerprint(&[a]), a);
+        // A one-core mix is a single-core run: its lone trace's key.
+        assert_eq!(mix_fingerprint(&[a]), a);
     }
 }

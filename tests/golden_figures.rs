@@ -1,23 +1,26 @@
 //! Golden-figure regression harness.
 //!
-//! `tests/fixtures/` holds a small committed GZR store (v1 single-core
-//! segments from fig06/fig13 and from fig01/fig04/fig09/fig17, and a v2
-//! multi-core segment from fig15, all at the `test` scale) plus the exact
-//! CSVs those figures printed when the store was generated. This test regenerates each figure from the
+//! `tests/fixtures/` holds a small committed GZR store (the rows of
+//! fig06/fig13, fig01/fig04/fig09/fig17 and the 2-core rows of fig15,
+//! with every figure's `none` baselines, all at the `test` scale, one
+//! segment per core count) plus the exact CSVs those figures printed when
+//! the store was generated. This test regenerates each figure from the
 //! fixture store and asserts:
 //!
 //! 1. **zero simulation** — every row is served from the store, proving
-//!    the fingerprint definitions (trace, params, mix) and both record
-//!    codecs still reproduce the keys and counters written by the
-//!    generating build;
+//!    the fingerprint definitions (trace, params with the model epoch,
+//!    mix) and the row codec still reproduce the keys and counters written
+//!    by the generating build;
 //! 2. **byte-identical CSV** — the whole figure pipeline (store decode →
 //!    metric projection → table formatting) matches the committed bytes.
 //!
 //! Any change to the on-disk format, the fingerprints, the metric
 //! arithmetic or the figure assembly that would alter served results
 //! fails here — without a single simulation, so the test is cheap enough
-//! for tier-1. If a change is *intentional* (e.g. a format version bump
-//! with a re-keyed store), regenerate the fixtures:
+//! for tier-1. A change that moves a simulated number bumps
+//! `sim_core::params::MODEL_EPOCH` (the second test below fails until it
+//! does); a change that moves every key (an epoch bump, a format version
+//! bump) regenerates the fixtures:
 //!
 //! ```text
 //! rm -rf tests/fixtures/gzr-store tests/fixtures/fig*.csv
@@ -25,6 +28,7 @@
 //! for fig in fig06 fig13 fig15 fig01 fig04 fig09 fig17; do
 //!     cargo run --release -p gaze-sim --bin gaze-experiments -- $fig --csv > tests/fixtures/$fig.csv
 //! done
+//! cargo run --release -p results-store --bin gzr-store -- compact $GAZE_RESULTS_DIR
 //! ```
 //!
 //! The store is copied into a temporary directory before use so a
@@ -37,6 +41,7 @@ use gaze_repro::gaze_sim::experiments::{run_experiment, ExperimentScale};
 use gaze_repro::gaze_sim::results;
 use gaze_repro::gaze_sim::runner::simulated_instructions;
 use gaze_repro::gaze_sim::spec;
+use gaze_repro::sim_core::params::{Fnv1a, MODEL_EPOCH};
 
 const GOLDEN: [(&str, &str); 7] = [
     ("fig01", include_str!("fixtures/fig01.csv")),
@@ -60,7 +65,7 @@ fn copy_fixture_store(into: &Path) {
             copied += 1;
         }
     }
-    assert!(copied >= 3, "expected the committed v1 + v2 segments");
+    assert!(copied >= 2, "expected the committed 1-core and 2-core segments");
 }
 
 /// Deactivates the process-global store on drop even if an assertion
@@ -129,4 +134,28 @@ fn golden_figures_regenerate_byte_identically_from_the_committed_store() {
     }
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FNV-1a digest of every golden figure's name and CSV bytes.
+fn golden_digest() -> u64 {
+    let mut hasher = Fnv1a::new();
+    for (figure, csv) in GOLDEN {
+        for byte in figure.bytes().chain([0]).chain(csv.bytes()) {
+            hasher.mix(u64::from(byte));
+        }
+    }
+    hasher.finish()
+}
+
+/// The model epoch names the model that printed the golden CSVs: a CSV
+/// that changes without an epoch bump fails here, so a warm store can
+/// never serve rows of an older model as current.
+#[test]
+fn model_epoch_is_bound_to_the_golden_csvs() {
+    assert_eq!(
+        (MODEL_EPOCH, golden_digest()),
+        (1, 0x5632_119e_dbdc_4640),
+        "the golden CSVs changed: bump sim_core::params::MODEL_EPOCH, \
+         regenerate tests/fixtures (see the module doc) and re-pin this pair"
+    );
 }
