@@ -25,8 +25,8 @@
 //! integration test and the CI warm restart smoke.
 //!
 //! Appends are buffered and written as one crash-safe segment per core
-//! count per [`flush`] (the parallel engine flushes after each fan-out, the CLI
-//! flushes at exit, and the buffer auto-flushes every
+//! count per [`flush`] (the parallel engine flushes after each fan-out,
+//! the CLI flushes at exit, and the buffer auto-flushes every
 //! [`AUTO_FLUSH_RECORDS`] appends). The store handle is process-global
 //! and behind an `RwLock`. Lookups, `contains`,
 //! [`with_store`](StoreHandle::with_store) queries and the staleness
@@ -37,7 +37,6 @@
 //! lock.
 
 use std::io;
-use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -135,8 +134,7 @@ impl StoreHandle {
         label: &str,
         cores: usize,
     ) -> Option<MixRecord> {
-        let cores: RangeInclusive<usize> = cores..=cores;
-        self.with_store(|s| s.lookup(fingerprint, params_fingerprint, prefetcher, cores))
+        self.with_store(|s| s.lookup(fingerprint, params_fingerprint, prefetcher, cores..=cores))
             .filter(|rec| rec.label == label)
     }
 
