@@ -683,10 +683,27 @@ mod tests {
         let mixes = String::from_utf8(get(&state, "/runs?kind=mix").body).expect("utf8");
         assert_eq!(mixes.matches("\"label\"").count(), 3);
 
-
         assert_eq!(get(&state, "/runs?kind=bogus").status, 400);
         assert_eq!(get(&state, "/runs?kind=mix&cores=x").status, 400);
         assert_eq!(get(&state, "/runs?kind=mix&mix=zz").status, 400);
+
+        // A 2-core "none" row under the 4-core row's key fields (only
+        // possible in a store written by external tooling) is not its
+        // baseline: the 4-core row keeps speedup null, with no panic.
+        state.store.record(MixRecord {
+            mix_fingerprint: fnv("a+b+c+d") ^ 4,
+            params_fingerprint: RunParams::quick().with_cores(4).fingerprint(),
+            prefetcher: "none".to_string(),
+            label: "a+b+c+d".to_string(),
+            report: sim_core::stats::SimReport {
+                cores: vec![CoreStats::default(); 2],
+            },
+        });
+        let resp = get(&state, "/runs?kind=mix&label=a%2Bb%2Bc%2Bd&prefetcher=gaze");
+        assert_eq!(resp.status, 200);
+        let mismatched = String::from_utf8(resp.body).expect("utf8");
+        assert!(mismatched.contains("\"cores\":4"), "{mismatched}");
+        assert!(mismatched.contains("\"speedup\":null"), "{mismatched}");
     }
 
     #[test]

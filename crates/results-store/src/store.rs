@@ -238,6 +238,11 @@ pub struct ResultsStore {
 /// one process can never race to the same file name.
 static SEGMENT_NONCE: AtomicU64 = AtomicU64::new(0);
 
+/// Key → position of every row in `pending`.
+fn pending_index(pending: &[MixRecord]) -> HashMap<RecordKey, usize> {
+    pending.iter().enumerate().map(|(i, r)| (r.key(), i)).collect()
+}
+
 /// Every `seg-*.gzr` path currently in `dir` (unsorted). Temp files and
 /// any other names are invisible to this listing.
 fn segment_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
@@ -575,6 +580,9 @@ impl ResultsStore {
             let segment = self.persist(cores, &batch)?;
             self.adopt(segment);
             self.pending.retain(|r| r.cores() != cores);
+            // Re-point the index before the next segment can fail: an
+            // early return must not leave it naming pre-shrink positions.
+            self.index = pending_index(&self.pending);
             let shadowed = batch
                 .iter()
                 .filter(|r| self.shadowed.remove(&r.key()))
@@ -583,12 +591,6 @@ impl ResultsStore {
             self.duplicates_runtime += shadowed as u64;
             written += batch.len();
         }
-        self.index = self
-            .pending
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.key(), i))
-            .collect();
         if written > 0 {
             let us = started.elapsed().as_micros() as u64;
             crate::obs::metrics().flush_duration_us.record(us);

@@ -223,6 +223,54 @@ fn every_single_fault_in_a_two_segment_flush_recovers() {
     );
 }
 
+/// A flush whose 2-core segment fails after the 1-core one landed keeps
+/// the survivors addressable: every still-pending row looks up as
+/// itself, and re-appending it is a duplicate, never a conflict. The
+/// rows interleave core counts, so the survivors move to new pending
+/// positions when the landed rows leave.
+#[test]
+fn a_failed_later_segment_keeps_the_pending_rows_addressable() {
+    let _fx = fault::exclusive();
+    let dir = temp_dir("later-segment");
+    let mut store = ResultsStore::open(&dir).expect("open");
+    let singles = [record("bwaves_s", "gaze", 5_000), record("mcf_s", "gaze", 6_000)];
+    let mixes = [
+        mix_record("mixX", "gaze", 2, 9_000),
+        mix_record("mixX", "none", 2, 14_000),
+    ];
+    for (single, mix) in singles.iter().zip(&mixes) {
+        assert!(store.append(single.clone()));
+        assert!(store.append(mix.clone()));
+    }
+
+    fault::arm_nth(
+        "gzr.segment.create",
+        1,
+        FaultKind::Error(std::io::ErrorKind::Other),
+    );
+    assert!(store.flush().is_err(), "the 2-core segment fails");
+    assert!(fault::fired("gzr.segment.create"));
+    fault::clear_all();
+    assert_eq!((store.len(), store.pending_len()), (2, 2));
+
+    for mix in &mixes {
+        let found = store.get_mix(mix.mix_fingerprint, mix.params_fingerprint, &mix.prefetcher);
+        assert_eq!(found.as_ref(), Some(mix), "pending {} row", mix.prefetcher);
+        assert!(!store.append(mix.clone()), "re-append is a duplicate");
+    }
+    for single in &singles {
+        let found = store.get(single.trace_fingerprint, single.params_fingerprint, "gaze");
+        assert_eq!(found.as_ref(), Some(single), "landed {} row", single.workload);
+    }
+    assert_eq!(store.conflicting_appends(), 0);
+
+    assert_eq!(store.flush().expect("retry"), 2);
+    let recovered = reopen_clean(&dir, "later-segment");
+    assert_eq!((recovered.len(), recovered.mix_len()), (2, 2));
+    assert_eq!(recovered.conflicting_appends(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Like [`seed_pending`] but tolerant of rows that already landed.
 fn seed_pending_dedup(store: &mut ResultsStore) {
     for (w, p) in [("bwaves_s", "gaze"), ("bwaves_s", "pmp"), ("mcf_s", "gaze")] {
