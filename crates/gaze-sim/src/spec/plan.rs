@@ -8,7 +8,8 @@
 //! single-core job's by [`JobPlan::push`]. The runners it calls only
 //! simulate.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{hash_map, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -124,11 +125,46 @@ pub enum JobKey {
     },
 }
 
+/// A map keyed by [`JobKey`]. A warm figure hashes one key per planned
+/// and per rendered cell, so these maps use [`KeyHasher`], not SipHash.
+type KeyMap<V> = HashMap<JobKey, V, BuildHasherDefault<KeyHasher>>;
+
+/// A word-at-a-time FNV fold with a splitmix64 finish. The finish mixes
+/// the high bits of every word into the low bits the table indexes by.
+/// Keys come from specs and the workload registry, never from untrusted
+/// input, so no keyed hash is needed.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x100_0000_01b3);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
 /// A deduplicated, ordered list of jobs.
 #[derive(Debug, Default)]
 pub struct JobPlan {
     jobs: Vec<Job>,
-    seen: HashSet<JobKey>,
+    /// Per job: the position of its baseline job (`None` for a mix).
+    baselines: Vec<Option<usize>>,
+    /// Key → position of every planned job.
+    seen: KeyMap<usize>,
 }
 
 impl JobPlan {
@@ -136,19 +172,51 @@ impl JobPlan {
     /// single-core job brings its baseline: the `"none"` job on the same
     /// workload and parameters is planned right after it.
     pub fn push(&mut self, job: Job) {
-        if !self.seen.insert(job.key()) {
-            return;
-        }
-        let baseline = match &job {
-            Job::Single {
-                workload, params, ..
-            } => Some(baseline_job(workload, *params)),
-            Job::Mix { .. } => None,
+        let index = self.jobs.len();
+        // A single-core job's baseline key differs from its own only in
+        // the name, so it is derived without building the baseline job.
+        let baseline_key = match self.seen.entry(job.key()) {
+            hash_map::Entry::Occupied(_) => return,
+            hash_map::Entry::Vacant(slot) => {
+                let baseline_key = match slot.key() {
+                    JobKey::Single {
+                        workload,
+                        name,
+                        params_fp,
+                    } if name != "none" => Some(JobKey::Single {
+                        workload: workload.clone(),
+                        name: "none".to_string(),
+                        params_fp: *params_fp,
+                    }),
+                    _ => None,
+                };
+                slot.insert(index);
+                baseline_key
+            }
         };
+        let single = matches!(job, Job::Single { .. });
         self.jobs.push(job);
-        if let Some(baseline) = baseline {
-            self.push(baseline);
-        }
+        self.baselines.push(single.then_some(index));
+        let Some(baseline_key) = baseline_key else {
+            return;
+        };
+        let position = match self.seen.get(&baseline_key) {
+            Some(&planned) => planned,
+            None => {
+                let Job::Single {
+                    workload, params, ..
+                } = &self.jobs[index]
+                else {
+                    unreachable!("only a single-core job has a baseline key")
+                };
+                let baseline = baseline_job(workload, *params);
+                self.seen.insert(baseline_key, index + 1);
+                self.jobs.push(baseline);
+                self.baselines.push(Some(index + 1));
+                index + 1
+            }
+        };
+        self.baselines[index] = Some(position);
     }
 
     /// The planned jobs, in first-request order.
@@ -282,7 +350,6 @@ pub fn table_jobs(kind: &TableKind, scale: &ExperimentScale, plan: &mut JobPlan)
             }
         }
         TableKind::MixPerCore { mixes, rows } => {
-            // gaze-lint: allow(map_iteration) -- `mixes` here is the variant's Vec<MixSpec>, not the HashMap field of the same name
             for mix in mixes {
                 for entry in rows {
                     for prefetcher in [entry.name.as_str(), "none"] {
@@ -319,8 +386,8 @@ pub fn table_jobs(kind: &TableKind, scale: &ExperimentScale, plan: &mut JobPlan)
 /// Results of an executed plan, keyed by [`JobKey`].
 #[derive(Debug, Default)]
 pub struct JobResults {
-    singles: HashMap<JobKey, SingleRun>,
-    mixes: HashMap<JobKey, SimReport>,
+    singles: KeyMap<SingleRun>,
+    mixes: KeyMap<SimReport>,
 }
 
 impl JobResults {
@@ -565,35 +632,27 @@ pub fn execute_with_progress(
     crate::results::flush();
 
     let mut simulated = simulated.into_iter();
+    let reports: Vec<SimReport> = outputs
+        .into_iter()
+        .map(|output| output.unwrap_or_else(|| simulated.next().expect("one output per miss")))
+        .collect();
+    let first_core: Vec<CoreStats> = reports.iter().map(|r| r.cores[0]).collect();
     let mut results = JobResults::default();
-    let mut single_stats: HashMap<JobKey, CoreStats> = HashMap::new();
-    for (job, output) in plan.jobs().iter().zip(outputs) {
-        let report = output.unwrap_or_else(|| simulated.next().expect("one output per miss"));
-        match job {
-            Job::Single { .. } => {
-                single_stats.insert(job.key(), report.cores[0]);
+    for ((job, report), baseline) in plan.jobs().iter().zip(reports).zip(&plan.baselines) {
+        let key = job.key();
+        match (&key, baseline) {
+            (JobKey::Single { workload, name, .. }, Some(baseline)) => {
+                let run = SingleRun {
+                    workload: workload.clone(),
+                    prefetcher: name.clone(),
+                    stats: report.cores[0],
+                    baseline: first_core[*baseline],
+                };
+                results.singles.insert(key, run);
             }
-            Job::Mix { .. } => {
-                results.mixes.insert(job.key(), report);
+            _ => {
+                results.mixes.insert(key, report);
             }
-        }
-    }
-    for job in plan.jobs() {
-        if let Job::Single {
-            workload,
-            l1,
-            l2,
-            params,
-        } = job
-        {
-            let key = job.key();
-            let run = SingleRun {
-                workload: workload.clone(),
-                prefetcher: multi_level_name(l1, l2.as_deref()),
-                stats: single_stats[&key],
-                baseline: single_stats[&baseline_job(workload, *params).key()],
-            };
-            results.singles.insert(key, run);
         }
     }
     results
