@@ -387,7 +387,10 @@ fn runs(state: &AppState, req: &Request) -> Response {
         match parse_hex(value) {
             Some(fp) => query.fingerprint = Some(fp),
             None => {
-                return Response::error(400, &format!("{fingerprint_key} must be a hex fingerprint"))
+                return Response::error(
+                    400,
+                    &format!("{fingerprint_key} must be a hex fingerprint"),
+                )
             }
         }
     }
@@ -460,7 +463,10 @@ fn run_json(rec: &MixRecord, baseline: Option<&MixRecord>) -> String {
     JsonObject::new()
         .string("workload", &rec.label)
         .string("prefetcher", &rec.prefetcher)
-        .string("trace_fingerprint", &format!("{:016x}", rec.mix_fingerprint))
+        .string(
+            "trace_fingerprint",
+            &format!("{:016x}", rec.mix_fingerprint),
+        )
         .string(
             "params_fingerprint",
             &format!("{:016x}", rec.params_fingerprint),

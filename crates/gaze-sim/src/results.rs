@@ -285,8 +285,8 @@ pub fn flush() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::simulate_core;
     use crate::factory::make_prefetcher;
+    use crate::runner::simulate_core;
     use results_store::RunRecord;
     use sim_core::params::RunParams;
     use sim_core::trace::source_fingerprint;

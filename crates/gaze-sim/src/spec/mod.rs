@@ -16,10 +16,10 @@
 //!    deduplicated [`JobPlan`](plan::JobPlan) of atomic simulation jobs
 //!    (single-core runs, multi-level runs, multi-core mixes). A job
 //!    needed by several tables — or several specs — appears once.
-//! 2. **execute** — [`plan::execute`] fans the plan out over the
-//!    parallel engine; every job goes through the store-backed runners
-//!    (read-before-simulate, write-through), so a warm results store
-//!    executes a plan with zero simulation.
+//! 2. **execute** — [`plan::execute`] looks every job up in the results
+//!    store, fans the misses out over the parallel engine to the runners
+//!    (which only simulate) and records each result write-through, so a
+//!    warm results store executes a plan with zero simulation.
 //! 3. **render** — [`render`] turns job results into the exact
 //!    [`Table`]s the figure prints; rendering is pure (no simulation).
 //!
@@ -35,8 +35,8 @@ use workloads::Suite;
 use crate::experiments::ExperimentScale;
 use crate::report::Table;
 
-/// Maximum cores a spec may request per mix (the results store's v2
-/// record format caps mixes at this many cores).
+/// Maximum cores a spec may request per mix (the results store's row
+/// format caps a row at this many cores).
 pub const MAX_SPEC_CORES: usize = results_store::format::GZR_MAX_CORES;
 
 /// A declarative experiment: a name plus the tables it produces.

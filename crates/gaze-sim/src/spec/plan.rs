@@ -455,12 +455,12 @@ type Workloads = HashMap<String, LazyWorkload>;
 /// touches no trace: a job materializes its workloads only when it
 /// simulates, i.e. on a store miss.
 fn workload_handles(plan: &JobPlan, scale: &ExperimentScale) -> Workloads {
-    let records = records_for(&scale.params);
+    let instructions = records_for(&scale.params);
     let mut traces = Workloads::new();
     for job in plan.jobs() {
         for name in job.workloads() {
             if !traces.contains_key(name) {
-                traces.insert(name.clone(), LazyWorkload::new(name, records));
+                traces.insert(name.clone(), LazyWorkload::new(name, instructions));
             }
         }
     }
@@ -612,7 +612,13 @@ pub fn execute_with_progress(
             for ((job, key), slot) in store_keys(plan, &traces).zip(&mut outputs) {
                 // gaze-lint: allow(wall_clock) -- feeds only the job-duration metrics, never a simulated result
                 let started = Instant::now();
-                match store.lookup(key.fingerprint, key.params_fp, &key.name, &key.label, key.cores) {
+                match store.lookup(
+                    key.fingerprint,
+                    key.params_fp,
+                    &key.name,
+                    &key.label,
+                    key.cores,
+                ) {
                     Some(row) => *slot = Some(finished(job, row.report, started)),
                     None => misses.push((job, Some(key))),
                 }
@@ -731,7 +737,13 @@ pub fn dry_run(plan: &JobPlan, scale: &ExperimentScale) -> PlanReport {
     report.store_active = true;
     report.warm = store_keys(plan, &traces)
         .filter(|(_, key)| {
-            store.contains(key.fingerprint, key.params_fp, &key.name, &key.label, key.cores)
+            store.contains(
+                key.fingerprint,
+                key.params_fp,
+                &key.name,
+                &key.label,
+                key.cores,
+            )
         })
         .count();
     report.cold = plan.len() - report.warm;

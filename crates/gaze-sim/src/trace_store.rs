@@ -98,9 +98,9 @@ fn packed_path(dir: Option<&Path>, name: &str) -> Option<PathBuf> {
 /// workload (a copied/renamed file would otherwise silently substitute
 /// another workload's trace) — is an error the caller should see, not a
 /// silent fallback, so both panic with the file path.
-fn open_or_build(packed: Option<&Path>, name: &str, records: usize) -> AnyTrace {
+fn open_or_build(packed: Option<&Path>, name: &str, instructions: u64) -> AnyTrace {
     let Some(path) = packed else {
-        return AnyTrace::Memory(build_workload(name, records));
+        return AnyTrace::Memory(build_workload(name, instructions));
     };
     let gzt = GztTrace::open(path)
         .unwrap_or_else(|e| panic!("invalid packed trace {}: {e}", path.display()));
@@ -116,21 +116,22 @@ fn open_or_build(packed: Option<&Path>, name: &str, records: usize) -> AnyTrace 
 }
 
 /// Loads `<dir>/<name>.gzt` if `dir` is given and the file exists and
-/// validates; otherwise builds the synthetic workload in memory.
+/// validates; otherwise builds the synthetic workload in memory at
+/// `instructions` instructions per pass.
 ///
 /// # Panics
 ///
 /// Panics on a present-but-corrupt or misnamed packed file.
-pub fn load_from_dir_or_build(dir: Option<&Path>, name: &str, records: usize) -> AnyTrace {
-    open_or_build(packed_path(dir, name).as_deref(), name, records)
+pub fn load_from_dir_or_build(dir: Option<&Path>, name: &str, instructions: u64) -> AnyTrace {
+    open_or_build(packed_path(dir, name).as_deref(), name, instructions)
 }
 
 /// Process-wide memo of generated-trace fingerprints, keyed by
-/// (workload, records): the generators are deterministic, so a generated
-/// trace is a pure function of that pair. Packed files are never memoized
-/// here — a file can be replaced between requests.
-fn generated_fingerprints() -> &'static Mutex<HashMap<(String, usize), u64>> {
-    static MEMO: OnceLock<Mutex<HashMap<(String, usize), u64>>> = OnceLock::new();
+/// (workload, instruction budget): the generators are deterministic, so a
+/// generated trace is a pure function of that pair. Packed files are never
+/// memoized here — a file can be replaced between requests.
+fn generated_fingerprints() -> &'static Mutex<HashMap<(String, u64), u64>> {
+    static MEMO: OnceLock<Mutex<HashMap<(String, u64), u64>>> = OnceLock::new();
     MEMO.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -156,23 +157,23 @@ pub fn traces_materialized() -> u64 {
 /// [`reader`](TraceSource::reader) is called, and then shared by every job
 /// holding this handle. [`name`](TraceSource::name) never materializes,
 /// and neither does [`fingerprint`](TraceSource::fingerprint) of a
-/// generated workload once its (workload, records) fingerprint is
+/// generated workload once its (workload, instructions) fingerprint is
 /// memoized in this process — so a store hit costs no trace at all.
 #[derive(Debug)]
 pub struct LazyWorkload {
     name: String,
-    records: usize,
+    instructions: u64,
     packed: Option<PathBuf>,
     trace: OnceLock<AnyTrace>,
 }
 
 impl LazyWorkload {
-    /// A handle on `name` at `records` records, streamed from
-    /// `GAZE_TRACE_DIR` when packed there.
-    pub fn new(name: &str, records: usize) -> Self {
+    /// A handle on `name` at `instructions` instructions per pass,
+    /// streamed from `GAZE_TRACE_DIR` when packed there.
+    pub fn new(name: &str, instructions: u64) -> Self {
         LazyWorkload {
             name: name.to_string(),
-            records,
+            instructions,
             packed: packed_path(trace_dir().as_deref(), name),
             trace: OnceLock::new(),
         }
@@ -191,7 +192,7 @@ impl LazyWorkload {
             && generated_fingerprints()
                 .lock()
                 .expect("fingerprint memo poisoned")
-                .contains_key(&(self.name.clone(), self.records))
+                .contains_key(&(self.name.clone(), self.instructions))
     }
 
     /// The trace, built or opened on first call.
@@ -202,7 +203,7 @@ impl LazyWorkload {
     fn trace(&self) -> &AnyTrace {
         self.trace.get_or_init(|| {
             materialized_counter().inc();
-            open_or_build(self.packed.as_deref(), &self.name, self.records)
+            open_or_build(self.packed.as_deref(), &self.name, self.instructions)
         })
     }
 }
@@ -229,7 +230,7 @@ impl TraceSource for LazyWorkload {
             // GztTrace memoizes per opened file.
             return self.trace().fingerprint();
         }
-        let key = (self.name.clone(), self.records);
+        let key = (self.name.clone(), self.instructions);
         let memo = generated_fingerprints();
         if let Some(&fp) = memo.lock().expect("fingerprint memo poisoned").get(&key) {
             return fp;

@@ -41,13 +41,13 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// Packs every fig06 workload into `dir` and returns (in-memory, streamed)
 /// trace pairs whose record streams are asserted identical elsewhere.
-fn packed_pair(dir: &Path, records: usize) -> (Vec<AnyTrace>, Vec<AnyTrace>) {
+fn packed_pair(dir: &Path, instructions: u64) -> (Vec<AnyTrace>, Vec<AnyTrace>) {
     let mut memory = Vec::new();
     let mut streamed = Vec::new();
     for name in FIG06_WORKLOADS {
-        pack_workload(name, records, &dir.join(gzt_file_name(name))).expect("pack");
-        memory.push(load_from_dir_or_build(None, name, records));
-        let s = load_from_dir_or_build(Some(dir), name, records);
+        pack_workload(name, instructions, &dir.join(gzt_file_name(name))).expect("pack");
+        memory.push(load_from_dir_or_build(None, name, instructions));
+        let s = load_from_dir_or_build(Some(dir), name, instructions);
         assert!(
             s.is_streamed(),
             "{name} should stream from {}",
@@ -61,11 +61,11 @@ fn packed_pair(dir: &Path, records: usize) -> (Vec<AnyTrace>, Vec<AnyTrace>) {
 #[test]
 fn packed_trace_replays_the_generator_record_for_record() {
     let dir = temp_dir("records");
-    let records = 6_000;
+    let instructions = 6_000;
     for name in FIG06_WORKLOADS {
-        pack_workload(name, records, &dir.join(gzt_file_name(name))).expect("pack");
-        let mem = build_workload(name, records);
-        let gzt = load_from_dir_or_build(Some(&dir), name, records);
+        pack_workload(name, instructions, &dir.join(gzt_file_name(name))).expect("pack");
+        let mem = build_workload(name, instructions);
+        let gzt = load_from_dir_or_build(Some(&dir), name, instructions);
         assert_eq!(gzt.len(), mem.len(), "{name}: record count");
         assert_eq!(
             gzt.instructions_per_pass(),

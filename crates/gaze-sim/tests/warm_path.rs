@@ -114,17 +114,20 @@ fn registered_workloads() -> Vec<&'static str> {
 #[test]
 fn memoized_fingerprints_equal_full_trace_fingerprints() {
     let _guard = lock();
-    for records in [4_000, 5_000] {
+    for instructions in [4_000, 5_000] {
         for name in registered_workloads() {
-            let expected = source_fingerprint(&build_workload(name, records));
+            let expected = source_fingerprint(&build_workload(name, instructions));
             assert_eq!(
-                LazyWorkload::new(name, records).fingerprint(),
+                LazyWorkload::new(name, instructions).fingerprint(),
                 expected,
-                "{name} at {records} records"
+                "{name} at {instructions} instructions"
             );
             // A second handle answers from the memo without building.
             let before = traces_materialized();
-            assert_eq!(LazyWorkload::new(name, records).fingerprint(), expected);
+            assert_eq!(
+                LazyWorkload::new(name, instructions).fingerprint(),
+                expected
+            );
             assert_eq!(traces_materialized(), before, "{name} rebuilt for its key");
         }
     }
@@ -251,12 +254,12 @@ fn a_second_process_simulates_no_stored_baseline() {
 struct TraceDir(PathBuf);
 
 impl TraceDir {
-    fn packed(names: &[&str], records: usize) -> TraceDir {
+    fn packed(names: &[&str], instructions: u64) -> TraceDir {
         let dir = std::env::temp_dir().join(format!("gaze-warm-gzt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create trace dir");
         for name in names {
             let path = dir.join(workloads::pack::gzt_file_name(name));
-            workloads::pack::pack_workload(name, records, &path).expect("pack");
+            workloads::pack::pack_workload(name, instructions, &path).expect("pack");
         }
         TraceDir(dir)
     }
@@ -278,20 +281,20 @@ fn packed_workloads_stream_and_key_identically() {
     let _guard = lock();
     let spec = text::parse(SPEC).expect("spec parses");
     let scale = scale();
-    let records = records_for(&scale.params);
+    let instructions = records_for(&scale.params);
     let store = ActiveStore::fresh("packed");
     let generated = csv(&spec::run_spec(&spec, &scale));
-    let generated_fp = LazyWorkload::new("mcf_s", records).fingerprint();
+    let generated_fp = LazyWorkload::new("mcf_s", instructions).fingerprint();
 
-    let packed = TraceDir::packed(&["bwaves_s", "mcf_s"], records);
+    let packed = TraceDir::packed(&["bwaves_s", "mcf_s"], instructions);
     std::env::set_var("GAZE_TRACE_DIR", packed.path());
-    let handle = LazyWorkload::new("mcf_s", records);
+    let handle = LazyWorkload::new("mcf_s", instructions);
     assert!(handle.is_streamed());
     assert_eq!(handle.fingerprint(), generated_fp);
     // Packed files are fingerprinted per opened handle, never by name.
     let before = traces_materialized();
     assert_eq!(
-        LazyWorkload::new("mcf_s", records).fingerprint(),
+        LazyWorkload::new("mcf_s", instructions).fingerprint(),
         generated_fp
     );
     assert_eq!(traces_materialized(), before + 1);

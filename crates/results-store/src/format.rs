@@ -375,11 +375,7 @@ pub fn write_segment(out: &mut impl Write, cores: usize, records: &[MixRecord]) 
 /// A segment of another version is refused with an error naming its
 /// version: rows of versions 1 and 2 were keyed without a model epoch,
 /// so serving them could pass a pre-fix result off as current.
-fn read_header(
-    input: &mut impl Read,
-    total_len: u64,
-    context: &str,
-) -> io::Result<(usize, u64)> {
+fn read_header(input: &mut impl Read, total_len: u64, context: &str) -> io::Result<(usize, u64)> {
     let mut header = [0u8; GZR_HEADER_BYTES];
     if total_len < GZR_HEADER_BYTES as u64 {
         return Err(invalid(format!("{context}: truncated GZR header")));
@@ -518,7 +514,11 @@ mod tests {
         assert!(encode_record(&rec).is_err(), "zero cores");
         let rec = sample_record(1, GZR_MAX_CORES + 1);
         assert!(encode_record(&rec).is_err(), "too many cores");
-        for label in [String::new(), "x".repeat(GZR_LABEL_BYTES + 1), "a\0b".into()] {
+        for label in [
+            String::new(),
+            "x".repeat(GZR_LABEL_BYTES + 1),
+            "a\0b".into(),
+        ] {
             let mut rec = sample_record(2, 2);
             rec.label = label;
             assert!(encode_record(&rec).is_err());

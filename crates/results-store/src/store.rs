@@ -240,7 +240,11 @@ static SEGMENT_NONCE: AtomicU64 = AtomicU64::new(0);
 
 /// Key → position of every row in `pending`.
 fn pending_index(pending: &[MixRecord]) -> HashMap<RecordKey, usize> {
-    pending.iter().enumerate().map(|(i, r)| (r.key(), i)).collect()
+    pending
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (r.key(), i))
+        .collect()
 }
 
 /// Every `seg-*.gzr` path currently in `dir` (unsorted). Temp files and

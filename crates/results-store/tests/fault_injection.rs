@@ -233,7 +233,10 @@ fn a_failed_later_segment_keeps_the_pending_rows_addressable() {
     let _fx = fault::exclusive();
     let dir = temp_dir("later-segment");
     let mut store = ResultsStore::open(&dir).expect("open");
-    let singles = [record("bwaves_s", "gaze", 5_000), record("mcf_s", "gaze", 6_000)];
+    let singles = [
+        record("bwaves_s", "gaze", 5_000),
+        record("mcf_s", "gaze", 6_000),
+    ];
     let mixes = [
         mix_record("mixX", "gaze", 2, 9_000),
         mix_record("mixX", "none", 2, 14_000),
@@ -260,7 +263,12 @@ fn a_failed_later_segment_keeps_the_pending_rows_addressable() {
     }
     for single in &singles {
         let found = store.get(single.trace_fingerprint, single.params_fingerprint, "gaze");
-        assert_eq!(found.as_ref(), Some(single), "landed {} row", single.workload);
+        assert_eq!(
+            found.as_ref(),
+            Some(single),
+            "landed {} row",
+            single.workload
+        );
     }
     assert_eq!(store.conflicting_appends(), 0);
 

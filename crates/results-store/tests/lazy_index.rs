@@ -233,7 +233,11 @@ fn assert_store_matches(store: &ResultsStore, reference: &Reference, seed: u64, 
         assert_eq!(&hit, rec, "{context}: row payload");
         let (fp, params, pf) = (rec.mix_fingerprint, rec.params_fingerprint, &rec.prefetcher);
         assert_eq!(store.get(fp, params, pf).is_some(), cores == 1, "{context}");
-        assert_eq!(store.get_mix(fp, params, pf).is_some(), cores > 1, "{context}");
+        assert_eq!(
+            store.get_mix(fp, params, pf).is_some(),
+            cores > 1,
+            "{context}"
+        );
     }
     for rec in reference.runs() {
         let hit = store.get(
@@ -247,7 +251,13 @@ fn assert_store_matches(store: &ResultsStore, reference: &Reference, seed: u64, 
     let keys: HashSet<(u64, u64, &str)> = reference
         .rows
         .iter()
-        .map(|r| (r.mix_fingerprint, r.params_fingerprint, r.prefetcher.as_str()))
+        .map(|r| {
+            (
+                r.mix_fingerprint,
+                r.params_fingerprint,
+                r.prefetcher.as_str(),
+            )
+        })
         .collect();
     let mut rng = Lcg::new(seed ^ 0x5eed);
     for _ in 0..200 {

@@ -508,10 +508,10 @@ mod tests {
         let mem = Trace::new("wrap-trace", records);
         let mut a = gzt.reader();
         let mut b = mem.cursor();
-        for _ in 0..100 {
+        for read in 1..=100 {
             assert_eq!(a.next_record(), b.next_record());
+            assert_eq!(a.wraps(), b.wraps(), "after {read} reads");
         }
-        assert_eq!(a.wraps(), b.wraps());
         std::fs::remove_file(&path).ok();
     }
 

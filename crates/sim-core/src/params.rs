@@ -5,7 +5,7 @@
 //! with the [`SimConfig`] it runs under. It lives in `sim-core` (rather
 //! than the experiment harness) so that every layer that needs to *key* on
 //! a run — the experiment engine's shared baselines, the persistent
-//! results store, the `trace-pack` CLI deriving record counts from a
+//! results store, the `trace-pack` CLI deriving trace lengths from a
 //! scale — shares one definition and one stable
 //! [`fingerprint`](RunParams::fingerprint).
 //!
@@ -26,7 +26,7 @@ use crate::config::SimConfig;
 /// and re-simulate instead of being served as current. The golden-figure
 /// test binds this value to a digest of the committed figure CSVs, so a
 /// golden-CSV change without a bump fails there.
-pub const MODEL_EPOCH: u64 = 1;
+pub const MODEL_EPOCH: u64 = 2;
 
 /// Instruction budgets and system configuration of one simulation.
 #[derive(Debug, Clone, Copy)]
@@ -132,11 +132,13 @@ impl RunParams {
     }
 }
 
-/// Trace length (memory records) generated for a given measured-instruction
-/// budget: enough records that the trace does not wrap too often.
-pub fn records_for(params: &RunParams) -> usize {
-    // Roughly one memory access every 6-10 instructions in the generators.
-    ((params.warmup + params.measured) / 5).max(4_000) as usize
+/// Instructions one pass of a synthetic trace must hold so that a
+/// single-core run at `params` never wraps: both budgets, up to
+/// `width - 1` instructions each phase retires past its target, and a
+/// full ROB of dispatch read-ahead.
+pub fn records_for(params: &RunParams) -> u64 {
+    let core = params.config.core;
+    params.warmup + params.measured + (core.rob_entries + 2 * (core.width - 1)) as u64
 }
 
 /// Stable FNV-1a fingerprint of a trace *mix*, one trace per core: the
@@ -232,15 +234,14 @@ mod tests {
 
     #[test]
     fn records_for_scales_with_budgets() {
-        assert_eq!(records_for(&RunParams::quick()), 14_000);
-        assert_eq!(records_for(&RunParams::test()), 5_000);
-        // Tiny budgets are floored so generators always have room to work.
+        assert_eq!(records_for(&RunParams::test()), 25_358);
+        assert_eq!(records_for(&RunParams::quick()), 70_358);
         let tiny = RunParams {
             warmup: 10,
             measured: 10,
             ..RunParams::test()
         };
-        assert_eq!(records_for(&tiny), 4_000);
+        assert_eq!(records_for(&tiny), 378);
     }
 
     #[test]

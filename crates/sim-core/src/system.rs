@@ -601,7 +601,8 @@ impl<'t> System<'t> {
 
     /// Times the cores' trace readers wrapped to the start of their pass
     /// since construction, summed over cores. A synthetic trace sized for
-    /// its budget never wraps; in a multi-core run, cores that finish
+    /// its budget ([`records_for`](crate::params::records_for)) never
+    /// wraps in a single-core run; in a multi-core run, cores that finish
     /// early keep replaying by design so contention persists.
     pub fn trace_wraps(&self) -> u64 {
         self.cores.iter().map(|pc| pc.reader.wraps()).sum()

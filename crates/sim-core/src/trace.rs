@@ -237,16 +237,17 @@ impl<'a> TraceCursor<'a> {
     /// Returns the next record, wrapping to the beginning when the trace is
     /// exhausted.
     pub fn next_record(&mut self) -> TraceRecord {
-        let rec = self.trace.records[self.pos];
-        self.pos += 1;
         if self.pos == self.trace.records.len() {
             self.pos = 0;
             self.wraps += 1;
         }
+        let rec = self.trace.records[self.pos];
+        self.pos += 1;
         rec
     }
 
-    /// Number of times the cursor wrapped past the end of the trace.
+    /// Number of times the cursor wrapped back to the start of the trace:
+    /// reads past the end, not reads of the last record.
     pub fn wraps(&self) -> u64 {
         self.wraps
     }
@@ -288,7 +289,11 @@ mod tests {
     fn cursor_wraps_around() {
         let t = tiny_trace();
         let mut c = t.cursor();
-        for _ in 0..7 {
+        for _ in 0..3 {
+            c.next_record();
+        }
+        assert_eq!(c.wraps(), 0, "reading the last record is not a wrap");
+        for _ in 0..4 {
             c.next_record();
         }
         assert_eq!(c.wraps(), 2);

@@ -1,22 +1,20 @@
 //! `trace-pack` — pack workloads into GZT trace files and inspect them.
 //!
 //! ```text
-//! trace-pack synth <workload> (--records N | --scale SCALE) --out FILE.gzt
-//! trace-pack suite <suite>    (--records N | --scale SCALE) --out-dir DIR
-//! trace-pack all              (--records N | --scale SCALE) --out-dir DIR
+//! trace-pack synth <workload> --scale SCALE --out FILE.gzt
+//! trace-pack suite <suite>    --scale SCALE --out-dir DIR
+//! trace-pack all              --scale SCALE --out-dir DIR
 //! trace-pack champsim <FILE>  --name NAME --out FILE.gzt [--max-records N]
 //! trace-pack info <FILE.gzt>
-//! trace-pack verify <FILE.gzt> (--records N | --scale SCALE)
+//! trace-pack verify <FILE.gzt> --scale SCALE
 //! ```
 //!
 //! * `synth` packs one synthetic workload of the registry; `suite` packs a
 //!   whole suite (`spec06|spec17|ligra|parsec|cloud|gap|qmm`); `all` packs
-//!   every main-suite workload. `--records` is the memory accesses per pass
-//!   — match it to the experiment scale (see `docs/TRACES.md`). Better:
-//!   pass `--scale test|quick|bench|paper` and the record count is derived
-//!   from the scale's `RunParams` directly (the same `records_for`
-//!   computation the experiment harness uses), so packed files are always
-//!   bit-identical to what the figures generate in memory.
+//!   every main-suite workload. `--scale test|quick|bench|paper` sizes each
+//!   trace by the instruction budget of that scale's `RunParams` (the same
+//!   `records_for` computation the experiment harness uses), so packed
+//!   files are bit-identical to what the figures generate in memory.
 //! * `champsim` decodes an **uncompressed** ChampSim/DPC-3 instruction
 //!   trace (64-byte records) into GZT; decompress `.xz`/`.gz` first.
 //! * `info` prints the header of a packed file; `verify` replays it against
@@ -39,13 +37,13 @@ use workloads::pack::{
 fn usage() -> ExitCode {
     // gaze-lint: allow(eprintln) -- CLI usage error: bare stderr line is the interface
     eprintln!(
-        "usage:\n  trace-pack synth <workload> (--records N | --scale SCALE) --out FILE.gzt\n  \
-         trace-pack suite <suite> (--records N | --scale SCALE) --out-dir DIR\n  \
-         trace-pack all (--records N | --scale SCALE) --out-dir DIR\n  \
+        "usage:\n  trace-pack synth <workload> --scale SCALE --out FILE.gzt\n  \
+         trace-pack suite <suite> --scale SCALE --out-dir DIR\n  \
+         trace-pack all --scale SCALE --out-dir DIR\n  \
          trace-pack champsim <FILE> --name NAME --out FILE.gzt [--max-records N]\n  \
          trace-pack info <FILE.gzt>\n  \
-         trace-pack verify <FILE.gzt> (--records N | --scale SCALE)\n\
-         SCALE is test|quick|bench|paper (record count derived from the scale's RunParams)"
+         trace-pack verify <FILE.gzt> --scale SCALE\n\
+         SCALE is test|quick|bench|paper (trace length derived from the scale's RunParams)"
     );
     ExitCode::from(2)
 }
@@ -58,24 +56,14 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-fn parse_count(args: &[String], flag: &str) -> Result<usize, String> {
-    flag_value(args, flag)
-        .and_then(|v| v.replace('_', "").parse().ok())
-        .ok_or_else(|| format!("missing or invalid {flag} <N>"))
-}
-
-/// The records-per-pass for this invocation: an explicit `--records N`, or
-/// derived from `--scale <name>` via the experiment harness's own
+/// The instructions per pass for this invocation, derived from
+/// `--scale <name>` via the experiment harness's own
 /// [`records_for`](sim_core::params::records_for) computation.
-fn parse_records(args: &[String]) -> Result<usize, String> {
-    match (flag_value(args, "--records"), flag_value(args, "--scale")) {
-        (Some(_), Some(_)) => Err("--records and --scale are mutually exclusive".to_string()),
-        (Some(_), None) => parse_count(args, "--records"),
-        (None, Some(scale)) => sim_core::params::RunParams::named_scale(&scale)
-            .map(|p| sim_core::params::records_for(&p))
-            .ok_or_else(|| format!("unknown scale '{scale}' (test|quick|bench|paper)")),
-        (None, None) => Err("missing --records <N> or --scale <SCALE>".to_string()),
-    }
+fn parse_budget(args: &[String]) -> Result<u64, String> {
+    let scale = flag_value(args, "--scale").ok_or("missing --scale <SCALE>")?;
+    sim_core::params::RunParams::named_scale(&scale)
+        .map(|p| sim_core::params::records_for(&p))
+        .ok_or_else(|| format!("unknown scale '{scale}' (test|quick|bench|paper)"))
 }
 
 fn print_summary(s: &PackSummary) {
@@ -94,6 +82,21 @@ fn run() -> Result<(), String> {
     let Some(command) = args.first().map(String::as_str) else {
         return Err("missing command".to_string());
     };
+    // An unknown or removed flag (such as the old `--records`) is an
+    // error, never silently ignored.
+    let flags: &[&str] = match command {
+        "synth" => &["--scale", "--out"],
+        "suite" | "all" => &["--scale", "--out-dir"],
+        "champsim" => &["--name", "--out", "--max-records"],
+        "verify" => &["--scale"],
+        _ => &[],
+    };
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !flags.contains(&a.as_str()))
+    {
+        return Err(format!("unknown flag '{flag}' for '{command}'"));
+    }
     let io_err = |e: std::io::Error| e.to_string();
     match command {
         "synth" => {
@@ -101,11 +104,11 @@ fn run() -> Result<(), String> {
                 .get(1)
                 .filter(|a| !a.starts_with("--"))
                 .ok_or("missing <workload>")?;
-            let records = parse_records(&args)?;
+            let budget = parse_budget(&args)?;
             let out = PathBuf::from(
                 flag_value(&args, "--out").unwrap_or_else(|| gzt_file_name(workload)),
             );
-            let summary = pack_workload(workload, records, &out).map_err(io_err)?;
+            let summary = pack_workload(workload, budget, &out).map_err(io_err)?;
             print_summary(&summary);
         }
         "suite" => {
@@ -116,16 +119,16 @@ fn run() -> Result<(), String> {
             let suite = parse_suite(label).ok_or_else(|| {
                 format!("unknown suite '{label}' (spec06|spec17|ligra|parsec|cloud|gap|qmm)")
             })?;
-            let records = parse_records(&args)?;
+            let budget = parse_budget(&args)?;
             let dir = PathBuf::from(flag_value(&args, "--out-dir").unwrap_or_else(|| ".".into()));
-            for s in pack_suite(suite, records, &dir).map_err(io_err)? {
+            for s in pack_suite(suite, budget, &dir).map_err(io_err)? {
                 print_summary(&s);
             }
         }
         "all" => {
-            let records = parse_records(&args)?;
+            let budget = parse_budget(&args)?;
             let dir = PathBuf::from(flag_value(&args, "--out-dir").unwrap_or_else(|| ".".into()));
-            for s in pack_all_main(records, &dir).map_err(io_err)? {
+            for s in pack_all_main(budget, &dir).map_err(io_err)? {
                 print_summary(&s);
             }
         }
@@ -160,11 +163,11 @@ fn run() -> Result<(), String> {
                 .get(1)
                 .filter(|a| !a.starts_with("--"))
                 .ok_or("missing <FILE.gzt>")?;
-            let records = parse_records(&args)?;
+            let budget = parse_budget(&args)?;
             let gzt = GztTrace::open(path.as_str()).map_err(io_err)?;
-            let fp = verify_pack(&gzt, records).map_err(io_err)?;
+            let fp = verify_pack(&gzt, budget).map_err(io_err)?;
             println!(
-                "{}: OK — matches the '{}' generator at {records} records (fingerprint {fp:#018x})",
+                "{}: OK — matches the '{}' generator at {budget} instructions (fingerprint {fp:#018x})",
                 gzt.path().display(),
                 TraceSource::name(&gzt),
             );

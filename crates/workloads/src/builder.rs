@@ -4,10 +4,12 @@ use crate::rng::SmallRng;
 use sim_core::trace::TraceRecord;
 
 /// Deterministic trace builder: wraps an RNG seeded from the workload name so
-/// that every generator produces exactly the same trace on every run.
+/// that every generator produces exactly the same trace on every run, and
+/// counts the instructions its records represent.
 #[derive(Debug)]
 pub struct TraceBuilder {
     records: Vec<TraceRecord>,
+    instructions: u64,
     rng: SmallRng,
 }
 
@@ -16,6 +18,7 @@ impl TraceBuilder {
     pub fn new(seed: u64) -> Self {
         TraceBuilder {
             records: Vec::new(),
+            instructions: 0,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -38,14 +41,26 @@ impl TraceBuilder {
     /// Appends a load of `addr` issued by `pc`, preceded by `gap` non-memory
     /// instructions.
     pub fn load(&mut self, pc: u64, addr: u64, gap: u32) -> &mut Self {
-        self.records.push(TraceRecord::load(pc, addr, gap));
-        self
+        self.push(TraceRecord::load(pc, addr, gap))
     }
 
     /// Appends a store of `addr` issued by `pc`, preceded by `gap` non-memory
     /// instructions.
     pub fn store(&mut self, pc: u64, addr: u64, gap: u32) -> &mut Self {
-        self.records.push(TraceRecord::store(pc, addr, gap));
+        self.push(TraceRecord::store(pc, addr, gap))
+    }
+
+    /// Appends records another generator built, in order (how composite
+    /// workloads concatenate their parts).
+    pub fn extend(&mut self, records: Vec<TraceRecord>) {
+        for record in records {
+            self.push(record);
+        }
+    }
+
+    fn push(&mut self, record: TraceRecord) -> &mut Self {
+        self.instructions += record.instruction_count();
+        self.records.push(record);
         self
     }
 
@@ -59,14 +74,9 @@ impl TraceBuilder {
         self.load(pc, addr, gap)
     }
 
-    /// Number of records produced so far.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether no records have been produced yet.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+    /// Instructions the records produced so far represent.
+    pub fn instructions(&self) -> u64 {
+        self.instructions
     }
 
     /// Finishes the build and returns the records.
@@ -105,6 +115,7 @@ mod tests {
     fn load_and_store_are_recorded_in_order() {
         let mut b = TraceBuilder::new(1);
         b.load(0x10, 0x100, 2).store(0x14, 0x200, 0);
+        assert_eq!(b.instructions(), 4);
         let recs = b.into_records();
         assert_eq!(recs.len(), 2);
         assert!(!recs[0].is_store);

@@ -101,27 +101,25 @@ const NEIGHBOR_BASE: u64 = GRAPH_BASE + 0x4000_0000;
 const PROPERTY_BASE: u64 = GRAPH_BASE + 0x8000_0000;
 const FRONTIER_BASE: u64 = GRAPH_BASE + 0xc000_0000;
 
-/// Generates a graph-analytics trace of about `records` memory accesses.
-pub fn graph_workload(name: &str, records: usize, spec: GraphSpec) -> Vec<TraceRecord> {
+/// Generates a graph-analytics trace of at least `instructions`
+/// instructions; the optional initial phase is the first third of them.
+pub fn graph_workload(name: &str, instructions: u64, spec: GraphSpec) -> Vec<TraceRecord> {
     let mut b = TraceBuilder::from_name(name);
     let graph = SyntheticGraph::build(0x9e37 ^ name.len() as u64, spec.vertices, spec.avg_degree);
-    let mut produced = 0usize;
 
     if spec.init_phase {
         // Data preparation: sequentially write the property and frontier
         // arrays (pure spatial streaming).
-        let init_records = records / 3;
         let mut i = 0u64;
-        while produced < init_records {
+        while b.instructions() < instructions / 3 {
             b.store(0x60_0000, PROPERTY_BASE + (i * 8) % (spec.vertices * 8), 2);
             b.load(0x60_0010, FRONTIER_BASE + (i * 4) % (spec.vertices * 4), 1);
-            produced += 2;
             i += 1;
         }
     }
 
     let mut frontier_cursor = 0u64;
-    while produced < records {
+    while b.instructions() < instructions {
         // 1. Read the next frontier element (sequential sweep).
         let vertex = match spec.kernel {
             GraphKernel::PageRank | GraphKernel::Triangle => frontier_cursor % spec.vertices,
@@ -132,12 +130,10 @@ pub fn graph_workload(name: &str, records: usize, spec: GraphSpec) -> Vec<TraceR
             }
         };
         b.load_jittered(0x61_0000, FRONTIER_BASE + frontier_cursor * 4, 2, 5);
-        produced += 1;
         frontier_cursor += 1;
 
         // 2. Read the row pointer for this vertex.
         b.load(0x61_0008, ROW_PTR_BASE + vertex * 8, 1);
-        produced += 1;
 
         // 3. Walk the neighbor list (a short sequential burst at an
         //    irregular base address).
@@ -145,11 +141,10 @@ pub fn graph_workload(name: &str, records: usize, spec: GraphSpec) -> Vec<TraceR
         let end = graph.row_ptr[vertex as usize + 1];
         let degree = (end - start).min(64);
         for e in 0..degree {
-            if produced >= records {
+            if b.instructions() >= instructions {
                 break;
             }
             b.load(0x61_0010, NEIGHBOR_BASE + (start + e) * 8, 1);
-            produced += 1;
             // 4. Access the neighbor's property (scattered).
             let neighbor = graph.neighbors[(start + e) as usize];
             match spec.kernel {
@@ -165,7 +160,6 @@ pub fn graph_workload(name: &str, records: usize, spec: GraphSpec) -> Vec<TraceR
                     b.load(0x61_0020, PROPERTY_BASE + neighbor * 8, 2);
                 }
             }
-            produced += 1;
         }
     }
     b.into_records()
@@ -188,8 +182,7 @@ mod tests {
 
     #[test]
     fn workload_mixes_streaming_and_irregular_accesses() {
-        let recs = graph_workload("pr", 20_000, GraphSpec::default());
-        assert!(recs.len() >= 20_000);
+        let recs = graph_workload("pr", 50_000, GraphSpec::default());
         let geom = RegionGeometry::gaze_default();
         // Property-array accesses land in many distinct regions (irregular),
         // neighbor-list accesses reuse regions densely (streaming-like).
@@ -218,7 +211,7 @@ mod tests {
             init_phase: true,
             ..Default::default()
         };
-        let recs = graph_workload("bfs-init", 9000, spec);
+        let recs = graph_workload("bfs-init", 30_000, spec);
         let stores = recs.iter().take(3000).filter(|r| r.is_store).count();
         assert!(stores > 1000, "the initial phase is store-heavy streaming");
     }

@@ -7,11 +7,16 @@ use sim_core::trace::TraceRecord;
 /// Pointer chasing over a large node pool (mcf/canneal-like): consecutive
 /// accesses follow a pseudo-random chain, so there is neither spatial nor
 /// PC-stride structure to exploit.
-pub fn pointer_chase(name: &str, records: usize, nodes: u64, node_bytes: u64) -> Vec<TraceRecord> {
+pub fn pointer_chase(
+    name: &str,
+    instructions: u64,
+    nodes: u64,
+    node_bytes: u64,
+) -> Vec<TraceRecord> {
     let mut b = TraceBuilder::from_name(name);
     let base = 0x20_0000_0000u64;
     let mut current = 1u64;
-    for _ in 0..records {
+    while b.instructions() < instructions {
         // A fixed multiplicative chain gives a repeatable but structureless walk.
         current = (current
             .wrapping_mul(6364136223846793005)
@@ -24,18 +29,20 @@ pub fn pointer_chase(name: &str, records: usize, nodes: u64, node_bytes: u64) ->
 }
 
 /// GUPS-style random read-modify-write over a huge table.
-pub fn gups(name: &str, records: usize, table_bytes: u64) -> Vec<TraceRecord> {
+pub fn gups(name: &str, instructions: u64, table_bytes: u64) -> Vec<TraceRecord> {
     let mut b = TraceBuilder::from_name(name);
     let base = 0x30_0000_0000u64;
     let blocks = (table_bytes / 64).max(1);
-    for i in 0..records {
+    let mut load = true;
+    while b.instructions() < instructions {
         let block = b.rng().gen_range(0..blocks);
         let addr = base + block * 64;
-        if i % 2 == 0 {
+        if load {
             b.load_jittered(0x71_0000, addr, 2, 8);
         } else {
             b.store(0x71_0010, addr, 1);
         }
+        load = !load;
     }
     b.into_records()
 }
@@ -75,7 +82,7 @@ impl Default for CloudSpec {
 /// traversed concurrently, and objects of different types share the same
 /// starting block, so coarse (offset-only) characterization confuses their
 /// patterns while the access-order signature disambiguates them.
-pub fn cloud_server(name: &str, records: usize, spec: CloudSpec) -> Vec<TraceRecord> {
+pub fn cloud_server(name: &str, instructions: u64, spec: CloudSpec) -> Vec<TraceRecord> {
     let mut b = TraceBuilder::from_name(name);
     let heap_base = 0x40_0000_0000u64;
     let hot_base = 0x41_0000_0000u64;
@@ -94,15 +101,13 @@ pub fn cloud_server(name: &str, records: usize, spec: CloudSpec) -> Vec<TraceRec
     const ACTIVE_OBJECTS: usize = 6;
     // (region, type, position)
     let mut active: Vec<(u64, usize, usize)> = Vec::new();
-    let mut produced = 0usize;
-    while produced < records {
+    while b.instructions() < instructions {
         let roll: f64 = b.rng().gen_f64();
         let pc = 0x80_0000 + b.rng().gen_range(0..spec.pcs) * 0x10;
         if roll < spec.hot_fraction {
             // Hot structure: 64 KB, stays cache resident.
             let block = b.rng().gen_range(0..1024u64);
             b.load_jittered(pc, hot_base + block * 64, spec.gap.0, spec.gap.1);
-            produced += 1;
         } else if roll < spec.hot_fraction + spec.code_correlated {
             // Advance one of the concurrently traversed objects by one field.
             if active.len() < ACTIVE_OBJECTS {
@@ -119,7 +124,6 @@ pub fn cloud_server(name: &str, records: usize, spec: CloudSpec) -> Vec<TraceRec
                 spec.gap.0,
                 spec.gap.1,
             );
-            produced += 1;
             if pos + 1 >= templates[ty].len() {
                 active.swap_remove(idx);
             } else {
@@ -129,7 +133,6 @@ pub fn cloud_server(name: &str, records: usize, spec: CloudSpec) -> Vec<TraceRec
             // Plain irregular heap access.
             let block = b.rng().gen_range(0..heap_blocks);
             b.load_jittered(pc, heap_base + block * 64, spec.gap.0, spec.gap.1);
-            produced += 1;
         }
     }
     b.into_records()
@@ -138,12 +141,12 @@ pub fn cloud_server(name: &str, records: usize, spec: CloudSpec) -> Vec<TraceRec
 /// QMM server-like workload: the data working set is small (instruction
 /// misses, which we do not model, are its real bottleneck), so data
 /// prefetching has little to gain and aggressive prefetching only pollutes.
-pub fn qmm_server(name: &str, records: usize) -> Vec<TraceRecord> {
+pub fn qmm_server(name: &str, instructions: u64) -> Vec<TraceRecord> {
     let mut b = TraceBuilder::from_name(name);
     let base = 0x50_0000_0000u64;
     // 1.5 MB working set: fits in the LLC, mostly fits in the L2.
     let blocks = (1536 * 1024) / 64u64;
-    for _ in 0..records {
+    while b.instructions() < instructions {
         let block = b.rng().gen_range(0..blocks);
         b.load_jittered(0x90_0000 + (block % 97) * 8, base + block * 64, 15, 40);
     }
@@ -151,10 +154,10 @@ pub fn qmm_server(name: &str, records: usize) -> Vec<TraceRecord> {
 }
 
 /// QMM client-like workload: memory-intensive strided compute.
-pub fn qmm_client(name: &str, records: usize, stride_blocks: u64) -> Vec<TraceRecord> {
+pub fn qmm_client(name: &str, instructions: u64, stride_blocks: u64) -> Vec<TraceRecord> {
     crate::streaming::streaming(
         name,
-        records,
+        instructions,
         crate::streaming::StreamingSpec {
             streams: 3,
             stride_blocks,
@@ -189,8 +192,10 @@ mod tests {
     #[test]
     fn gups_alternates_loads_and_stores() {
         let recs = gups("gups", 1000, 1 << 30);
-        let stores = recs.iter().filter(|r| r.is_store).count();
-        assert_eq!(stores, 500);
+        assert!(recs.len() > 100);
+        for (i, r) in recs.iter().enumerate() {
+            assert_eq!(r.is_store, i % 2 == 1);
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! use workloads::suite::{build_workload, workload_names, Suite};
 //!
 //! let trace = build_workload("bwaves_s", 10_000);
-//! assert!(trace.len() >= 10_000);
+//! assert!(trace.instructions_per_pass() >= 10_000);
 //! assert!(workload_names(Suite::Ligra).contains(&"PageRank"));
 //! ```
 
@@ -46,6 +46,4 @@ pub mod suite;
 
 pub use builder::TraceBuilder;
 pub use pack::{pack_all_main, pack_suite, pack_workload, PackSummary};
-pub use suite::{
-    all_main_workloads, build_suite, build_workload, is_known_workload, workload_names, Suite,
-};
+pub use suite::{all_main_workloads, build_workload, is_known_workload, workload_names, Suite};

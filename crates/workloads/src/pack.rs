@@ -41,15 +41,15 @@ pub fn gzt_file_name(workload: &str) -> String {
     format!("{workload}.gzt")
 }
 
-/// Builds the named synthetic workload at `records` memory accesses and
-/// packs it into `out` as a GZT file.
+/// Builds the named synthetic workload at `instructions` instructions per
+/// pass and packs it into `out` as a GZT file.
 ///
 /// # Panics
 ///
 /// Panics if `name` is not a registered workload (same contract as
 /// [`build_workload`]).
-pub fn pack_workload(name: &str, records: usize, out: &Path) -> io::Result<PackSummary> {
-    let trace = build_workload(name, records);
+pub fn pack_workload(name: &str, instructions: u64, out: &Path) -> io::Result<PackSummary> {
+    let trace = build_workload(name, instructions);
     let mut writer = GztWriter::create(out, name)?;
     writer.push_all(trace.records())?;
     writer.finish()?;
@@ -63,30 +63,30 @@ pub fn pack_workload(name: &str, records: usize, out: &Path) -> io::Result<PackS
 
 /// Packs every workload of `suite` into `out_dir` (created if missing),
 /// one `<name>.gzt` file each.
-pub fn pack_suite(suite: Suite, records: usize, out_dir: &Path) -> io::Result<Vec<PackSummary>> {
+pub fn pack_suite(suite: Suite, instructions: u64, out_dir: &Path) -> io::Result<Vec<PackSummary>> {
     std::fs::create_dir_all(out_dir)?;
     workload_names(suite)
         .into_iter()
-        .map(|name| pack_workload(name, records, &out_dir.join(gzt_file_name(name))))
+        .map(|name| pack_workload(name, instructions, &out_dir.join(gzt_file_name(name))))
         .collect()
 }
 
 /// Packs every workload of the five main suites into `out_dir`.
-pub fn pack_all_main(records: usize, out_dir: &Path) -> io::Result<Vec<PackSummary>> {
+pub fn pack_all_main(instructions: u64, out_dir: &Path) -> io::Result<Vec<PackSummary>> {
     std::fs::create_dir_all(out_dir)?;
     all_main_workloads()
         .into_iter()
-        .map(|(_, name)| pack_workload(name, records, &out_dir.join(gzt_file_name(name))))
+        .map(|(_, name)| pack_workload(name, instructions, &out_dir.join(gzt_file_name(name))))
         .collect()
 }
 
 /// Verifies that a packed file replays identically to the in-memory
-/// generator of the same workload: record counts, instruction counts and
-/// the full-stream fingerprint must all match.
+/// generator of the same workload at `instructions`: record counts,
+/// instruction counts and the full-stream fingerprint must all match.
 ///
 /// Returns the shared fingerprint on success.
-pub fn verify_pack(gzt: &GztTrace, records: usize) -> io::Result<u64> {
-    let mem = build_workload(TraceSource::name(gzt), records);
+pub fn verify_pack(gzt: &GztTrace, instructions: u64) -> io::Result<u64> {
+    let mem = build_workload(TraceSource::name(gzt), instructions);
     let mismatch = |what: &str, disk: u64, memory: u64| {
         io::Error::new(
             io::ErrorKind::InvalidData,
@@ -278,7 +278,7 @@ mod tests {
         let path = dir.join(gzt_file_name("mcf_s"));
         pack_workload("mcf_s", 4_000, &path).expect("pack");
         let gzt = GztTrace::open(&path).expect("open");
-        // Verifying against a different generator length must fail.
+        // Verifying against a different instruction budget must fail.
         assert!(verify_pack(&gzt, 5_000).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -290,7 +290,7 @@ mod tests {
         assert_eq!(summaries.len(), workload_names(Suite::Parsec).len());
         for s in &summaries {
             assert!(s.path.exists(), "{} missing", s.path.display());
-            assert!(s.records >= 2_000);
+            assert!(s.instructions_per_pass >= 2_000);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -84,7 +84,7 @@ pub fn stencil_templates() -> Vec<FootprintTemplate> {
 /// recurrence is learnable. Several regions are active at once and their
 /// accesses interleave, as loop nests over multiple arrays do, so successive
 /// accesses to one region are spaced out in time.
-pub fn region_patterns(name: &str, records: usize, spec: RegionPatternSpec) -> Vec<TraceRecord> {
+pub fn region_patterns(name: &str, instructions: u64, spec: RegionPatternSpec) -> Vec<TraceRecord> {
     assert!(!spec.templates.is_empty(), "at least one template required");
     let mut b = TraceBuilder::from_name(name);
     let base_region = 0x80_0000u64; // 32 GB into the address space (disjoint from the other generators)
@@ -103,16 +103,14 @@ pub fn region_patterns(name: &str, records: usize, spec: RegionPatternSpec) -> V
     for _ in 0..ACTIVE {
         active.push(next_region(&mut visit));
     }
-    let mut produced = 0usize;
     let mut slot = 0usize;
-    while produced < records {
+    while b.instructions() < instructions {
         let (region, template_idx, pos) = active[slot];
         let template = &spec.templates[template_idx];
         let offset = template.offsets[pos];
         let pc_base = 0x50_0000 + (template_idx as u64) * 0x100;
         let addr = region * 4096 + offset as u64 * 64;
         b.load_jittered(pc_base + pos as u64 * 4, addr, spec.gap.0, spec.gap.1);
-        produced += 1;
         if pos + 1 >= template.offsets.len() {
             active[slot] = next_region(&mut visit);
         } else {
@@ -121,11 +119,10 @@ pub fn region_patterns(name: &str, records: usize, spec: RegionPatternSpec) -> V
         slot = (slot + 1) % ACTIVE;
         // Inject noise accesses.
         let roll: f64 = b.rng().gen_f64();
-        if roll < spec.noise && produced < records {
+        if roll < spec.noise && b.instructions() < instructions {
             let noise_region = base_region + b.rng().gen_range(0..spec.regions);
             let noise_offset = b.rng().gen_range(0..64u64);
             b.load(0x66_0000, noise_region * 4096 + noise_offset * 64, 2);
-            produced += 1;
         }
     }
     b.into_records()
@@ -133,17 +130,16 @@ pub fn region_patterns(name: &str, records: usize, spec: RegionPatternSpec) -> V
 
 /// A phase-alternating workload (roms/pop2-like): long streaming phases
 /// interleaved with recurrent-footprint phases, exercising the interaction
-/// between the dense path and the PHT path.
-pub fn phased(name: &str, records: usize) -> Vec<TraceRecord> {
-    let mut out = Vec::with_capacity(records);
-    let phase = records / 8;
-    let mut remaining = records;
-    let mut toggle = false;
+/// between the dense path and the PHT path. Each phase is an eighth of the
+/// instruction budget.
+pub fn phased(name: &str, instructions: u64) -> Vec<TraceRecord> {
+    let mut b = TraceBuilder::from_name(name);
+    let phase = (instructions / 8).max(1);
     let mut chunk_idx = 0;
-    while remaining > 0 {
-        let n = phase.min(remaining).max(1);
+    while b.instructions() < instructions {
+        let n = phase.min(instructions - b.instructions());
         let chunk_name = format!("{name}-{chunk_idx}");
-        let chunk = if toggle {
+        b.extend(if chunk_idx % 2 == 1 {
             region_patterns(&chunk_name, n, RegionPatternSpec::default())
         } else {
             crate::streaming::streaming(
@@ -154,13 +150,10 @@ pub fn phased(name: &str, records: usize) -> Vec<TraceRecord> {
                     ..Default::default()
                 },
             )
-        };
-        out.extend(chunk);
-        remaining -= n;
-        toggle = !toggle;
+        });
         chunk_idx += 1;
     }
-    out
+    b.into_records()
 }
 
 #[cfg(test)]
@@ -179,7 +172,7 @@ mod tests {
     fn each_region_follows_one_template_in_order() {
         let recs = region_patterns(
             "t",
-            5000,
+            40_000,
             RegionPatternSpec {
                 noise: 0.0,
                 ..Default::default()
@@ -236,7 +229,8 @@ mod tests {
     #[test]
     fn phased_workload_contains_both_behaviours() {
         let recs = phased("t", 8000);
-        assert_eq!(recs.len(), 8000);
+        let total: u64 = recs.iter().map(TraceRecord::instruction_count).sum();
+        assert!(total >= 8000);
         // Streaming phases live below 4 GB, recurrent-footprint phases at 32 GB.
         let has_stream = recs.iter().any(|r| r.addr.raw() < 0x1_0000_0000);
         let has_regions = recs.iter().any(|r| r.addr.raw() >= 0x8_0000_0000);

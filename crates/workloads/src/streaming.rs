@@ -31,40 +31,39 @@ impl Default for StreamingSpec {
     }
 }
 
-/// Generates a multi-stream sequential/strided trace. Each record round-robins
-/// across the streams, which is how array sweeps interleave in compiled code.
-pub fn streaming(name: &str, records: usize, spec: StreamingSpec) -> Vec<TraceRecord> {
+/// Generates a multi-stream sequential/strided trace of at least
+/// `instructions` instructions. Each record round-robins across the
+/// streams, which is how array sweeps interleave in compiled code.
+pub fn streaming(name: &str, instructions: u64, spec: StreamingSpec) -> Vec<TraceRecord> {
     let mut b = TraceBuilder::from_name(name);
     let blocks_per_stream = (spec.stream_bytes / 64).max(1);
     let mut positions: Vec<u64> = (0..spec.streams as u64).collect();
-    for i in 0..records {
-        let stream = i % spec.streams;
+    let mut stream = 0;
+    while b.instructions() < instructions {
         let base = 0x1000_0000u64 + stream as u64 * 0x1000_0000;
         let pos = positions[stream] % blocks_per_stream;
         let addr = base + pos * 64 * spec.stride_blocks;
         let pc = 0x40_0000 + stream as u64 * 0x40;
-        let is_store = {
-            let r: f64 = b.rng().gen_f64();
-            r < spec.store_fraction
-        };
-        if is_store {
+        if b.rng().gen_f64() < spec.store_fraction {
             b.store(pc + 0x20, addr, spec.gap.0);
         } else {
             b.load_jittered(pc, addr, spec.gap.0, spec.gap.1);
         }
         positions[stream] += 1;
+        stream = (stream + 1) % spec.streams;
     }
     b.into_records()
 }
 
 /// A stream that repeatedly sweeps a buffer that fits in the LLC but not the
 /// L2 (PARSEC streamcluster-like reuse).
-pub fn reused_stream(name: &str, records: usize, buffer_bytes: u64) -> Vec<TraceRecord> {
+pub fn reused_stream(name: &str, instructions: u64, buffer_bytes: u64) -> Vec<TraceRecord> {
     let mut b = TraceBuilder::from_name(name);
     let blocks = (buffer_bytes / 64).max(1);
-    for i in 0..records as u64 {
-        let addr = 0x2000_0000 + (i % blocks) * 64;
-        b.load_jittered(0x41_0000, addr, 3, 9);
+    let mut i = 0;
+    while b.instructions() < instructions {
+        b.load_jittered(0x41_0000, 0x2000_0000 + (i % blocks) * 64, 3, 9);
+        i += 1;
     }
     b.into_records()
 }
@@ -77,7 +76,10 @@ mod tests {
     #[test]
     fn streaming_is_sequential_within_each_stream() {
         let recs = streaming("t", 4000, StreamingSpec::default());
-        assert_eq!(recs.len(), 4000);
+        // The trace stops at the record that reaches its budget.
+        let total: u64 = recs.iter().map(TraceRecord::instruction_count).sum();
+        let last = recs.last().expect("records").instruction_count();
+        assert!(total >= 4000 && total - last < 4000, "{total} instructions");
         // Stream 0 records are every 4th; consecutive ones advance by one block.
         let s0: Vec<u64> = recs.iter().step_by(4).map(|r| r.addr.raw()).collect();
         for w in s0.windows(2) {
@@ -102,7 +104,7 @@ mod tests {
             store_fraction: 0.5,
             ..Default::default()
         };
-        let recs = streaming("t", 2000, spec);
+        let recs = streaming("t", 8000, spec);
         let stores = recs.iter().filter(|r| r.is_store).count();
         assert!(stores > 500 && stores < 1500);
     }
@@ -114,7 +116,7 @@ mod tests {
             gap: (1, 1),
             ..Default::default()
         };
-        let recs = streaming("t", 256, spec);
+        let recs = streaming("t", 512, spec);
         let geom = RegionGeometry::gaze_default();
         // The first 4 KB region visited must be fully swept (64 blocks).
         let first_region = geom.region_of(recs[0].addr);
@@ -128,7 +130,7 @@ mod tests {
 
     #[test]
     fn reused_stream_wraps_around_its_buffer() {
-        let recs = reused_stream("t", 1000, 64 * 64); // 64-block buffer
+        let recs = reused_stream("t", 2000, 64 * 64); // 64-block buffer
         let unique: std::collections::BTreeSet<u64> = recs.iter().map(|r| r.addr.raw()).collect();
         assert_eq!(unique.len(), 64);
     }

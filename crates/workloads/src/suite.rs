@@ -9,6 +9,7 @@
 
 use sim_core::trace::Trace;
 
+use crate::builder::TraceBuilder;
 use crate::graph::{graph_workload, GraphKernel, GraphSpec};
 use crate::irregular::{cloud_server, gups, pointer_chase, qmm_client, qmm_server, CloudSpec};
 use crate::regions::{phased, region_patterns, stencil_templates, RegionPatternSpec};
@@ -158,17 +159,19 @@ pub fn is_known_workload(name: &str) -> bool {
             .any(|s| workload_names(s).contains(&name))
 }
 
-/// Builds the named workload as a trace of roughly `records` memory accesses.
+/// Builds the named workload as a trace of at least `instructions`
+/// instructions per pass: every generator stops at the step that reaches
+/// that budget.
 ///
 /// # Panics
 ///
 /// Panics if `name` is not one of the names returned by [`workload_names`].
-pub fn build_workload(name: &str, records: usize) -> Trace {
+pub fn build_workload(name: &str, instructions: u64) -> Trace {
     let recs = match name {
         // --- Streaming-dominated SPEC-like workloads ---
         "bwaves-06" | "bwaves_s" => streaming(
             name,
-            records,
+            instructions,
             StreamingSpec {
                 streams: 4,
                 ..Default::default()
@@ -176,7 +179,7 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
         ),
         "lbm-06" | "lbm_s" => streaming(
             name,
-            records,
+            instructions,
             StreamingSpec {
                 streams: 3,
                 store_fraction: 0.3,
@@ -185,7 +188,7 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
         ),
         "leslie3d" | "roms_s" => streaming(
             name,
-            records,
+            instructions,
             StreamingSpec {
                 streams: 2,
                 stride_blocks: 1,
@@ -195,7 +198,7 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
         ),
         "libquantum" => streaming(
             name,
-            records,
+            instructions,
             StreamingSpec {
                 streams: 1,
                 gap: (3, 7),
@@ -204,7 +207,7 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
         ),
         "milc" | "cam4_s" => streaming(
             name,
-            records,
+            instructions,
             StreamingSpec {
                 streams: 6,
                 stride_blocks: 2,
@@ -213,23 +216,25 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
             },
         ),
         // --- Recurrent-footprint / stencil SPEC-like workloads ---
-        "fotonik3d_s" | "GemsFDTD" => region_patterns(name, records, RegionPatternSpec::default()),
+        "fotonik3d_s" | "GemsFDTD" => {
+            region_patterns(name, instructions, RegionPatternSpec::default())
+        }
         "cactusADM" | "cactuBSSN_s" | "wrf_s" => region_patterns(
             name,
-            records,
+            instructions,
             RegionPatternSpec {
                 templates: stencil_templates(),
                 regions: 8192,
                 ..Default::default()
             },
         ),
-        "pop2_s" => phased(name, records),
+        "pop2_s" => phased(name, instructions),
         // --- Irregular SPEC-like workloads ---
-        "mcf-06" | "mcf_s" => pointer_chase(name, records, 1 << 20, 128),
-        "omnetpp_s" => pointer_chase(name, records, 1 << 18, 192),
+        "mcf-06" | "mcf_s" => pointer_chase(name, instructions, 1 << 20, 128),
+        "omnetpp_s" => pointer_chase(name, instructions, 1 << 18, 192),
         "xalancbmk_s" => cloud_server(
             name,
-            records,
+            instructions,
             CloudSpec {
                 pcs: 192,
                 heap_bytes: 12 * 1024 * 1024,
@@ -239,20 +244,18 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
         ),
         "soplex" | "sphinx3" | "gcc_s" => {
             // Mixed: half recurrent footprints, half irregular.
-            let mut recs = region_patterns(name, records / 2, RegionPatternSpec::default());
-            recs.extend(pointer_chase(
-                &format!("{name}-irr"),
-                records - records / 2,
-                1 << 19,
-                64,
-            ));
-            recs
+            let mut b = TraceBuilder::from_name(name);
+            let half = region_patterns(name, instructions / 2, RegionPatternSpec::default());
+            b.extend(half);
+            let rest = instructions.saturating_sub(b.instructions());
+            b.extend(pointer_chase(&format!("{name}-irr"), rest, 1 << 19, 64));
+            b.into_records()
         }
         // --- Ligra ---
-        "PageRank" | "PageRank.D" => graph_workload(name, records, GraphSpec::default()),
+        "PageRank" | "PageRank.D" => graph_workload(name, instructions, GraphSpec::default()),
         "BFS" => graph_workload(
             name,
-            records,
+            instructions,
             GraphSpec {
                 kernel: GraphKernel::Bfs,
                 frontier_fraction: 0.05,
@@ -261,7 +264,7 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
         ),
         "BFS-init" => graph_workload(
             name,
-            records,
+            instructions,
             GraphSpec {
                 kernel: GraphKernel::Bfs,
                 init_phase: true,
@@ -270,7 +273,7 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
         ),
         "BellmanFord" | "Components" | "BC" | "MIS" | "CF" => graph_workload(
             name,
-            records,
+            instructions,
             GraphSpec {
                 kernel: GraphKernel::FrontierUpdate,
                 frontier_fraction: 0.15,
@@ -279,7 +282,7 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
         ),
         "Triangle" => graph_workload(
             name,
-            records,
+            instructions,
             GraphSpec {
                 kernel: GraphKernel::Triangle,
                 vertices: 80_000,
@@ -290,18 +293,18 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
         // --- PARSEC ---
         "facesim" => streaming(
             name,
-            records,
+            instructions,
             StreamingSpec {
                 streams: 5,
                 gap: (5, 12),
                 ..Default::default()
             },
         ),
-        "streamcluster" => reused_stream(name, records, 6 * 1024 * 1024),
-        "canneal" => pointer_chase(name, records, 1 << 21, 96),
+        "streamcluster" => reused_stream(name, instructions, 6 * 1024 * 1024),
+        "canneal" => pointer_chase(name, instructions, 1 << 21, 96),
         "fluidanimate" => region_patterns(
             name,
-            records,
+            instructions,
             RegionPatternSpec {
                 templates: stencil_templates(),
                 regions: 2048,
@@ -310,11 +313,11 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
         ),
         // --- CloudSuite ---
         "cassandra" | "nutch" | "cloud9" | "classification" => {
-            cloud_server(name, records, CloudSpec::default())
+            cloud_server(name, instructions, CloudSpec::default())
         }
         "cloud-streaming" => cloud_server(
             name,
-            records,
+            instructions,
             CloudSpec {
                 code_correlated: 0.2,
                 hot_fraction: 0.1,
@@ -325,7 +328,7 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
         // --- GAP ---
         "pr.twi" | "pr.web" => graph_workload(
             name,
-            records,
+            instructions,
             GraphSpec {
                 vertices: 400_000,
                 avg_degree: 10,
@@ -334,7 +337,7 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
         ),
         "cc.twi" | "cc.web" => graph_workload(
             name,
-            records,
+            instructions,
             GraphSpec {
                 kernel: GraphKernel::FrontierUpdate,
                 vertices: 400_000,
@@ -345,7 +348,7 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
         ),
         "tc.twi" | "tc.web" => graph_workload(
             name,
-            records,
+            instructions,
             GraphSpec {
                 kernel: GraphKernel::Triangle,
                 vertices: 150_000,
@@ -354,22 +357,14 @@ pub fn build_workload(name: &str, records: usize) -> Trace {
             },
         ),
         // --- QMM ---
-        "srv.09" | "srv.27" | "srv.46" => qmm_server(name, records),
-        "clt.fp.06" => qmm_client(name, records, 1),
-        "clt.int.01" | "clt.int.19" => qmm_client(name, records, 2),
+        "srv.09" | "srv.27" | "srv.46" => qmm_server(name, instructions),
+        "clt.fp.06" => qmm_client(name, instructions, 1),
+        "clt.int.01" | "clt.int.19" => qmm_client(name, instructions, 2),
         // --- Extra microbenchmarks usable from examples/tests ---
-        "gups" => gups(name, records, 1 << 30),
+        "gups" => gups(name, instructions, 1 << 30),
         other => panic!("unknown workload '{other}'"),
     };
     Trace::new(name, recs)
-}
-
-/// Builds every workload of a suite with `records` accesses each.
-pub fn build_suite(suite: Suite, records: usize) -> Vec<Trace> {
-    workload_names(suite)
-        .into_iter()
-        .map(|n| build_workload(n, records))
-        .collect()
 }
 
 #[cfg(test)]
@@ -390,9 +385,9 @@ mod tests {
             for name in workload_names(suite) {
                 let trace = build_workload(name, 2_000);
                 assert!(
-                    trace.len() >= 2_000,
-                    "{name} produced only {} records",
-                    trace.len()
+                    trace.instructions_per_pass() >= 2_000,
+                    "{name} produced only {} instructions",
+                    trace.instructions_per_pass()
                 );
                 assert_eq!(trace.name(), name);
             }

@@ -12,9 +12,12 @@ use workloads::build_workload;
 
 fn main() {
     let params = RunParams::experiment();
-    let records = records_for(&params);
+    let instructions = records_for(&params);
     let names = ["bwaves_s", "PageRank", "mcf_s", "cassandra"];
-    let traces: Vec<_> = names.iter().map(|n| build_workload(n, records)).collect();
+    let traces: Vec<_> = names
+        .iter()
+        .map(|n| build_workload(n, instructions))
+        .collect();
     let refs: Vec<&dyn sim_core::trace::TraceSource> = traces.iter().map(|t| t as _).collect();
 
     let mut table = Table::new(

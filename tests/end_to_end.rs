@@ -131,10 +131,10 @@ fn multicore_contention_preserves_gaze_advantage_over_pmp() {
         measured: 25_000,
         ..RunParams::experiment()
     };
-    let records = records_for(&params);
+    let instructions = records_for(&params);
     let traces: Vec<_> = ["bwaves_s", "PageRank", "cassandra", "fotonik3d_s"]
         .iter()
-        .map(|n| build_workload(n, records))
+        .map(|n| build_workload(n, instructions))
         .collect();
     let refs: Vec<&dyn sim_core::trace::TraceSource> = traces.iter().map(|t| t as _).collect();
     let (_, _, gaze) = multicore_speedup(&refs, "gaze", &params);

@@ -65,7 +65,10 @@ fn copy_fixture_store(into: &Path) {
             copied += 1;
         }
     }
-    assert!(copied >= 2, "expected the committed 1-core and 2-core segments");
+    assert!(
+        copied >= 2,
+        "expected the committed 1-core and 2-core segments"
+    );
 }
 
 /// Deactivates the process-global store on drop even if an assertion
@@ -154,7 +157,7 @@ fn golden_digest() -> u64 {
 fn model_epoch_is_bound_to_the_golden_csvs() {
     assert_eq!(
         (MODEL_EPOCH, golden_digest()),
-        (1, 0x5632_119e_dbdc_4640),
+        (2, 0x03ed_8349_04d1_bead),
         "the golden CSVs changed: bump sim_core::params::MODEL_EPOCH, \
          regenerate tests/fixtures (see the module doc) and re-pin this pair"
     );
